@@ -74,16 +74,6 @@ def workloads():
 
     yield "count_embeddings", w_count
 
-    k3 = [(1, 2), (1, 3), (2, 3)]
-
-    def w_search(mod):
-        return (
-            mod.search_good_coloring(5, 3, k3, 3, k3),
-            mod.search_good_coloring(6, 3, k3, 3, k3),
-        )
-
-    yield "search_good_coloring", w_search
-
     t_rows = random_tournament_rows(44, random.Random(5))
 
     def w_chain(mod):

@@ -1,12 +1,16 @@
 """Pure-Python implementations of the search kernels.
 
-Every function here has a compiled twin in ordramsey._speedups with identical
-semantics (same witnesses, same enumeration order); ordramsey.kernels picks
-one at import time.  Inputs are primitives: 1-based adjacency bitmask rows
-(index 0 unused) and plain ints, so both twins share a calling convention.
+Every function here except search_good_coloring has a compiled twin in
+ordramsey._speedups with identical semantics (same witnesses, same
+enumeration order); ordramsey.kernels picks one at import time and always
+binds search_good_coloring from here.  Inputs are primitives: 1-based
+adjacency bitmask rows (index 0 unused) and plain ints, so both twins share a
+calling convention.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 def _full_mask(n: int) -> int:
@@ -105,38 +109,6 @@ def count_embeddings(
     return count
 
 
-def _exists_pinned(
-    host_n: int,
-    adj: list[int],
-    pat_n: int,
-    pat_pre: list[list[int]],
-    p: int,
-    q: int,
-    u: int,
-    v: int,
-) -> bool:
-    """Does an embedding exist with pattern vertex p pinned to u and q to v?"""
-    full = _full_mask(host_n)
-    mapping = [0] * (pat_n + 1)
-
-    def rec(t: int) -> bool:
-        prev = mapping[t - 1] if t > 1 else 0
-        c = full & ~((1 << (prev + 1)) - 1)
-        if t == p:
-            c &= 1 << u
-        elif t == q:
-            c &= 1 << v
-        for j in pat_pre[t]:
-            c &= adj[mapping[j]]
-        for w in _bits(c):
-            mapping[t] = w
-            if t == pat_n or rec(t + 1):
-                return True
-        return False
-
-    return rec(1)
-
-
 def search_good_coloring(
     N: int,
     pat1_n: int,
@@ -147,6 +119,14 @@ def search_good_coloring(
     """Find a coloring of ordered K_N with no Red copy of pattern 1 and no Blue
     copy of pattern 2, backtracking over pairs in colex order (Red tried first).
 
+    Every k-subset of K_N hosts exactly one copy of a k-vertex pattern, so the
+    forbidden copies are C(N, k1) + C(N, k2) clauses over the C(N, 2) pair
+    variables, all held in memory.  A clause is violated when every pair in
+    it takes its forbidden color.  Counter-based unit propagation forces the
+    last free pair of a clause to the other color; it removes only branches
+    with no good completion, so the result is the lexicographically least good
+    coloring, as a plain backtracking search would find.
+
     Returns per-pair colors in colex order (0 Red, 1 Blue), or None when every
     coloring contains a forbidden copy.
     """
@@ -156,53 +136,100 @@ def search_good_coloring(
     if pat2_n <= N and not pat2_edges:
         return None
 
-    def prelist(pn: int, pedges: list[tuple[int, int]]) -> list[list[int]]:
-        pre: list[list[int]] = [[] for _ in range(pn + 1)]
-        for a, b in pedges:
-            pre[b].append(a)
-        for row in pre:
-            row.sort()
-        return pre
+    index: dict[tuple[int, int], int] = {}
+    for j in range(2, N + 1):
+        for i in range(1, j):
+            index[i, j] = len(index)
+    nvars = len(index)
 
-    pre1 = prelist(pat1_n, pat1_edges)
-    pre2 = prelist(pat2_n, pat2_edges)
-    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
-    red = [0] * (N + 1)
-    blue = [0] * (N + 1)
-    bits: list[int] = []
-
-    def completes(adj: list[int], pn: int, pre, pedges, i: int, j: int) -> bool:
+    # watch[c][v]: the clauses forbidding color c that contain pair v
+    watch: list[list[list[int]]] = [[[] for _ in range(nvars)] for _ in range(2)]
+    clauses: list[tuple[int, ...]] = []
+    units: list[tuple[int, int]] = []  # (pair, the color it is forced to)
+    for color, pn, pedges in ((0, pat1_n, pat1_edges), (1, pat2_n, pat2_edges)):
         if pn > N:
-            return False
-        for a, b in pedges:
-            if _exists_pinned(N, adj, pn, pre, a, b, i, j):
-                return True
-        return False
+            continue
+        seen: set[tuple[int, ...]] = set()
+        for sub in combinations(range(1, N + 1), pn):
+            clause = tuple(sorted({index[sub[a - 1], sub[b - 1]] for a, b in pedges}))
+            if clause in seen:
+                continue
+            seen.add(clause)
+            if len(clause) == 1:
+                units.append((clause[0], 1 - color))
+            for v in clause:
+                watch[color][v].append(len(clauses))
+            clauses.append(clause)
+    # need[cl]: pairs of clause cl not yet propagated in its forbidden color;
+    # 1 leaves one pair to force, 0 marks a violated clause
+    need = [len(clause) for clause in clauses]
 
-    def place(k: int) -> bool:
-        if k == len(pairs):
-            return True
-        i, j = pairs[k]
-        bi, bj = 1 << i, 1 << j
-        red[i] |= bj
-        red[j] |= bi
-        bits.append(0)
-        if not completes(red, pat1_n, pre1, pat1_edges, i, j) and place(k + 1):
-            return True
-        red[i] &= ~bj
-        red[j] &= ~bi
-        bits.pop()
-        blue[i] |= bj
-        blue[j] |= bi
-        bits.append(1)
-        if not completes(blue, pat2_n, pre2, pat2_edges, i, j) and place(k + 1):
-            return True
-        blue[i] &= ~bj
-        blue[j] &= ~bi
-        bits.pop()
-        return False
+    val = [-1] * nvars
+    trail: list[int] = []
+    head = 0  # trail[:head] have been propagated into need
 
-    return list(bits) if place(0) else None
+    def propagate() -> bool:
+        nonlocal head
+        ok = True
+        while ok and head < len(trail):
+            v = trail[head]
+            head += 1
+            c = val[v]
+            # finish every clause of v even after a conflict, so undo is exact
+            for cl in watch[c][v]:
+                left = need[cl] - 1
+                need[cl] = left
+                if left == 0:
+                    ok = False
+                elif left == 1 and ok:
+                    for u in clauses[cl]:
+                        if val[u] < 0:
+                            val[u] = 1 - c
+                            trail.append(u)
+                            break
+        return ok
+
+    def undo(mark: int) -> None:
+        nonlocal head
+        for v in trail[mark:head]:
+            for cl in watch[val[v]][v]:
+                need[cl] += 1
+        for v in trail[mark:]:
+            val[v] = -1
+        del trail[mark:]
+        head = mark
+
+    # a clause of one pair forces it before any decision
+    for v, c in units:
+        if val[v] == 1 - c:
+            return None
+        if val[v] < 0:
+            val[v] = c
+            trail.append(v)
+    decisions: list[tuple[int, int]] = []  # (pair, trail length before it)
+    k = 0
+    ok = propagate()
+    while True:
+        if ok:
+            while k < nvars and val[k] >= 0:
+                k += 1
+            if k == nvars:
+                return val
+            decisions.append((k, len(trail)))
+            val[k] = 0
+        else:
+            while decisions:
+                k, mark = decisions[-1]
+                flip = val[k] == 0
+                undo(mark)
+                if flip:
+                    break
+                decisions.pop()
+            else:
+                return None
+            val[k] = 1
+        trail.append(k)
+        ok = propagate()
 
 
 def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:

@@ -3,8 +3,9 @@
 
 Same calling convention, same witnesses, same enumeration order as
 ordramsey._fallback; ordramsey.kernels picks an implementation at import
-time.  Vertex masks stay Python ints so hosts are not capped at a machine
-word; the win comes from typed counters and C-level recursion.
+time.  search_good_coloring has no twin here: the pure clause search is
+always used.  Vertex masks stay Python ints so hosts are not capped at a
+machine word; the win comes from typed counters and C-level recursion.
 """
 
 
@@ -113,95 +114,6 @@ def count_embeddings(host_n, host_adj, pat_n, pat_pre, slots, cap):
         cursor[nxt] = 0
         t = nxt
     return int(count)
-
-
-cdef bint _exists_pinned(int pat_n, list adj, list pat_pre,
-                         int p, int q, int u, int v,
-                         list mapping, object full, int t) except -1:
-    cdef object c, low
-    cdef int w, j
-    cdef int prev = mapping[t - 1] if t > 1 else 0
-    c = full & ~_low_mask(prev)
-    if t == p:
-        c &= _bit(u)
-    elif t == q:
-        c &= _bit(v)
-    for j in pat_pre[t]:
-        c &= adj[<object> mapping[j]]
-    while c:
-        low = c & -c
-        w = low.bit_length() - 1
-        c ^= low
-        mapping[t] = w
-        if t == pat_n or _exists_pinned(pat_n, adj, pat_pre,
-                                        p, q, u, v, mapping, full, t + 1):
-            return True
-    return False
-
-
-def search_good_coloring(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
-    """Find a coloring of ordered K_N with no Red copy of pattern 1 and no Blue
-    copy of pattern 2, backtracking over pairs in colex order (Red tried first).
-
-    Returns per-pair colors in colex order (0 Red, 1 Blue), or None when every
-    coloring contains a forbidden copy.
-    """
-    big_n = N
-    if pat1_n <= big_n and not pat1_edges:
-        return None
-    if pat2_n <= big_n and not pat2_edges:
-        return None
-
-    def prelist(pn, pedges):
-        pre = [[] for _ in range(pn + 1)]
-        for a, b in pedges:
-            pre[b].append(a)
-        for row in pre:
-            row.sort()
-        return pre
-
-    pre1 = prelist(pat1_n, pat1_edges)
-    pre2 = prelist(pat2_n, pat2_edges)
-    pairs = [(i, j) for j in range(2, big_n + 1) for i in range(1, j)]
-    red = [0] * (big_n + 1)
-    blue = [0] * (big_n + 1)
-    bits = []
-    full = _full_mask(big_n)
-    scratch1 = [0] * (pat1_n + 1)
-    scratch2 = [0] * (pat2_n + 1)
-
-    def completes(adj, pn, pre, pedges, scratch, i, j):
-        if pn > big_n:
-            return False
-        for a, b in pedges:
-            if _exists_pinned(pn, adj, pre, a, b, i, j, scratch, full, 1):
-                return True
-        return False
-
-    def place(k):
-        if k == len(pairs):
-            return True
-        i, j = pairs[k]
-        bi, bj = 1 << i, 1 << j
-        red[i] |= bj
-        red[j] |= bi
-        bits.append(0)
-        if not completes(red, pat1_n, pre1, pat1_edges, scratch1, i, j) and place(k + 1):
-            return True
-        red[i] &= ~bj
-        red[j] &= ~bi
-        bits.pop()
-        blue[i] |= bj
-        blue[j] |= bi
-        bits.append(1)
-        if not completes(blue, pat2_n, pre2, pat2_edges, scratch2, i, j) and place(k + 1):
-            return True
-        blue[i] &= ~bj
-        blue[j] &= ~bi
-        bits.pop()
-        return False
-
-    return list(bits) if place(0) else None
 
 
 cdef bint _chain_rec(list beats, int k, int depth, object cands, list chain) except -1:

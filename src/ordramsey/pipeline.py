@@ -528,7 +528,13 @@ def split_pattern(pattern: OrderedGraph) -> tuple[tuple[int, ...], tuple[int, ..
 def find_good_coloring(
     pat1: OrderedGraph, pat2: OrderedGraph, big_n: int
 ) -> ColoredCompleteGraph | None:
-    """A coloring of ordered K_N with no red pat1 and no blue pat2, or None."""
+    """A coloring of ordered K_N with no red pat1 and no blue pat2, or None.
+
+    The result is the lexicographically least such coloring over the pairs in
+    colex order, Red before Blue.  The search holds the C(N, k1) + C(N, k2)
+    forbidden copies (k1, k2 the pattern orders) in memory as clauses over
+    the C(N, 2) pair colors and prunes with unit propagation.
+    """
     if big_n < 1:
         raise ParameterError("N must be positive")
     bits = kernels.search_good_coloring(
@@ -543,7 +549,8 @@ def exact_ordered_ramsey(
     """Least N <= max_n forcing a red pat1 or blue pat2, with a witness.
 
     The witness is a good coloring on N* - 1 vertices containing neither
-    pattern in its color.  Returns None when N* exceeds max_n.
+    pattern in its color.  Returns None when N* exceeds max_n.  Each N runs
+    find_good_coloring, which holds C(N, k1) + C(N, k2) clauses in memory.
     """
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")

@@ -63,16 +63,6 @@ class TestCountEmbeddings:
                 assert kernels.compiled.count_embeddings(*args) == kernels.pure.count_embeddings(*args), (seed, cap)
 
 
-class TestSearchGoodColoring:
-    def test_parity(self):
-        tri = complete_graph(3)
-        path = OrderedGraph(3, [(1, 2), (2, 3)])
-        for N in (3, 4, 5):
-            for p1, p2 in ((tri, tri), (tri, path), (path, path)):
-                args = (N, p1.n, p1.sorted_edges(), p2.n, p2.sorted_edges())
-                assert kernels.compiled.search_good_coloring(*args) == kernels.pure.search_good_coloring(*args), (N, p1.m, p2.m)
-
-
 class TestTransitiveChain:
     def test_parity(self):
         for seed in range(40):

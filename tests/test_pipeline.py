@@ -7,7 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ordramsey import kernels
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class
 from ordramsey.embed import find_ordered_embedding
 from ordramsey.errors import DomainError, ParameterError
@@ -333,3 +335,60 @@ class TestExactOrderedRamsey:
         # a good coloring exists at N*-1 but none at N*
         assert find_good_coloring(k_pattern(3), k_pattern(3), 5) is not None
         assert find_good_coloring(k_pattern(3), k_pattern(3), 6) is None
+
+    def test_monotone_paths_meet_erdos_szekeres(self):
+        # R(P_s, P_t) = (s - 1)(t - 1) + 1 for monotone paths
+        assert exact_ordered_ramsey(monotone_path(3), monotone_path(4), 8)[0] == 7
+        assert exact_ordered_ramsey(monotone_path(4), monotone_path(4), 11)[0] == 10
+
+    def test_classical_r_3_4(self):
+        assert exact_ordered_ramsey(k_pattern(3), k_pattern(4), 10)[0] == 9
+
+
+@st.composite
+def small_patterns(draw):
+    n = draw(st.integers(2, 4))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return n, sorted(draw(st.sets(st.sampled_from(pairs))))
+
+
+def brute_force_good_coloring(N, pat1, pat2):
+    """First good coloring in lexicographic order over colex pairs, Red (0)
+    first, by enumerating all 2^C(N,2) colorings; None when there is none."""
+    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
+    bit = {pair: len(pairs) - 1 - p for p, pair in enumerate(pairs)}
+
+    def copy_masks(pattern):
+        pn, pedges = pattern
+        return [
+            sum(1 << bit[sub[a - 1], sub[b - 1]] for a, b in pedges)
+            for sub in combinations(range(1, N + 1), pn)
+        ]
+
+    red_masks, blue_masks = copy_masks(pat1), copy_masks(pat2)
+    # the first pair is the most significant bit, so counting up is lex order
+    for x in range(1 << len(pairs)):
+        if any(x & m == 0 for m in red_masks):
+            continue
+        if any(x & m == m for m in blue_masks):
+            continue
+        return [(x >> bit[pair]) & 1 for pair in pairs]
+    return None
+
+
+class TestSearchGoodColoringDifferential:
+    """The clause search against exhaustive enumeration of colorings."""
+
+    def check(self, N, pat1, pat2):
+        got = kernels.search_good_coloring(N, pat1[0], pat1[1], pat2[0], pat2[1])
+        assert got == brute_force_good_coloring(N, pat1, pat2)
+
+    @given(st.integers(1, 5), small_patterns(), small_patterns())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, N, pat1, pat2):
+        self.check(N, pat1, pat2)
+
+    @given(small_patterns(), small_patterns())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_brute_force_on_k6(self, pat1, pat2):
+        self.check(6, pat1, pat2)
