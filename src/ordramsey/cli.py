@@ -352,7 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certificate-producing searches for ordered Ramsey structure.",
     )
     top.add_argument("--seed", type=int, default=None, help=f"rng seed (default: ${SEED_ENV} or 0)")
-    top.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP)
+    top.add_argument(
+        "--tuple-cap",
+        type=int,
+        default=DEFAULT_TUPLE_CAP,
+        help="clique-tuple work bound: tuples enumerated on the host graph by `skeleton`, "
+        "spine keys enumerated from sampled cliques by `search` and `sparse-set` "
+        f"(default: {DEFAULT_TUPLE_CAP})",
+    )
     top.add_argument("--node-budget", type=int, default=10_000_000)
     top.add_argument("--exhaustive-threshold", type=int, default=DEFAULT_EXHAUSTIVE_THRESHOLD)
     top.add_argument("--threads", type=int, default=None, help="cap worker count")

@@ -36,9 +36,8 @@ from .errors import InternalContractError, ParameterError
 from .skeleton import (
     DEFAULT_SAMPLES,
     DEFAULT_TUPLE_CAP,
-    _index_from_tuples,
+    _index_from_cliques,
     _skeleton_from_index,
-    expand_clique_tuples,
     find_skeleton_in_dense,
     sample_color_cliques,
 )
@@ -361,26 +360,21 @@ def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple
 
     skel = None
     skel_color = None
+    truncated = False
     for col in order:
         if not harvest[col]:
             continue
         k_col = need1 if col is Color.RED else need2
         a_col = params.k1 if col is Color.RED else params.k2
-        tuples: list[tuple[int, ...]] = []
-        budget = state.tuple_cap
-        for clique in harvest[col]:
-            new = expand_clique_tuples(clique, k_col, budget)
-            tuples.extend(new)
-            budget -= len(new)
-            if budget <= 0:
-                break
-        index = _index_from_tuples(dict.fromkeys(tuples), k_col)
+        index = _index_from_cliques(harvest[col], k_col, state.tuple_cap)
+        truncated = truncated or index.truncated
         cand, _ = _skeleton_from_index(index, a_col, Fraction(len(X), 2 * window**5))
         if cand is not None:
             skel, skel_color = cand, col
             break
     if skel is None:
-        return Exhausted(trace + ("no skeleton assembled from the sampled cliques",))
+        note = f" (spine-key cap {state.tuple_cap} reached)" if truncated else ""
+        return Exhausted(trace + ("no skeleton assembled from the sampled cliques" + note,))
 
     i = skel_color
     host = color_class(sub, i)

@@ -109,8 +109,11 @@ def verify_skeleton(host: OrderedGraph, s: Skeleton) -> SkeletonReport:
 class CliqueTupleIndex:
     """Increasing clique (4a+1)-tuples bucketed by their odd-position vertices.
 
-    buckets maps each odd-position key to (tuple count, even-position vertex
-    masks).  truncated means enumeration stopped at the cap with tuples left.
+    buckets maps each odd-position key (the spine key) to (tuple count,
+    even-position vertex masks).  truncated means enumeration stopped at the
+    cap with work left: enumerated tuples on the host-graph path
+    (build_clique_tuple_index), spine keys on the clique-harvest path
+    (_index_from_cliques).
     """
 
     k: int
@@ -142,23 +145,6 @@ def build_clique_tuple_index(
         host.n, list(host.adj), k, tuple_cap
     )
     return CliqueTupleIndex(k, total, truncated, buckets)
-
-
-def _index_from_tuples(tuples: Iterable[tuple[int, ...]], k: int) -> CliqueTupleIndex:
-    half = (k + 1) // 2
-    buckets: dict = {}
-    total = 0
-    for tup in tuples:
-        key = tuple(tup[1::2])
-        ent = buckets.get(key)
-        if ent is None:
-            ent = [0, [0] * half]
-            buckets[key] = ent
-        ent[0] += 1
-        for idx in range(half):
-            ent[1][idx] |= 1 << tup[2 * idx]
-        total += 1
-    return CliqueTupleIndex(k, total, False, buckets)
 
 
 def _skeleton_from_index(
@@ -320,9 +306,13 @@ class DenseSkeletonResult:
 
 
 def expand_clique_tuples(
-    clique: tuple[int, ...], k: int, budget: int
+    clique: Iterable[int], k: int, budget: int
 ) -> list[tuple[int, ...]]:
-    """Increasing k-subtuples of a clique, lexicographically, up to budget."""
+    """Increasing k-subtuples of a clique, lexicographically, up to budget.
+
+    The clique-harvest index calls it on gap positions rather than on
+    vertices, so each tuple it returns there is one spine key.
+    """
     if len(clique) < k or budget <= 0:
         return []
     out = []
@@ -331,6 +321,96 @@ def expand_clique_tuples(
         if len(out) >= budget:
             break
     return out
+
+
+def _box_union_size(boxes: list) -> int:
+    """Size of a union of boxes, a box being one nonempty vertex mask per
+    coordinate.  Splits the first coordinate by which boxes hold each vertex
+    and recurses on the remaining coordinates of those boxes."""
+    if len(boxes) == 1 or not boxes[0]:
+        return math.prod(m.bit_count() for m in boxes[0])
+    parts: list[tuple[int, list[int]]] = []  # disjoint vertex masks, holding boxes
+    for i, box in enumerate(boxes):
+        head = box[0]
+        fresh = head
+        refined = []
+        for mask, members in parts:
+            if mask & head:
+                refined.append((mask & head, members + [i]))
+            if mask & ~head:
+                refined.append((mask & ~head, members))
+            fresh &= ~mask
+        if fresh:
+            refined.append((fresh, [i]))
+        parts = refined
+    return sum(
+        mask.bit_count() * _box_union_size([boxes[i][1:] for i in members])
+        for mask, members in parts
+    )
+
+
+def _index_from_cliques(
+    cliques: list[tuple[int, ...]], k: int, cap: int
+) -> CliqueTupleIndex:
+    """Index the increasing k-tuples of a clique family without listing them.
+
+    A tuple's spine key (its odd positions) cuts its clique into gaps: before
+    the first key vertex, between consecutive ones and, for odd k, after the
+    last; the tuple's other entries are one vertex from each gap.  In a clique
+    of m vertices, the keys at positions p_1 < ... < p_r (r = k // 2) with
+    every gap nonempty are exactly those with q_j = p_j - (j - 1) an
+    increasing r-subset of range(1, m - r + 1 - k % 2), and such a key buckets
+    the product of its gap sizes.  A key valid in several cliques buckets the
+    union of their gap boxes, counted exactly.
+
+    cap bounds the spine keys enumerated, clique by clique in the given order
+    and lexicographically within a clique, a key valid in two cliques counting
+    twice; truncated means keys were left.  Every valid key of a clique holds
+    one of its tuples, so when the cliques hold at most cap tuples between
+    them the cap does not bite.
+    """
+    r, tail = k // 2, k % 2
+    buckets: dict = {}
+    shared: dict = {}  # key -> gap masks of every clique it is valid in
+    budget = cap
+    truncated = False
+    for idx, clique in enumerate(cliques):
+        verts = sorted(clique)
+        if len(verts) < k:
+            continue
+        prefix = [0]
+        for v in verts:
+            prefix.append(prefix[-1] | 1 << v)
+        span = len(verts) - r - tail
+        keys = expand_clique_tuples(range(1, span + 1), r, budget)
+        # gap i of key q is q-space lo[i] <= x < hi[i], clique positions x + i;
+        # its mask is gap[i][lo[i]][hi[i]], so keys share their mask objects
+        gap = [
+            [[prefix[h + i] ^ prefix[l + i] for h in range(span + 2)] for l in range(span + 1)]
+            for i in range(r + tail)
+        ]
+        lifted = [verts[j:] for j in range(r)]
+        top = (span + 1,) if tail else ()
+        for q in keys:
+            lo, hi = (0, *q), q + top
+            masks = list(map(list.__getitem__, map(list.__getitem__, gap, lo), hi))
+            key = tuple(map(list.__getitem__, lifted, q))
+            ent = buckets.get(key)
+            if ent is None:
+                buckets[key] = [math.prod(map(int.__sub__, hi, lo)), masks]
+            else:
+                shared.setdefault(key, [ent[1]]).append(masks)
+                ent[1] = list(map(int.__or__, ent[1], masks))
+        budget -= len(keys)
+        if budget <= 0:
+            truncated = len(keys) < math.comb(span, r) or any(
+                len(c) >= k for c in cliques[idx + 1:]
+            )
+            break
+    for key, boxes in shared.items():
+        buckets[key][0] = _box_union_size(boxes)
+    total = sum(ent[0] for ent in buckets.values())
+    return CliqueTupleIndex(k, total, truncated, buckets)
 
 
 def sample_color_cliques(
@@ -347,14 +427,17 @@ def sample_color_cliques(
     Runs the two-chain greedy on the sparser color class of each sampled
     window; its clique chain is a clique of that color and its independent
     chain is a clique of the other color.  When density_gate is given, windows
-    whose gate_color density exceeds the gate are skipped.
+    whose gate_color density exceeds the gate are skipped.  A window of at
+    least N vertices is the whole coloring, so it is processed once however
+    many samples are asked for; the harvest is the same.
     """
     rng = random.Random(seed)
     universe = list(range(1, coloring.N + 1))
     window = min(window, coloring.N)
+    rounds = samples if window < coloring.N else min(samples, 1)
     found: dict[Color, list[tuple[int, ...]]] = {Color.RED: [], Color.BLUE: []}
     seen: dict[Color, set] = {Color.RED: set(), Color.BLUE: set()}
-    for _ in range(samples):
+    for _ in range(rounds):
         members = sorted(rng.sample(universe, window)) if window < coloring.N else universe
         sub, back = coloring.induced(members)
         red_graph = color_class(sub, Color.RED)
@@ -396,9 +479,11 @@ def find_skeleton_in_dense(
     Samples windows (the window size follows the underlying lemma, capped at
     N), grows monochromatic cliques per sample, takes the majority clique
     color (ties to Red), and feeds the cliques' increasing (4a+1)-tuples to
-    the pigeonhole skeleton assembly.  The result reports the lemma's block
-    size target and whether it was met; a result with no skeleton is a search
-    failure, distinct from a parameter error.
+    the pigeonhole skeleton assembly.  The tuples are bucketed in closed form
+    from the cliques (_index_from_cliques), never listed; tuple_cap bounds the
+    spine keys enumerated.  The result reports the lemma's block size target
+    and whether it was met; a result with no skeleton is a search failure,
+    distinct from a parameter error.
     """
     c = Fraction(c)
     if c <= 0:
@@ -440,15 +525,7 @@ def find_skeleton_in_dense(
                                    {Color.RED: n_red, Color.BLUE: n_blue})
     majority = Color.RED if n_red >= n_blue else Color.BLUE
 
-    tuples: list[tuple[int, ...]] = []
-    budget = tuple_cap
-    for clique in harvest[majority]:
-        new = expand_clique_tuples(clique, k, budget)
-        tuples.extend(new)
-        budget -= len(new)
-        if budget <= 0:
-            break
-    index = _index_from_tuples(dict.fromkeys(tuples), k)
+    index = _index_from_cliques(harvest[majority], k, tuple_cap)
     skel, _ = _skeleton_from_index(index, a, 1)
     target = _dense_target_b(big_n, a, c)
     if skel is None:

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordramsey import kernels
+from ordramsey import kernels, pipeline
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class
 from ordramsey.embed import find_ordered_embedding
 from ordramsey.errors import DomainError, ParameterError
@@ -172,6 +172,19 @@ class TestBinaryTreeSparse:
         )
         assert isinstance(res, Exhausted)
         assert any("split" in step for step in res.trace)
+
+    def test_exhaustion_names_a_biting_key_cap(self, monkeypatch):
+        # reject every bucket, so the node exhausts for want of a skeleton;
+        # its trace names the cap only where the cap cut the index short
+        monkeypatch.setattr(pipeline, "_skeleton_from_index", lambda *args: (None, 0))
+        col = all_blue(20)
+        params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 1, 10)
+        for cap, note in ((1, " (spine-key cap 1 reached)"), (10_000, "")):
+            res = binary_tree_sparse(
+                col, range(1, 21), k_pattern(3), k_pattern(3), params, samples=4, tuple_cap=cap
+            )
+            assert isinstance(res, Exhausted)
+            assert res.trace[-1] == "no skeleton assembled from the sampled cliques" + note
 
     def test_empty_members_rejected(self):
         col = all_blue(5)

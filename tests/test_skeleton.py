@@ -3,15 +3,19 @@ clique-or-independent-set finder."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph
+from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, mask_of
 from ordramsey.errors import DomainError, InternalContractError, ParameterError, TupleCapError
 from ordramsey.skeleton import (
+    DEFAULT_TUPLE_CAP,
     Skeleton,
+    _index_from_cliques,
     build_clique_tuple_index,
     es_bound,
     es_clique_or_independent,
@@ -131,6 +135,81 @@ class TestCliqueTupleIndex:
             assert count >= idx.total / host.n ** 2
 
 
+def reference_index(cliques, k):
+    """Buckets of every increasing k-tuple of every clique, listed one by one
+    and deduplicated; also returns how many tuples were listed."""
+    listed = [tup for clique in cliques for tup in combinations(sorted(clique), k)]
+    buckets = {}
+    for tup in dict.fromkeys(listed):
+        ent = buckets.setdefault(tup[1::2], [0, [0] * ((k + 1) // 2)])
+        ent[0] += 1
+        for pos, v in enumerate(tup[::2]):
+            ent[1][pos] |= 1 << v
+    return buckets, len(listed)
+
+
+@st.composite
+def clique_families(draw):
+    """Overlapping vertex sets on a few vertices, some of size exactly k."""
+    k = draw(st.sampled_from((1, 3, 5, 9)))
+    n = draw(st.integers(k, 14))
+    vertex = st.integers(1, n)
+    clique = st.one_of(
+        st.frozensets(vertex, min_size=k, max_size=k), st.frozensets(vertex, max_size=n)
+    )
+    family = draw(st.lists(clique, max_size=5))
+    return [tuple(sorted(c)) for c in family], k
+
+
+class TestIndexFromCliques:
+    @settings(max_examples=300, deadline=None)
+    @given(clique_families())
+    def test_matches_listed_tuples(self, family):
+        cliques, k = family
+        buckets, _ = reference_index(cliques, k)
+        idx = _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP)
+        assert idx.buckets == buckets
+        assert idx.total == sum(cnt for cnt, _ in buckets.values())
+        assert not idx.truncated
+
+    @settings(max_examples=150, deadline=None)
+    @given(clique_families(), st.integers(0, 50))
+    def test_cap_at_listed_total_changes_nothing(self, family, extra):
+        # every spine key holds a tuple, so a cap the listed tuples fit under
+        # never bites
+        cliques, k = family
+        buckets, listed = reference_index(cliques, k)
+        idx = _index_from_cliques(cliques, k, max(listed, 1) + extra)
+        assert idx.buckets == buckets
+        assert not idx.truncated
+
+    @settings(max_examples=150, deadline=None)
+    @given(clique_families(), st.integers(1, 6))
+    def test_small_cap_truncates_to_a_sub_index(self, family, cap):
+        cliques, k = family
+        buckets, _ = reference_index(cliques, k)
+        idx = _index_from_cliques(cliques, k, cap)
+        if len(buckets) > cap:
+            assert idx.truncated
+        if not idx.truncated:
+            assert idx.buckets == buckets
+        for key, (cnt, masks) in idx.buckets.items():
+            assert cnt <= buckets[key][0]
+            assert all(m & ~full == 0 for m, full in zip(masks, buckets[key][1]))
+
+    def test_tiny_cap_marks_truncated(self):
+        # the first spine key of K_12 at k = 5 is (2, 4), with gaps {1}, {3}
+        # and {5, ..., 12}
+        idx = _index_from_cliques([tuple(range(1, 13))], 5, 1)
+        assert idx.truncated
+        assert idx.buckets == {(2, 4): [8, [1 << 1, 1 << 3, mask_of(range(5, 13))]]}
+        assert idx.total == 8
+
+    def test_short_cliques_hold_nothing(self):
+        idx = _index_from_cliques([(1, 2, 3, 4)], 5, 1)
+        assert idx.total == 0 and not idx.truncated and not idx.buckets
+
+
 class TestFindSkeletonFromCliques:
     def test_complete_host_meets_lemma_bound(self):
         for n_param, a in ((5, 1), (9, 2)):
@@ -212,6 +291,17 @@ class TestSampleColorCliques:
         b = sample_color_cliques(col, need, window=10, samples=32, seed=7)
         assert a == b
 
+    def test_full_window_runs_once(self):
+        # a window of all N vertices draws nothing from the rng, so every
+        # sample repeats the first
+        col = ColoredCompleteGraph.from_random(30, 5, red_probability=0.4)
+        need = {Color.RED: 3, Color.BLUE: 3}
+        for window in (30, 45):
+            once = sample_color_cliques(col, need, window=window, samples=1, seed=3)
+            many = sample_color_cliques(col, need, window=window, samples=64, seed=3)
+            assert many == once
+            assert once[Color.RED] or once[Color.BLUE]
+
     def test_harvested_cliques_are_monochromatic(self):
         col = ColoredCompleteGraph.from_random(30, 11, red_probability=0.3)
         need = {Color.RED: 3, Color.BLUE: 4}
@@ -245,6 +335,21 @@ class TestFindSkeletonInDense:
 
         host = color_class(col, res.color)
         assert verify_skeleton(host, res.skeleton).ok
+
+    @pytest.mark.parametrize("big_n, a", [(80, 1), (40, 2)])
+    def test_all_blue_without_listing_tuples(self, big_n, a):
+        # the whole coloring is one blue clique holding C(N, 4a + 1) tuples
+        # (24M and 274M here); only its spine keys may be held in memory
+        col = ColoredCompleteGraph.from_function(big_n, lambda i, j: False)
+        tracemalloc.start()
+        try:
+            res = find_skeleton_in_dense(col, Color.RED, a, Fraction(10), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.found and res.color is Color.BLUE
+        assert verify_skeleton(color_class(col, Color.BLUE), res.skeleton).ok
+        assert peak < 100 * 2**20
 
     def test_spine_gate(self):
         # a below 10/c is a parameter violation
