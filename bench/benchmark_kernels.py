@@ -3,7 +3,9 @@
 
 Runs the same deterministic workload through ordramsey._speedups and
 ordramsey._fallback, checks the outputs agree, and prints a timing table.
-Usage: python bench/benchmark_kernels.py [--repeat K]
+Without the compiled extension it times the pure kernels alone.  Every time
+is the best of --repeat runs.
+Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
 import argparse
@@ -106,6 +108,22 @@ def workloads():
 
     yield "clique_tuple_buckets", w_cliques
 
+    # the sizes of the perfbench cli-mix jobs: skeleton on K_40 (a = 1) and
+    # the no-transitive-30-set proof for each 160-vertex lowerbound draw
+    k40 = adj_rows(40, list(combinations(range(1, 41), 2)))
+
+    def w_cliques_k40(mod):
+        return mod.clique_tuple_buckets(40, k40, 5, 10_000_000)
+
+    yield "clique_tuple_buckets K40", w_cliques_k40
+
+    t160 = random_tournament_rows(160, random.Random(1600))
+
+    def w_chain_160(mod):
+        return mod.transitive_chain(160, t160, 30)
+
+    yield "transitive_chain T160", w_chain_160
+
 
 def best_time(fn, mod, repeat):
     best = float("inf")
@@ -123,17 +141,21 @@ def main():
     args = ap.parse_args()
 
     if fast is None:
-        print("compiled kernels unavailable; nothing to compare")
+        print("compiled kernels unavailable; timing the pure kernels alone")
+        print(f"{'kernel':<26} {'pure (s)':>10}")
+        for name, fn in workloads():
+            tp, _ = best_time(fn, pure, args.repeat)
+            print(f"{name:<26} {tp:>10.4f}")
         return
 
-    print(f"{'kernel':<24} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}")
+    print(f"{'kernel':<26} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}")
     for name, fn in workloads():
         tp, rp = best_time(fn, pure, args.repeat)
         tf, rf = best_time(fn, fast, args.repeat)
         agree = rp == rf
         ratio = tp / tf if tf > 0 else float("inf")
         flag = "" if agree else "  MISMATCH"
-        print(f"{name:<24} {tp:>10.4f} {tf:>13.4f} {ratio:>7.2f}x{flag}")
+        print(f"{name:<26} {tp:>10.4f} {tf:>13.4f} {ratio:>7.2f}x{flag}")
         if not agree:
             raise SystemExit(f"output mismatch in {name}")
 

@@ -233,17 +233,25 @@ def search_good_coloring(
 
 
 def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
-    """First dominance-ordered transitive subtournament of size k in DFS order."""
+    """First dominance-ordered transitive subtournament of size k in DFS order.
+
+    The DFS picks chain[depth] from the vertices beaten by every earlier
+    chain vertex, smallest first.  A child whose candidates cannot complete
+    the chain is rejected in the parent loop, before any call; that removes
+    only subtrees holding no chain, so the first chain found is unchanged.
+    """
     if k <= 0:
         return []
     chain = [0] * k
 
     def rec(depth: int, cands: int) -> bool:
-        if cands.bit_count() < k - depth:
-            return False
+        need = k - depth - 1
         for v in _bits(cands):
             chain[depth] = v
-            if depth + 1 == k or rec(depth + 1, cands & beats[v]):
+            if not need:
+                return True
+            nxt = cands & beats[v]
+            if nxt.bit_count() >= need and rec(depth + 1, nxt):
                 return True
         return False
 
@@ -335,8 +343,12 @@ def clique_tuple_buckets(
 
     Aggregates tuples into buckets keyed by the odd-position vertices
     (positions 2, 4, ... in 1-based position counting); each bucket holds
-    [tuple count, list of even-position vertex bitmasks].  Stops after cap
-    tuples; truncated is True when at least one further tuple existed.
+    [tuple count, list of even-position vertex bitmasks].  For odd k the last
+    position is an even one, so each (k-1)-prefix is recorded as one bucket
+    update: its extension mask is OR-ed into the last mask and its popcount
+    added to the count.  The cap still counts tuples in lexicographic order:
+    the result holds exactly the first cap tuples, and truncated is True when
+    at least one further tuple existed.
     """
     buckets: dict[tuple[int, ...], list] = {}
     total = 0
@@ -347,24 +359,57 @@ def clique_tuple_buckets(
     class _Stop(Exception):
         pass
 
-    def record() -> None:
-        nonlocal total, truncated
-        if total >= cap:
-            truncated = True
-            raise _Stop
+    def bucket() -> list:
         key = tuple(tup[1::2])
         ent = buckets.get(key)
         if ent is None:
             ent = [0, [0] * half]
             buckets[key] = ent
+        return ent
+
+    def record() -> None:
+        nonlocal total, truncated
+        if total >= cap:
+            truncated = True
+            raise _Stop
+        ent = bucket()
         ent[0] += 1
         masks = ent[1]
         for idx in range(half):
             masks[idx] |= 1 << tup[2 * idx]
         total += 1
 
+    def record_last(last: int) -> None:
+        # the tuples tup[:k-1] + (w,) for each w in last, w ascending
+        nonlocal total, truncated
+        count = last.bit_count()
+        room = cap - total
+        if count > room:
+            truncated = True
+            if not room:
+                raise _Stop
+            while count > room:  # keep the lowest room vertices
+                last ^= 1 << (last.bit_length() - 1)
+                count -= 1
+        ent = bucket()
+        ent[0] += count
+        masks = ent[1]
+        for idx in range(half - 1):
+            masks[idx] |= 1 << tup[2 * idx]
+        masks[half - 1] |= last
+        total += count
+        if truncated:
+            raise _Stop
+
     def rec(depth: int, cands: int) -> None:
         if cands.bit_count() < k - depth:
+            return
+        if depth + 2 == k and k % 2:
+            for v in _bits(cands):
+                last = cands & adj[v] & ~((1 << (v + 1)) - 1)
+                if last:
+                    tup[depth] = v
+                    record_last(last)
             return
         for v in _bits(cands):
             tup[depth] = v
@@ -375,7 +420,9 @@ def clique_tuple_buckets(
 
     full = _full_mask(n)
     try:
-        if k >= 1:
+        if k == 1 and full:
+            record_last(full)
+        elif k > 1:
             rec(0, full)
     except _Stop:
         pass

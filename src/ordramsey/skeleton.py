@@ -111,9 +111,11 @@ class CliqueTupleIndex:
 
     buckets maps each odd-position key (the spine key) to (tuple count,
     even-position vertex masks).  truncated means enumeration stopped at the
-    cap with work left: enumerated tuples on the host-graph path
-    (build_clique_tuple_index), spine keys on the clique-harvest path
-    (_index_from_cliques).
+    cap with work left: tuples on the host-graph path
+    (build_clique_tuple_index), counted in lexicographic order, so a
+    truncated index holds exactly the first cap tuples even though the last
+    even position is recorded as one mask per prefix; spine keys on the
+    clique-harvest path (_index_from_cliques).
     """
 
     k: int
@@ -136,7 +138,13 @@ class CliqueTupleIndex:
 def build_clique_tuple_index(
     host: OrderedGraph, k: int, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> CliqueTupleIndex:
-    """Enumerate increasing clique k-tuples (lexicographic order, capped)."""
+    """Bucket the increasing clique k-tuples of host (lexicographic order, capped).
+
+    For odd k, every prefix of k - 1 vertices is recorded as one mask of its
+    last-position extensions rather than tuple by tuple.  The cap still
+    counts tuples in lexicographic order: a truncated index holds exactly the
+    first tuple_cap tuples.
+    """
     if k < 1:
         raise ParameterError(f"tuple length {k} must be positive")
     if tuple_cap < 1:
@@ -297,7 +305,7 @@ class DenseSkeletonResult:
     skeleton: Skeleton | None
     target_b: float
     met_target: bool
-    samples_used: int
+    samples_used: int  # windows processed: 1 when the window covers all N
     cliques_seen: dict
 
     @property
@@ -413,6 +421,11 @@ def _index_from_cliques(
     return CliqueTupleIndex(k, total, truncated, buckets)
 
 
+def _sample_rounds(big_n: int, window: int, samples: int) -> int:
+    """Windows sample_color_cliques processes: one when the window is all N."""
+    return samples if window < big_n else min(samples, 1)
+
+
 def sample_color_cliques(
     coloring: ColoredCompleteGraph,
     need: dict[Color, int],
@@ -434,7 +447,7 @@ def sample_color_cliques(
     rng = random.Random(seed)
     universe = list(range(1, coloring.N + 1))
     window = min(window, coloring.N)
-    rounds = samples if window < coloring.N else min(samples, 1)
+    rounds = _sample_rounds(coloring.N, window, samples)
     found: dict[Color, list[tuple[int, ...]]] = {Color.RED: [], Color.BLUE: []}
     seen: dict[Color, set] = {Color.RED: set(), Color.BLUE: set()}
     for _ in range(rounds):
@@ -519,9 +532,10 @@ def find_skeleton_in_dense(
         density_gate=gate,
         gate_color=sparse_color,
     )
+    rounds = _sample_rounds(big_n, window, samples)
     n_red, n_blue = len(harvest[Color.RED]), len(harvest[Color.BLUE])
     if n_red == 0 and n_blue == 0:
-        return DenseSkeletonResult(None, None, _dense_target_b(big_n, a, c), False, samples,
+        return DenseSkeletonResult(None, None, _dense_target_b(big_n, a, c), False, rounds,
                                    {Color.RED: n_red, Color.BLUE: n_blue})
     majority = Color.RED if n_red >= n_blue else Color.BLUE
 
@@ -529,14 +543,14 @@ def find_skeleton_in_dense(
     skel, _ = _skeleton_from_index(index, a, 1)
     target = _dense_target_b(big_n, a, c)
     if skel is None:
-        return DenseSkeletonResult(None, None, target, False, samples,
+        return DenseSkeletonResult(None, None, target, False, rounds,
                                    {Color.RED: n_red, Color.BLUE: n_blue})
     host = color_class(coloring, majority)
     report = verify_skeleton(host, skel)
     if not report:
         raise InternalContractError(f"dense skeleton fails condition {report.condition}")
     met = skel.b >= target
-    return DenseSkeletonResult(majority, skel, target, met, samples,
+    return DenseSkeletonResult(majority, skel, target, met, rounds,
                                {Color.RED: n_red, Color.BLUE: n_blue})
 
 

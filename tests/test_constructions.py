@@ -5,7 +5,9 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ordramsey import kernels
 from ordramsey.constructions import (
     BASE_CUTOFF,
     blowup,
@@ -117,6 +119,36 @@ class TestFindTransitiveSubtournament:
                 got = find_transitive_subtournament(T, k)
                 expected = brute_force_transitive(T, k)
                 assert got == expected, (seed, k)
+
+
+@st.composite
+def tournaments(draw):
+    """A random tournament on at most 8 vertices, one coin per pair."""
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    forward = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(i, j) if fwd else (j, i) for (i, j), fwd in zip(pairs, forward)]
+    return Tournament.from_arcs(n, arcs)
+
+
+class TestTransitiveChainDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(tournaments())
+    def test_first_dominance_ordered_permutation(self, T):
+        # the kernel's DFS order is itertools.permutations order; a tournament
+        # with no transitive k-set has none larger, so the listing stops there
+        expected = []
+        for k in range(T.N + 2):
+            if expected is not None:
+                expected = next(
+                    (
+                        list(tup)
+                        for tup in permutations(range(1, T.N + 1), k)
+                        if all(T.has_arc(tup[a], tup[b]) for a in range(k) for b in range(a + 1, k))
+                    ),
+                    None,
+                )
+            assert kernels.transitive_chain(T.N, list(T.beats), k) == expected, k
 
 
 class TestRandomTournamentAvoiding:

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordramsey import kernels
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, mask_of
 from ordramsey.errors import DomainError, InternalContractError, ParameterError, TupleCapError
 from ordramsey.skeleton import (
@@ -133,6 +134,46 @@ class TestCliqueTupleIndex:
                 continue
             key, count = idx.max_bucket()
             assert count >= idx.total / host.n ** 2
+
+
+@st.composite
+def hosts_and_k(draw):
+    """A random host on at most 13 vertices and a tuple length 1..7."""
+    n = draw(st.integers(0, 13))
+    pairs = list(combinations(range(1, n + 1), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = OrderedGraph(n, [e for e, keep in zip(pairs, present) if keep])
+    return host, draw(st.integers(1, 7))
+
+
+def reference_buckets(tuples, k):
+    """Buckets of the listed tuples: key tup[1::2], count and masks of tup[::2]."""
+    buckets = {}
+    for tup in tuples:
+        ent = buckets.setdefault(tup[1::2], [0, [0] * ((k + 1) // 2)])
+        ent[0] += 1
+        for pos, v in enumerate(tup[::2]):
+            ent[1][pos] |= 1 << v
+    return buckets
+
+
+class TestCliqueTupleBucketsDifferential:
+    """The kernel holds exactly the lexicographically first cap clique tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hosts_and_k(), st.integers(1, 2000))
+    def test_matches_first_cap_listed_tuples(self, host_k, random_cap):
+        host, k = host_k
+        listed = brute_force_clique_tuples(host, k)
+        total = len(listed)
+        caps = {1, total, total - 1, total + 1, random_cap}
+        for cap in sorted(c for c in caps if c >= 1):
+            got_total, truncated, buckets = kernels.clique_tuple_buckets(
+                host.n, list(host.adj), k, cap
+            )
+            assert got_total == min(total, cap), cap
+            assert truncated == (total > cap), cap
+            assert buckets == reference_buckets(listed[:cap], k), cap
 
 
 def reference_index(cliques, k):
@@ -350,6 +391,14 @@ class TestFindSkeletonInDense:
         assert res.found and res.color is Color.BLUE
         assert verify_skeleton(color_class(col, Color.BLUE), res.skeleton).ok
         assert peak < 100 * 2**20
+
+    def test_samples_used_counts_windows_processed(self):
+        col = ColoredCompleteGraph.from_function(30, lambda i, j: False)
+        for window in (None, 30, 45):
+            res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), samples=64, window=window)
+            assert res.found and res.samples_used == 1
+        res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), samples=8, window=12)
+        assert res.samples_used == 8
 
     def test_spine_gate(self):
         # a below 10/c is a parameter violation
