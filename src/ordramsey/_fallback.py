@@ -1,6 +1,6 @@
 """Pure-Python implementations of the search kernels.
 
-Every function here except search_good_coloring has a compiled twin in
+Every kernel here except search_good_coloring has a compiled twin in
 ordramsey._speedups with identical semantics (same witnesses, same
 enumeration order); ordramsey.kernels picks one at import time and always
 binds search_good_coloring from here.  Inputs are primitives: 1-based
@@ -232,13 +232,62 @@ def search_good_coloring(
         ok = propagate()
 
 
+def cyclic_triangle_packing(
+    beats: list[int], mask: int, limit: int
+) -> list[tuple[int, int, int]]:
+    """Greedy vertex-disjoint cyclic triangles inside mask, at most limit of them.
+
+    Takes the lowest vertex w of the mask, then the first x it beats that
+    beats some y beating w, and the lowest such y: w -> x -> y -> w.  The
+    three leave the mask and the scan repeats; a w on no cyclic triangle
+    inside the mask is dropped alone.  Stops early once too few vertices
+    remain for the triangles still missing.  A helper of transitive_chain,
+    with no compiled twin.
+    """
+    found: list[tuple[int, int, int]] = []
+    missing = limit
+    left = mask.bit_count()
+    while missing and left >= 3 * missing:
+        low = mask & -mask
+        mask ^= low
+        left -= 1
+        w = low.bit_length() - 1
+        outs = mask & beats[w]
+        ins = mask ^ outs
+        if not ins:
+            continue
+        while outs:
+            xb = outs & -outs
+            x = xb.bit_length() - 1
+            ys = beats[x] & ins
+            if ys:
+                yb = ys & -ys
+                found.append((w, x, yb.bit_length() - 1))
+                mask ^= xb | yb
+                left -= 2
+                missing -= 1
+                break
+            outs ^= xb
+    return found
+
+
 def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
     """First dominance-ordered transitive subtournament of size k in DFS order.
 
     The DFS picks chain[depth] from the vertices beaten by every earlier
     chain vertex, smallest first.  A child whose candidates cannot complete
-    the chain is rejected in the parent loop, before any call; that removes
-    only subtrees holding no chain, so the first chain found is unchanged.
+    the chain is rejected in the parent loop, before any call: when it has
+    fewer candidates than the chain still needs, or when its s candidates
+    hold t vertex-disjoint cyclic triangles with s - t short of that need (a
+    transitive set keeps at most two vertices of a cyclic triangle).  Both
+    tests remove only subtrees holding no chain, so the first chain found is
+    the one of the plain DFS.
+
+    The compiled twin in _speedups.pyx keeps only the weaker candidate-count
+    test; it was left unedited because Cython was not at hand to build and
+    test it.  Both return the first chain of the plain DFS, so their results
+    are equal by contract (tests/test_kernel_parity.py checks this wherever
+    the extension is built).
     """
     if k <= 0:
         return []
@@ -246,12 +295,24 @@ def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
 
     def rec(depth: int, cands: int) -> bool:
         need = k - depth - 1
-        for v in _bits(cands):
+        rest = cands
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             chain[depth] = v
             if not need:
                 return True
             nxt = cands & beats[v]
-            if nxt.bit_count() >= need and rec(depth + 1, nxt):
+            s = nxt.bit_count()
+            if s < need:
+                continue
+            slack = s - need
+            if 3 * (slack + 1) <= s and len(
+                cyclic_triangle_packing(beats, nxt, slack + 1)
+            ) > slack:
+                continue
+            if rec(depth + 1, nxt):
                 return True
         return False
 

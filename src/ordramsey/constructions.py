@@ -96,20 +96,24 @@ class BlowupTournament:
 
 
 def blowup(outer: Tournament, inner: Tournament) -> BlowupTournament:
+    """Substitute a copy of inner for every vertex of outer.
+
+    Every vertex of block ell beats the same vertices outside its block, so
+    that part of its row is computed once per block: outer.beats[ell] with
+    each bit widened to s consecutive bits (its binary string with every
+    digit repeated s times).  A row is then one shift of the inner row and
+    one OR, O(m * s) big-int operations in all.
+    """
     if outer.N < 1 or inner.N < 1:
         raise ParameterError("blowup factors must both be nonempty")
     s = inner.N
     total = outer.N * s
-    rows = [0] * (total + 1)
+    widen = str.maketrans({"0": "0" * s, "1": "1" * s})
+    rows = [0]
     for ell in range(1, outer.N + 1):
         off = (ell - 1) * s
-        for u in range(1, s + 1):
-            rows[off + u] |= inner.beats[u] << off
-        for ell2 in range(1, outer.N + 1):
-            if outer.has_arc(ell, ell2):
-                block2 = ((1 << s) - 1) << ((ell2 - 1) * s + 1)
-                for u in range(1, s + 1):
-                    rows[off + u] |= block2
+        spread = int(bin(outer.beats[ell] >> 1)[2:].translate(widen), 2) << 1
+        rows.extend((inner.beats[u] << off) | spread for u in range(1, s + 1))
     blocks = tuple(((ell - 1) * s + 1, ell * s) for ell in range(1, outer.N + 1))
     return BlowupTournament(outer, inner, blocks, Tournament(total, tuple(rows)))
 

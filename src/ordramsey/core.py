@@ -45,6 +45,18 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def transpose_masks(rows: Iterable[int], n: int) -> list[int]:
+    """Transpose of a 0/1 matrix given as row masks on bits 0..n.
+
+    rows holds n + 1 masks, each below 1 << (n + 1); bit u of result[v] is
+    bit v of rows[u].  One binary string per row, then one strided slice per
+    column, so the work is in C rather than one Python step per entry.
+    """
+    w = n + 1
+    grid = "".join([format(r, f"0{w}b")[::-1] for r in rows])
+    return [int(grid[u::w][::-1], 2) for u in range(w)]
+
+
 def vertex_tuple(members: Iterable[int], n: int, what: str = "vertex set") -> tuple[int, ...]:
     """Normalize an iterable of vertices to a sorted tuple, validating range and duplicates."""
     out = tuple(sorted(members))
@@ -229,12 +241,14 @@ class Tournament:
                 raise DomainError(f"vertex {v} has a self-arc")
             if beats[v] >> (N + 1) or beats[v] & 1:
                 raise DomainError(f"beats row {v} mentions vertices outside 1..{N}")
+        # bit v > u of bad: the arcs u -> v and v -> u are both present or both absent
+        beaten = transpose_masks(beats, N)
+        full = (1 << (N + 1)) - 1
         for u in range(1, N + 1):
-            for v in range(u + 1, N + 1):
-                fwd = bool(beats[u] & (1 << v))
-                bwd = bool(beats[v] & (1 << u))
-                if fwd == bwd:
-                    raise DomainError(f"pair ({u}, {v}) must have exactly one arc")
+            bad = (full ^ beats[u] ^ beaten[u]) >> (u + 1)
+            if bad:
+                v = u + (bad & -bad).bit_length()
+                raise DomainError(f"pair ({u}, {v}) must have exactly one arc")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "beats", tuple(beats))
 

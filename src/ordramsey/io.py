@@ -13,7 +13,7 @@ Parsers reject duplicate edges/arcs and any trailing garbage.
 
 from __future__ import annotations
 
-from .core import ColoredCompleteGraph, Digraph, OrderedGraph, Tournament
+from .core import ColoredCompleteGraph, Digraph, OrderedGraph, Tournament, transpose_masks
 from .errors import ParseError
 
 
@@ -129,7 +129,20 @@ def write_dg(d: Digraph) -> str:
     return "\n".join(out) + "\n"
 
 
+_DROP_ARCS = str.maketrans("", "", "<>")
+_ARC_TO_BIT = str.maketrans("<>", "10")
+_BIT_TO_ARC = str.maketrans("10", "<>")
+
+
 def parse_trn(text: str) -> Tournament:
+    """Parse a .trn file one column at a time.
+
+    Column j is the j - 1 lines of the pairs (1, j) .. (j - 1, j).  Joined
+    by newlines they must alternate arc character and newline; the arc
+    characters, reversed and read as binary ('<' = 1), are the vertices
+    below j that j beats.  Only a column that fails the check is scanned
+    line by line, to name its first bad line.
+    """
     lines = _lines(text)
     if not lines:
         raise ParseError("empty input", 1)
@@ -139,27 +152,34 @@ def parse_trn(text: str) -> Tournament:
     expected = n_val * (n_val - 1) // 2
     if len(lines) != 1 + expected:
         raise ParseError(f"expected {expected} pair lines, found {len(lines) - 1}", len(lines))
-    arcs = []
+    below = [0] * (n_val + 1)
     k = 1
     for j in range(2, n_val + 1):
-        for i in range(1, j):
-            lineno = 1 + k
-            ch = lines[k]
-            if ch == ">":
-                arcs.append((i, j))
-            elif ch == "<":
-                arcs.append((j, i))
-            else:
-                raise ParseError(f"expected '>' or '<', got {lines[k]!r}", lineno)
-            k += 1
-    return Tournament.from_arcs(n_val, arcs)
+        column = "\n".join(lines[k : k + j - 1])
+        if len(column) != 2 * j - 3 or column[::2].translate(_DROP_ARCS):
+            for i in range(j - 1):
+                if lines[k + i] not in (">", "<"):
+                    raise ParseError(f"expected '>' or '<', got {lines[k + i]!r}", k + i + 1)
+        below[j] = int(column[::-2].translate(_ARC_TO_BIT), 2) << 1
+        k += j - 1
+    # pair (i, j) is i -> j exactly when bit i of below[j] is clear
+    above = transpose_masks(below, n_val)
+    top = 1 << (n_val + 1)
+    rows = [0] + [below[v] | ((top - (2 << v)) & ~above[v]) for v in range(1, n_val + 1)]
+    return Tournament(n_val, tuple(rows))
 
 
 def write_trn(t: Tournament) -> str:
+    """One string per column: for i < j, bit i - 1 of beats[j] >> 1 says j -> i ('<').
+
+    Column j's j - 1 bits are formatted at fixed width, reversed so that
+    pair (1, j) comes first, translated to arc characters and joined with
+    newlines.
+    """
     out = [str(t.N)]
     for j in range(2, t.N + 1):
-        for i in range(1, j):
-            out.append(">" if t.has_arc(i, j) else "<")
+        low = (t.beats[j] >> 1) & ((1 << (j - 1)) - 1)
+        out.append("\n".join(format(low, f"0{j - 1}b")[::-1].translate(_BIT_TO_ARC)))
     return "\n".join(out) + "\n"
 
 

@@ -1,5 +1,6 @@
 """Subdivided stars, avoiding tournaments, blowups, and the budgeted copy search."""
 
+import hashlib
 import math
 import random
 from itertools import combinations, permutations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordramsey import kernels
+from ordramsey._fallback import cyclic_triangle_packing
 from ordramsey.constructions import (
     BASE_CUTOFF,
     blowup,
@@ -22,6 +24,7 @@ from ordramsey.constructions import (
 )
 from ordramsey.core import Tournament, degeneracy
 from ordramsey.errors import DomainError, GenerationError, ParameterError
+from ordramsey.io import write_trn
 
 
 def transitive_tournament(n):
@@ -151,6 +154,86 @@ class TestTransitiveChainDifferential:
             assert kernels.transitive_chain(T.N, list(T.beats), k) == expected, k
 
 
+def plain_transitive_chain(N, beats, k):
+    """The DFS without the triangle-packing bound: only the candidate count prunes."""
+    if k <= 0:
+        return []
+    chain = [0] * k
+
+    def rec(depth, cands):
+        need = k - depth - 1
+        for v in range(1, N + 1):
+            if not cands >> v & 1:
+                continue
+            chain[depth] = v
+            if not need:
+                return True
+            nxt = cands & beats[v]
+            if bin(nxt).count("1") >= need and rec(depth + 1, nxt):
+                return True
+        return False
+
+    full = ((1 << (N + 1)) - 1) & ~1
+    return chain[:] if rec(0, full) else None
+
+
+@st.composite
+def cyclic_rich_tournaments(draw):
+    """Up to 14 vertices: a transitive order with each arc reversed with a drawn chance.
+
+    A low chance gives long chains next to many disjoint cyclic triangles,
+    so for k just above the largest chain the packing bound rejects children
+    whose candidate count alone would not.
+    """
+    n = draw(st.integers(0, 14))
+    flip = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arcs = [(j, i) if rng.random() < flip else (i, j) for i, j in combinations(range(1, n + 1), 2)]
+    return Tournament.from_arcs(n, arcs)
+
+
+class TestTriangleBound:
+    @settings(max_examples=150, deadline=None)
+    @given(cyclic_rich_tournaments())
+    def test_equals_plain_dfs_for_every_k(self, T):
+        beats = list(T.beats)
+        for k in range(T.N + 2):
+            assert kernels.pure.transitive_chain(T.N, beats, k) == plain_transitive_chain(
+                T.N, beats, k
+            ), k
+
+    def test_bound_rejects_a_child_the_count_keeps(self):
+        # vertex 1 beats four disjoint 3-cycles, which beat each other in
+        # order; a transitive set keeps at most two vertices of each cycle, so
+        # the largest chain has 9 vertices.  For k = 10 the child of vertex 1
+        # has 12 candidates for 9 places, which the count alone keeps.
+        arcs = [(1, v) for v in range(2, 14)]
+        for a in range(2, 14, 3):
+            arcs += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+            arcs += [(u, v) for u in range(a, a + 3) for v in range(a + 3, 14)]
+        T = Tournament.from_arcs(13, arcs)
+        beats = list(T.beats)
+        assert len(cyclic_triangle_packing(beats, beats[1], 4)) == 4
+        for k in range(15):
+            assert kernels.pure.transitive_chain(13, beats, k) == plain_transitive_chain(
+                13, beats, k
+            ), k
+        assert kernels.pure.transitive_chain(13, beats, 9) == [1, 2, 3, 5, 6, 8, 9, 11, 12]
+        assert kernels.pure.transitive_chain(13, beats, 10) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(cyclic_rich_tournaments(), st.integers(0, 2**15 - 1), st.integers(0, 6))
+    def test_packing_is_cyclic_disjoint_and_inside_mask(self, T, raw, limit):
+        mask = (raw << 1) & (((1 << (T.N + 1)) - 1) & ~1)
+        found = cyclic_triangle_packing(list(T.beats), mask, limit)
+        assert len(found) <= limit
+        used = [v for tri in found for v in tri]
+        assert len(used) == len(set(used))
+        assert all(mask >> v & 1 for v in used)
+        for w, x, y in found:
+            assert T.has_arc(w, x) and T.has_arc(x, y) and T.has_arc(y, w)
+
+
 class TestRandomTournamentAvoiding:
     def test_deterministic(self):
         a = random_tournament_avoiding(10, 7, 0)
@@ -206,6 +289,26 @@ class TestBlowup:
         with pytest.raises(ParameterError):
             blowup(transitive_tournament(0), transitive_tournament(2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(lambda n: st.builds(Tournament.from_random, st.just(n), st.randoms())),
+        st.integers(1, 5).flatmap(lambda n: st.builds(Tournament.from_random, st.just(n), st.randoms())),
+    )
+    def test_every_pair_matches_the_definition(self, outer, inner):
+        B = blowup(outer, inner)
+        s = inner.N
+        assert B.tournament.N == outer.N * s
+        for a in range(1, B.tournament.N + 1):
+            for b in range(1, B.tournament.N + 1):
+                if a == b:
+                    continue
+                (la, ua), (lb, ub) = divmod(a - 1, s), divmod(b - 1, s)
+                if la == lb:
+                    expected = inner.has_arc(ua + 1, ub + 1)
+                else:
+                    expected = outer.has_arc(la + 1, lb + 1)
+                assert B.tournament.has_arc(a, b) == expected, (a, b)
+
 
 class TestIteratedLowerBound:
     def test_base_below_cutoff(self):
@@ -224,6 +327,19 @@ class TestIteratedLowerBound:
         assert T.N == 20
         again = iterated_lower_bound_tournament(50, 0)
         assert T.beats == again.beats
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (1, "58cc59f18a82727c77a24fb1d6fa10887e731673e54fb95772c082f7ee20d9a0"),
+            (2, "102bd45139ae80bf484da0b34172e2a08af566c7745b14e9f2f704d83631c065"),
+            (3, "c123fdd319ba02ca59a02760d088fe14e3062341b5a869b492d8cd7fd4e89940"),
+        ],
+    )
+    def test_golden_n1600(self, seed, digest):
+        # digests of the per-pair DFS, blowup and writer this code replaced
+        text = write_trn(iterated_lower_bound_tournament(1600, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):

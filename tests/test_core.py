@@ -22,6 +22,7 @@ from ordramsey.core import (
     mask_of,
     ordered_pair_from_digraph,
     remove_isolated,
+    transpose_masks,
     vertex_tuple,
 )
 from ordramsey.errors import DomainError, ParameterError
@@ -306,7 +307,63 @@ class TestTournament:
             assert sub.has_arc(i, j) == t.has_arc(back[i], back[j])
 
 
+def first_bad_pair(N, rows):
+    for u in range(1, N + 1):
+        for v in range(u + 1, N + 1):
+            if bool(rows[u] >> v & 1) == bool(rows[v] >> u & 1):
+                return u, v
+    return None
+
+
+class TestTournamentCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            )
+        )
+    )
+    def test_names_the_first_bad_pair(self, drawn):
+        # per pair: 0 and 1 pick one arc, 2 gives both or neither
+        N, kinds = drawn
+        rows = [0] * (N + 1)
+        for (u, v), kind in zip(combinations(range(1, N + 1), 2), kinds):
+            if kind == 0:
+                rows[u] |= 1 << v
+            elif kind == 1:
+                rows[v] |= 1 << u
+            elif (u + v) % 2:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        bad = first_bad_pair(N, rows)
+        if bad is None:
+            assert Tournament(N, tuple(rows)).beats == tuple(rows)
+        else:
+            with pytest.raises(DomainError, match=rf"^pair \({bad[0]}, {bad[1]}\) must"):
+                Tournament(N, tuple(rows))
+
+
 class TestMaskHelpers:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, 2 ** (n + 1) - 1), min_size=n + 1, max_size=n + 1),
+            )
+        )
+    )
+    def test_transpose_masks(self, drawn):
+        n, rows = drawn
+        cols = transpose_masks(rows, n)
+        assert len(cols) == n + 1
+        for u in range(n + 1):
+            for v in range(n + 1):
+                assert cols[v] >> u & 1 == rows[u] >> v & 1
+        assert transpose_masks(cols, n) == rows
+
     def test_round_trip(self):
         vs = [3, 1, 7]
         assert list(bits_of(mask_of(vs))) == [1, 3, 7]

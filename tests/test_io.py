@@ -166,6 +166,88 @@ class TestTrn:
             parse_trn("3\n>\n<\n")
 
 
+def per_pair_write_trn(t):
+    out = [str(t.N)]
+    for j in range(2, t.N + 1):
+        for i in range(1, j):
+            out.append(">" if t.has_arc(i, j) else "<")
+    return "\n".join(out) + "\n"
+
+
+def per_pair_parse_trn(text):
+    """One step per pair line: the parser the per-column one must agree with."""
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty input", 1)
+    parts = lines[0].split()
+    if len(parts) != 1:
+        raise ParseError(f"expected 1 integers, got {lines[0]!r}", 1)
+    n = int(parts[0])
+    expected = n * (n - 1) // 2
+    if len(lines) != 1 + expected:
+        raise ParseError(f"expected {expected} pair lines, found {len(lines) - 1}", len(lines))
+    arcs = []
+    k = 1
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            if lines[k] == ">":
+                arcs.append((i, j))
+            elif lines[k] == "<":
+                arcs.append((j, i))
+            else:
+                raise ParseError(f"expected '>' or '<', got {lines[k]!r}", 1 + k)
+            k += 1
+    return Tournament.from_arcs(n, arcs)
+
+
+def random_tournaments(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.builds(Tournament.from_random, st.just(n), st.randoms())
+    )
+
+
+class TestTrnPerColumn:
+    @settings(max_examples=100, deadline=None)
+    @given(random_tournaments(12))
+    def test_writer_matches_per_pair_and_round_trips(self, t):
+        text = write_trn(t)
+        assert text == per_pair_write_trn(t)
+        assert parse_trn(text) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        random_tournaments(12),
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["x", "", ">>", "<<", " <", "> ", "\r>", "R", "<\r"]),
+            ),
+            max_size=3,
+        ),
+        st.integers(-2, 2),
+    )
+    def test_errors_match_per_pair_parser(self, t, bad, extra):
+        lines = write_trn(t).split("\n")[:-1]
+        for pos, junk in bad:
+            if len(lines) > 1:
+                lines[1 + pos % (len(lines) - 1)] = junk
+        if extra > 0:
+            lines += ["<"] * extra
+        elif extra < 0:
+            lines = lines[: max(1, len(lines) + extra)]
+        text = "\n".join(lines) + "\n"
+        try:
+            expected = per_pair_parse_trn(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                parse_trn(text)
+            assert (str(got.value), got.value.line) == (str(err), err.line)
+        else:
+            assert parse_trn(text) == expected
+
+
 class TestPathHelpers:
     def test_save_and_load_each_kind(self, tmp_path):
         g = OrderedGraph(3, [(1, 3)])
