@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled search kernels against their pure-Python twins.
+"""Time the search kernels on deterministic workloads and print a table.
 
-Runs the same deterministic workload through ordramsey._speedups and
-ordramsey._fallback, checks the outputs agree, and prints a timing table.
-Without the compiled extension it times the pure kernels alone.  Every time
-is the best of --repeat runs.
+Every time is the best of --repeat runs.
 Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
@@ -13,12 +10,7 @@ import random
 import time
 from itertools import combinations
 
-import ordramsey._fallback as pure
-
-try:
-    import ordramsey._speedups as fast
-except ImportError:
-    fast = None
+from ordramsey import kernels
 
 
 def adj_rows(n, edges):
@@ -60,10 +52,10 @@ def workloads():
     pat_edges = [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (4, 7)]
     pre = pre_lists(7, pat_edges)
 
-    def w_find(mod):
+    def w_find():
         out = []
         for shift in range(200):
-            out.append(mod.find_embedding(host_n, host, 7, pre))
+            out.append(kernels.find_embedding(host_n, host, 7, pre))
         return out
 
     yield "find_embedding", w_find
@@ -71,15 +63,15 @@ def workloads():
     kn = adj_rows(22, list(combinations(range(1, 23), 2)))
     pre_path = pre_lists(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
 
-    def w_count(mod):
-        return mod.count_embeddings(22, kn, 5, pre_path, None, 10**9)
+    def w_count():
+        return kernels.count_embeddings(22, kn, 5, pre_path, None, 10**9)
 
     yield "count_embeddings", w_count
 
     t_rows = random_tournament_rows(44, random.Random(5))
 
-    def w_chain(mod):
-        return [mod.transitive_chain(44, t_rows, k) for k in (6, 8, 10)]
+    def w_chain():
+        return [kernels.transitive_chain(44, t_rows, k) for k in (6, 8, 10)]
 
     yield "transitive_chain", w_chain
 
@@ -90,12 +82,12 @@ def workloads():
         star_arcs += [(i, idx), (idx, j), (idx, k)]
         idx += 1
 
-    def w_inject(mod):
+    def w_inject():
         out = []
         for s in range(40, 46):
             rows = random_tournament_rows(24, random.Random(s))
             out.append(
-                mod.digraph_injection(24, rows, idx - 1, star_arcs, list(range(1, idx)), 50_000)
+                kernels.digraph_injection(24, rows, idx - 1, star_arcs, list(range(1, idx)), 50_000)
             )
         return out
 
@@ -103,8 +95,8 @@ def workloads():
 
     dense = adj_rows(30, random_graph(30, 0.8, random.Random(3)))
 
-    def w_cliques(mod):
-        return mod.clique_tuple_buckets(30, dense, 9, 200_000)
+    def w_cliques():
+        return kernels.clique_tuple_buckets(30, dense, 9, 200_000)
 
     yield "clique_tuple_buckets", w_cliques
 
@@ -112,27 +104,26 @@ def workloads():
     # the no-transitive-30-set proof for each 160-vertex lowerbound draw
     k40 = adj_rows(40, list(combinations(range(1, 41), 2)))
 
-    def w_cliques_k40(mod):
-        return mod.clique_tuple_buckets(40, k40, 5, 10_000_000)
+    def w_cliques_k40():
+        return kernels.clique_tuple_buckets(40, k40, 5, 10_000_000)
 
     yield "clique_tuple_buckets K40", w_cliques_k40
 
     t160 = random_tournament_rows(160, random.Random(1600))
 
-    def w_chain_160(mod):
-        return mod.transitive_chain(160, t160, 30)
+    def w_chain_160():
+        return kernels.transitive_chain(160, t160, 30)
 
     yield "transitive_chain T160", w_chain_160
 
 
-def best_time(fn, mod, repeat):
+def best_time(fn, repeat):
     best = float("inf")
-    result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn(mod)
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def main():
@@ -140,24 +131,9 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    if fast is None:
-        print("compiled kernels unavailable; timing the pure kernels alone")
-        print(f"{'kernel':<26} {'pure (s)':>10}")
-        for name, fn in workloads():
-            tp, _ = best_time(fn, pure, args.repeat)
-            print(f"{name:<26} {tp:>10.4f}")
-        return
-
-    print(f"{'kernel':<26} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}")
+    print(f"{'kernel':<26} {'time (s)':>10}")
     for name, fn in workloads():
-        tp, rp = best_time(fn, pure, args.repeat)
-        tf, rf = best_time(fn, fast, args.repeat)
-        agree = rp == rf
-        ratio = tp / tf if tf > 0 else float("inf")
-        flag = "" if agree else "  MISMATCH"
-        print(f"{name:<26} {tp:>10.4f} {tf:>13.4f} {ratio:>7.2f}x{flag}")
-        if not agree:
-            raise SystemExit(f"output mismatch in {name}")
+        print(f"{name:<26} {best_time(fn, args.repeat):>10.4f}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .io import (
     write_okc,
     write_trn,
 )
-from .kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .pipeline import (
     Exhausted,
     MonoCopy,

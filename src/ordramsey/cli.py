@@ -72,7 +72,6 @@ class RunConfig:
     tuple_cap: int
     node_budget: int
     exhaustive_threshold: int
-    threads: int
     quiet: bool
 
 
@@ -362,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--node-budget", type=int, default=10_000_000)
     top.add_argument("--exhaustive-threshold", type=int, default=DEFAULT_EXHAUSTIVE_THRESHOLD)
-    top.add_argument("--threads", type=int, default=None, help="cap worker count")
     top.add_argument("-q", "--quiet", action="store_true", help="suppress stderr summaries")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -433,20 +431,16 @@ def _resolve_config(args) -> RunConfig:
             seed = int(raw)
         except ValueError:
             raise ParseError(f"{SEED_ENV} must be an integer, got {raw!r}")
-    threads = args.threads if args.threads is not None else os.cpu_count() or 1
     cfg = RunConfig(
         command=args.command,
         seed=seed,
         tuple_cap=args.tuple_cap,
         node_budget=args.node_budget,
         exhaustive_threshold=args.exhaustive_threshold,
-        threads=threads,
         quiet=args.quiet,
     )
     if cfg.tuple_cap < 1 or cfg.node_budget < 1 or cfg.exhaustive_threshold < 0:
         raise ParameterError("caps must be positive")
-    if cfg.threads < 1:
-        raise ParameterError("thread cap must be positive")
     return cfg
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordramsey import kernels
-from ordramsey._fallback import cyclic_triangle_packing
+from ordramsey.kernels import cyclic_triangle_packing
 from ordramsey.constructions import (
     BASE_CUTOFF,
     blowup,
@@ -198,7 +198,7 @@ class TestTriangleBound:
     def test_equals_plain_dfs_for_every_k(self, T):
         beats = list(T.beats)
         for k in range(T.N + 2):
-            assert kernels.pure.transitive_chain(T.N, beats, k) == plain_transitive_chain(
+            assert kernels.transitive_chain(T.N, beats, k) == plain_transitive_chain(
                 T.N, beats, k
             ), k
 
@@ -215,11 +215,11 @@ class TestTriangleBound:
         beats = list(T.beats)
         assert len(cyclic_triangle_packing(beats, beats[1], 4)) == 4
         for k in range(15):
-            assert kernels.pure.transitive_chain(13, beats, k) == plain_transitive_chain(
+            assert kernels.transitive_chain(13, beats, k) == plain_transitive_chain(
                 13, beats, k
             ), k
-        assert kernels.pure.transitive_chain(13, beats, 9) == [1, 2, 3, 5, 6, 8, 9, 11, 12]
-        assert kernels.pure.transitive_chain(13, beats, 10) is None
+        assert kernels.transitive_chain(13, beats, 9) == [1, 2, 3, 5, 6, 8, 9, 11, 12]
+        assert kernels.transitive_chain(13, beats, 10) is None
 
     @settings(max_examples=200, deadline=None)
     @given(cyclic_rich_tournaments(), st.integers(0, 2**15 - 1), st.integers(0, 6))
