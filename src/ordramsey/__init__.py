@@ -54,7 +54,6 @@ from .io import (
 from .pipeline import (
     Exhausted,
     MonoCopy,
-    PipelineParams,
     RecursionParams,
     SparseSet,
     binary_tree_sparse,

@@ -37,10 +37,7 @@ from .errors import (
     TupleCapError,
 )
 from .pipeline import (
-    DEFAULT_EXHAUSTIVE_THRESHOLD,
-    Exhausted,
     MonoCopy,
-    PipelineParams,
     SparseSet,
     exact_ordered_ramsey,
     find_mono_copy,
@@ -67,11 +64,9 @@ SEED_ENV = "ORDRAMSEY_SEED"
 class RunConfig:
     """Resolved global options for one invocation."""
 
-    command: str
     seed: int
     tuple_cap: int
     node_budget: int
-    exhaustive_threshold: int
     quiet: bool
 
 
@@ -93,16 +88,10 @@ def _read_text(path: str) -> str:
 
 def _load(path: str, want: type, label: str):
     """Parse a file by its extension and insist on the expected value type."""
-    suffix = Path(path).suffix
-    parser = {
-        ".og": formats.parse_og,
-        ".okc": formats.parse_okc,
-        ".dg": formats.parse_dg,
-        ".trn": formats.parse_trn,
-    }.get(suffix)
-    if parser is None:
-        raise ParseError(f"{path}: unknown extension {suffix!r}, expected {label}")
-    value = parser(_read_text(path))
+    try:
+        value = formats.load_path(path)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(value, want):
         raise ParseError(f"{path} holds a {type(value).__name__}, expected {label}")
     return value
@@ -129,24 +118,11 @@ def cmd_exact(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _pipeline_params(cfg: RunConfig, pat1, pat2, alpha=None, window=None) -> PipelineParams:
-    return PipelineParams.from_patterns(
-        pat1, pat2, alpha=alpha, window=window, tuple_cap=cfg.tuple_cap
-    )
-
-
 def cmd_search(cfg: RunConfig, args) -> int:
     coloring = _load(args.coloring, ColoredCompleteGraph, "an .okc coloring")
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
-    result = find_mono_copy(
-        coloring,
-        pat1,
-        pat2,
-        _pipeline_params(cfg, pat1, pat2),
-        seed=cfg.seed,
-        exhaustive_threshold=cfg.exhaustive_threshold,
-    )
+    result = find_mono_copy(coloring, pat1, pat2)
     _emit(certificate_dict(result))
     if isinstance(result, MonoCopy):
         _say(cfg, f"found a {result.color.name.lower()} copy on {len(result.mapping)} vertices")
@@ -356,11 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_TUPLE_CAP,
         help="clique-tuple work bound: tuples enumerated on the host graph by `skeleton`, "
-        "spine keys enumerated from sampled cliques by `search` and `sparse-set` "
+        "spine keys enumerated from sampled cliques by `sparse-set` "
         f"(default: {DEFAULT_TUPLE_CAP})",
     )
     top.add_argument("--node-budget", type=int, default=10_000_000)
-    top.add_argument("--exhaustive-threshold", type=int, default=DEFAULT_EXHAUSTIVE_THRESHOLD)
     top.add_argument("-q", "--quiet", action="store_true", help="suppress stderr summaries")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -370,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("max_n", type=int)
     p.set_defaults(run=cmd_exact)
 
-    p = sub.add_parser("search", help="find a monochromatic copy in a coloring")
+    p = sub.add_parser("search", help="exact search for a monochromatic copy in a coloring")
     p.add_argument("coloring")
     p.add_argument("h1")
     p.add_argument("h2")
@@ -432,14 +407,12 @@ def _resolve_config(args) -> RunConfig:
         except ValueError:
             raise ParseError(f"{SEED_ENV} must be an integer, got {raw!r}")
     cfg = RunConfig(
-        command=args.command,
         seed=seed,
         tuple_cap=args.tuple_cap,
         node_budget=args.node_budget,
-        exhaustive_threshold=args.exhaustive_threshold,
         quiet=args.quiet,
     )
-    if cfg.tuple_cap < 1 or cfg.node_budget < 1 or cfg.exhaustive_threshold < 0:
+    if cfg.tuple_cap < 1 or cfg.node_budget < 1:
         raise ParameterError("caps must be positive")
     return cfg
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .core import bits_of
+
 # The benchmark records this in every result and refuses to compare runs
 # whose values differ.  Every kernel has one implementation, so it is
 # constant; results from builds that bound a compiled twin say "compiled".
@@ -16,13 +18,6 @@ IMPLEMENTATION = "pure"
 
 def _full_mask(n: int) -> int:
     return ((1 << (n + 1)) - 1) & ~1
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def find_embedding(
@@ -89,7 +84,7 @@ def count_embeddings(
 
     def rec(t: int) -> bool:
         nonlocal count
-        for w in _bits(cand_at(t)):
+        for w in bits_of(cand_at(t)):
             mapping[t] = w
             if t == pat_n:
                 count += 1
@@ -373,7 +368,7 @@ def digraph_injection(
             return True
         p = order[t]
         upcoming = order[t + 1 :]
-        for h in _bits(cand[p]):
+        for h in bits_of(cand[p]):
             nodes += 1
             if nodes > budget:
                 exhausted = True
@@ -460,13 +455,13 @@ def clique_tuple_buckets(
         if cands.bit_count() < k - depth:
             return
         if depth + 2 == k and k % 2:
-            for v in _bits(cands):
+            for v in bits_of(cands):
                 last = cands & adj[v] & ~((1 << (v + 1)) - 1)
                 if last:
                     tup[depth] = v
                     record_last(last)
             return
-        for v in _bits(cands):
+        for v in bits_of(cands):
             tup[depth] = v
             if depth + 1 == k:
                 record()

@@ -1,11 +1,12 @@
-"""Sparse-set recursion, the monochromatic-copy pipeline, and an exact oracle.
+"""Sparse-set recursion, the monochromatic-copy search, and an exact oracle.
 
 The central objects are certificates: a MonoCopy pins a monochromatic ordered
 copy of one pattern, a SparseSet pins a vertex set whose density in one color
-is below a stated bound, and Exhausted carries a trace of the phases that
-failed.  Every certificate returned by this module has been re-verified
-against the coloring before being handed to the caller; Exhausted is never a
-proof of absence.
+is below a stated bound, and Exhausted carries a trace of why a search
+stopped.  Every certificate returned by this module has been re-verified
+against the coloring before being handed to the caller.  An Exhausted from
+find_mono_copy follows a complete search, so neither copy exists; one from
+the sparse-set recursion is never a proof of absence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     class_density,
     color_class,
     mask_of,
-    remove_isolated,
     vertex_tuple,
 )
 from .embed import (
@@ -38,11 +38,9 @@ from .skeleton import (
     DEFAULT_TUPLE_CAP,
     _index_from_cliques,
     _skeleton_from_index,
-    find_skeleton_in_dense,
     sample_color_cliques,
 )
 
-DEFAULT_EXHAUSTIVE_THRESHOLD = 9
 TRIM_SCAN_LIMIT = 20
 
 
@@ -121,56 +119,6 @@ class RecursionParams:
             alpha = base ** (2.0 * math.sqrt(m2 / ll1)) / (8.0 * window**5 * m1**2)
             alpha = max(alpha, 1e-300)
         return cls(c, k1, k2, alpha, h, h, window)
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    """Knobs for the monochromatic-copy pipeline.
-
-    c1 gates the sparse-set phase, a sizes the second skeleton, c2 gates the
-    skeleton embedding; alpha/window/samples/tuple_cap are optional
-    overrides threaded through to the underlying searches.
-    """
-
-    c1: Fraction
-    a: int
-    c2: Fraction
-    alpha: float | None = None
-    window: int | None = None
-    samples: int = DEFAULT_SAMPLES
-    tuple_cap: int = DEFAULT_TUPLE_CAP
-
-    def __post_init__(self):
-        if not 0 < self.c1 < 1:
-            raise ParameterError(f"c1={self.c1} must lie strictly in (0, 1)")
-        if not 0 < self.c2 < 1:
-            raise ParameterError(f"c2={self.c2} must lie strictly in (0, 1)")
-        if self.a < 1:
-            raise ParameterError("a must be positive")
-        if self.samples < 1:
-            raise ParameterError("samples must be positive")
-        if self.tuple_cap < 1:
-            raise ParameterError("tuple cap must be positive")
-
-    @classmethod
-    def from_patterns(
-        cls,
-        pat1: OrderedGraph,
-        pat2: OrderedGraph,
-        *,
-        alpha: float | None = None,
-        window: int | None = None,
-        samples: int = DEFAULT_SAMPLES,
-        tuple_cap: int = DEFAULT_TUPLE_CAP,
-    ) -> "PipelineParams":
-        m1, m2 = pat1.m, pat2.m
-        if m1 < 1 or m2 < 1:
-            raise ParameterError("patterns must each have at least one edge")
-        lg2 = math.log(max(m1, 2)) ** 2
-        c1 = min(Fraction.from_float(m2 / (m1 * lg2)), Fraction(1, 9))
-        a = max(1, int(10.0 * m1 * lg2 / math.sqrt(m2)))
-        c2 = Fraction(1, 6 * m1)
-        return cls(c1, a, c2, alpha, window, samples, tuple_cap)
 
 
 @dataclass(frozen=True)
@@ -560,256 +508,22 @@ def exact_ordered_ramsey(
     return None
 
 
-def _insert_isolated(
-    total: int, old2new: dict[int, int], hosts: tuple[int, ...], pool: tuple[int, ...]
-):
-    """Extend an embedding over isolated pattern positions using pool slots.
-
-    Positions 1..total that appear in old2new are already matched to hosts
-    (in order); the rest greedily take the least unused pool vertex that
-    keeps the whole map strictly increasing.  Returns the full host list or
-    None when the pool runs dry in some gap.
-    """
-    nxt = [0] * (total + 2)
-    following = 0
-    for p in range(total, 0, -1):
-        if p in old2new:
-            following = hosts[old2new[p] - 1]
-        nxt[p] = following
-    out = []
-    prev = 0
-    used = set(hosts)
-    idx = 0
-    for p in range(1, total + 1):
-        if p in old2new:
-            h = hosts[old2new[p] - 1]
-            out.append(h)
-            prev = h
-            continue
-        upper = nxt[p]
-        while idx < len(pool) and (pool[idx] <= prev or pool[idx] in used):
-            idx += 1
-        if idx >= len(pool) or (upper and pool[idx] >= upper):
-            return None
-        out.append(pool[idx])
-        prev = pool[idx]
-        used.add(pool[idx])
-        idx += 1
-    return out
-
-
-def _spaced(pool: tuple[int, ...], step: int) -> tuple[int, ...]:
-    """Every step-th pool vertex, omitting the last one picked."""
-    picked = pool[step - 1 :: step]
-    return picked[:-1]
-
-
-def find_mono_copy(
-    coloring: ColoredCompleteGraph,
-    pat1: OrderedGraph,
-    pat2: OrderedGraph,
-    params: PipelineParams | None = None,
-    *,
-    seed: int = 0,
-    exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-):
+def find_mono_copy(coloring: ColoredCompleteGraph, pat1: OrderedGraph, pat2: OrderedGraph):
     """Search for a red copy of pat1 or a blue copy of pat2.
 
-    Runs the full program: direct embedding attempts first (a found copy is
-    the contradiction the structural phases argue toward), then sparse-set
-    extraction, skeleton finding in the dense color, skeleton embedding, and
-    finally the split-and-stitch recursion across a dense ordered pair.
-    Small vertex sets are settled exhaustively.  Returns MonoCopy or
-    Exhausted; Exhausted is never a proof that no copy exists.
+    Runs the exact order-preserving embedding search on the red class, then
+    on the blue class.  The search tries every increasing map, so an
+    Exhausted result follows a complete search: the coloring holds neither
+    copy.  Returns a verified MonoCopy or Exhausted.
     """
     _gate_patterns(pat1, pat2)
-    if params is None:
-        params = PipelineParams.from_patterns(pat1, pat2)
-    if exhaustive_threshold < 1:
-        raise ParameterError("exhaustive threshold must be positive")
-    X = tuple(range(1, coloring.N + 1))
-    return _pipeline_search(coloring, X, pat1, pat2, params, seed, exhaustive_threshold, ())
-
-
-def _verified_copy(coloring, pat1, pat2, color, mapping) -> MonoCopy:
-    mc = MonoCopy(color, tuple(mapping))
-    ok, reason = verify_mono_copy(coloring, pat1, pat2, mc)
-    if not ok:
-        raise InternalContractError(f"pipeline copy failed verification: {reason}")
-    return mc
-
-
-def _pipeline_search(
-    coloring: ColoredCompleteGraph,
-    X: tuple[int, ...],
-    pat1: OrderedGraph,
-    pat2: OrderedGraph,
-    params: PipelineParams,
-    seed: int,
-    threshold: int,
-    trace: tuple,
-):
-    sub, back = coloring.induced(X)
-
-    # a found copy is exactly the contradiction the structural argument
-    # assumes away, so look for it before doing any heavy lifting
     for col, pat in ((Color.RED, pat1), (Color.BLUE, pat2)):
-        if pat.n <= sub.N:
-            emb = find_ordered_embedding(color_class(sub, col), pat)
+        if pat.n <= coloring.N:
+            emb = find_ordered_embedding(color_class(coloring, col), pat)
             if emb is not None:
-                return _verified_copy(
-                    coloring, pat1, pat2, col, tuple(back[v] for v in emb.mapping)
-                )
-    if len(X) <= threshold:
-        return Exhausted(trace + (f"exhaustive search over {len(X)} vertices found no copy",))
-
-    rss = recursive_sparse_set(
-        sub,
-        pat1,
-        pat2,
-        params.c1,
-        alpha=params.alpha,
-        window=params.window,
-        samples=params.samples,
-        tuple_cap=params.tuple_cap,
-        seed=seed,
-    )
-    if isinstance(rss, MonoCopy):
-        return _verified_copy(
-            coloring, pat1, pat2, rss.color, tuple(back[v] for v in rss.mapping)
-        )
-    if isinstance(rss, Exhausted):
-        return Exhausted(trace + rss.trace + ("sparse-set recursion exhausted",))
-
-    i1 = rss.color
-    w_local = rss.members
-    a_eff = min(params.a, (len(w_local) - 1) // 4)
-    if a_eff < 1:
-        return Exhausted(
-            trace + (f"sparse set of {len(w_local)} vertices is too small for a skeleton",)
-        )
-    sub_w, back_w = sub.induced(w_local)
-    c_skel = max(params.c1, Fraction(10, a_eff))
-    dres = find_skeleton_in_dense(
-        sub_w,
-        i1,
-        a_eff,
-        c_skel,
-        samples=params.samples,
-        seed=seed + 1,
-        tuple_cap=params.tuple_cap,
-        window=params.window,
-    )
-    if not dres.found:
-        return Exhausted(
-            trace + (f"no skeleton found in the dense color on {len(w_local)} vertices",)
-        )
-    i2 = dres.color
-    i3 = i2.other
-    pat_dense = pat1 if i2 is Color.RED else pat2
-    try:
-        res = skeleton_embed_or_sparse_pair(
-            color_class(sub_w, i2),
-            dres.skeleton,
-            pat_dense,
-            params.c2,
-            enforce_size_precondition=False,
-        )
-    except ParameterError as exc:
-        return Exhausted(trace + (f"skeleton embedding inapplicable: {exc}",))
-    if isinstance(res, Embedding):
-        return _verified_copy(
-            coloring, pat1, pat2, i2, tuple(back[back_w[v]] for v in res.mapping)
-        )
-
-    A = tuple(back[back_w[v]] for v in res.lower)
-    B = tuple(back[back_w[v]] for v in res.upper)
-    c2 = params.c2
-    rows3 = coloring.class_rows(i3)
-    mask_b = mask_of(B)
-    lack = c2.denominator - 2 * c2.numerator
-    a_prime = tuple(
-        v for v in A if (rows3[v] & mask_b).bit_count() * c2.denominator >= lack * len(B)
-    )
-    if not a_prime:
-        return Exhausted(trace + ("no vertices of the lower half see most of the upper half",))
-    if 2 * len(a_prime) < len(A):
-        raise InternalContractError("high-degree filter kept under half of the lower pair")
-
-    pat_split = pat1 if i3 is Color.RED else pat2
-    u_l, u_r = split_pattern(pat_split)
-    step = 3 * pat1.m
-
-    sub_l, _ = pat_split.induced(u_l)
-    l_strip, l_map = remove_isolated(sub_l)
-    if l_strip.n > 0:
-        spaced_a = _spaced(a_prime, step)
-        if not spaced_a:
-            return Exhausted(trace + ("spaced lower half is empty",))
-        child = (l_strip, pat2) if i3 is Color.RED else (pat1, l_strip)
-        child_params = PipelineParams.from_patterns(
-            *child,
-            alpha=params.alpha,
-            window=params.window,
-            samples=params.samples,
-            tuple_cap=params.tuple_cap,
-        )
-        r_low = _pipeline_search(
-            coloring,
-            spaced_a,
-            *child,
-            child_params,
-            seed + 2,
-            threshold,
-            trace + (f"prefix half on {len(spaced_a)} spaced vertices",),
-        )
-        if isinstance(r_low, Exhausted):
-            return r_low
-        if r_low.color is i2:
-            return r_low
-        phi1 = r_low.mapping
-    else:
-        phi1 = ()
-    psi_l = _insert_isolated(len(u_l), l_map, phi1, a_prime)
-    if psi_l is None:
-        return Exhausted(trace + ("could not seat the prefix's isolated vertices",))
-
-    b_common = tuple(v for v in B if all((rows3[v] >> h) & 1 for h in psi_l))
-    if not b_common:
-        return Exhausted(trace + ("placed prefix has no common neighborhood above",))
-
-    sub_r, _ = pat_split.induced(u_r)
-    r_strip, r_map = remove_isolated(sub_r)
-    if r_strip.n > 0:
-        spaced_b = _spaced(b_common, step)
-        if not spaced_b:
-            return Exhausted(trace + ("spaced upper half is empty",))
-        child = (r_strip, pat2) if i3 is Color.RED else (pat1, r_strip)
-        child_params = PipelineParams.from_patterns(
-            *child,
-            alpha=params.alpha,
-            window=params.window,
-            samples=params.samples,
-            tuple_cap=params.tuple_cap,
-        )
-        r_high = _pipeline_search(
-            coloring,
-            spaced_b,
-            *child,
-            child_params,
-            seed + 3,
-            threshold,
-            trace + (f"suffix half on {len(spaced_b)} spaced vertices",),
-        )
-        if isinstance(r_high, Exhausted):
-            return r_high
-        if r_high.color is i2:
-            return r_high
-        phi3 = r_high.mapping
-    else:
-        phi3 = ()
-    psi_r = _insert_isolated(len(u_r), r_map, phi3, b_common)
-    if psi_r is None:
-        return Exhausted(trace + ("could not seat the suffix's isolated vertices",))
-
-    return _verified_copy(coloring, pat1, pat2, i3, tuple(psi_l) + tuple(psi_r))
+                mc = MonoCopy(col, emb.mapping)
+                ok, reason = verify_mono_copy(coloring, pat1, pat2, mc)
+                if not ok:
+                    raise InternalContractError(f"copy failed verification: {reason}")
+                return mc
+    return Exhausted((f"exhaustive search over {coloring.N} vertices found no copy",))

@@ -18,7 +18,16 @@ from itertools import combinations
 from typing import Iterable
 
 from . import kernels
-from .core import Color, ColoredCompleteGraph, OrderedGraph, bits_of, color_class, density_within, mask_of
+from .core import (
+    Color,
+    ColoredCompleteGraph,
+    OrderedGraph,
+    bits_of,
+    class_density,
+    color_class,
+    density_within,
+    mask_of,
+)
 from .errors import DomainError, InternalContractError, ParameterError, TupleCapError
 
 DEFAULT_TUPLE_CAP = 10_000_000
@@ -506,7 +515,7 @@ def find_skeleton_in_dense(
     if Fraction(a) < 10 / c:
         raise ParameterError(f"need a >= 10/c = {float(10 / c):.4g}, got a={a}")
     big_n = coloring.N
-    dens = class_density_of(coloring, sparse_color)
+    dens = class_density(coloring, sparse_color)
     if dens > c:
         raise ParameterError(f"{sparse_color} class density {dens} exceeds c={c}")
 
@@ -560,10 +569,3 @@ def _dense_target_b(big_n: int, a: int, c: Fraction) -> float:
         return math.exp(log_b) * big_n
     except OverflowError:
         return float("inf")
-
-
-def class_density_of(coloring: ColoredCompleteGraph, color: Color) -> Fraction:
-    g = color_class(coloring, color)
-    if coloring.N < 2:
-        return Fraction(0)
-    return density_within(g, range(1, coloring.N + 1))

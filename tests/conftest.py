@@ -90,3 +90,15 @@ def all_red(n: int) -> ColoredCompleteGraph:
 
 def all_blue(n: int) -> ColoredCompleteGraph:
     return ColoredCompleteGraph.from_function(n, lambda i, j: False)
+
+
+def paley(p: int) -> ColoredCompleteGraph:
+    """Paley coloring for a prime p = 1 mod 4: red when j - i is a nonzero square mod p."""
+    squares = {x * x % p for x in range(1, p)}
+    return ColoredCompleteGraph.from_function(p, lambda i, j: (j - i) % p in squares)
+
+
+def two_blue_cliques(n: int) -> ColoredCompleteGraph:
+    """Blue inside the halves 1..n/2 and n/2+1..n, red between them."""
+    half = n // 2
+    return ColoredCompleteGraph.from_function(n, lambda i, j: (i <= half) != (j <= half))

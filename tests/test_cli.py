@@ -8,7 +8,7 @@ from ordramsey import io as formats
 from ordramsey.cli import main
 from ordramsey.core import ColoredCompleteGraph, OrderedGraph, Tournament
 
-from conftest import all_red, complete_graph
+from conftest import all_red, complete_graph, paley
 
 
 def write(path, text):
@@ -93,6 +93,15 @@ class TestSearch:
         )
         assert code == 4
         assert json.loads(out)["kind"] == "exhausted"
+
+    def test_copy_free_paley17_exhausts_after_complete_search(self, capsys, tmp_path):
+        col = write(tmp_path / "paley17.okc", formats.write_okc(paley(17)))
+        k4 = write(tmp_path / "k4.og", formats.write_og(complete_graph(4)))
+        code, out, err = run(capsys, ["search", col, k4, k4])
+        assert code == 4
+        assert out == (
+            '{"kind":"exhausted","trace":["exhaustive search over 17 vertices found no copy"]}\n'
+        )
 
 
 class TestEmbed:

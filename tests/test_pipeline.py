@@ -16,7 +16,6 @@ from ordramsey.errors import DomainError, ParameterError
 from ordramsey.pipeline import (
     Exhausted,
     MonoCopy,
-    PipelineParams,
     RecursionParams,
     SparseSet,
     binary_tree_sparse,
@@ -29,7 +28,15 @@ from ordramsey.pipeline import (
     verify_sparse_set,
 )
 
-from conftest import all_blue, all_red, complete_graph, random_ordered_graph
+from conftest import (
+    all_blue,
+    all_red,
+    brute_force_embeddings,
+    complete_graph,
+    paley,
+    random_ordered_graph,
+    two_blue_cliques,
+)
 
 
 def k_pattern(n):
@@ -292,24 +299,24 @@ class TestFindMonoCopy:
     def test_seeded_dense_blue(self):
         for seed in range(5):
             col = ColoredCompleteGraph.from_random(40, seed, red_probability=0.04)
-            res = find_mono_copy(col, k_pattern(4), k_pattern(4), seed=seed)
+            res = find_mono_copy(col, k_pattern(4), k_pattern(4))
             assert isinstance(res, MonoCopy)
             assert verify_mono_copy(col, k_pattern(4), k_pattern(4), res)[0]
 
-
-class TestPipelineParams:
-    def test_from_patterns_formulas(self):
-        h1 = monotone_path(4)  # 3 edges
-        h2 = monotone_path(4)
-        p = PipelineParams.from_patterns(h1, h2)
-        assert p.c2 == Fraction(1, 6 * 3)
-        lg2 = math.log(3) ** 2
-        assert p.a == max(1, int(10 * 3 * lg2 / math.sqrt(3)))
-        assert 0 < p.c1 <= Fraction(1, 9)
-
-    def test_rejects_empty_pattern(self):
-        with pytest.raises(ParameterError):
-            PipelineParams.from_patterns(OrderedGraph(2), monotone_path(3))
+    @pytest.mark.parametrize(
+        "col, pat1, pat2",
+        [
+            (paley(17), k_pattern(4), k_pattern(4)),
+            (two_blue_cliques(12), k_pattern(3), k_pattern(7)),
+        ],
+        ids=["paley17-k4-k4", "two-cliques12-k3-k7"],
+    )
+    def test_copy_free_coloring_exhausts_after_complete_search(self, col, pat1, pat2):
+        # oracle: brute force finds no red pat1 and no blue pat2
+        assert brute_force_embeddings(color_class(col, Color.RED), pat1) == []
+        assert brute_force_embeddings(color_class(col, Color.BLUE), pat2) == []
+        res = find_mono_copy(col, pat1, pat2)
+        assert res == Exhausted((f"exhaustive search over {col.N} vertices found no copy",))
 
 
 class TestExactOrderedRamsey:
