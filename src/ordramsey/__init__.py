@@ -61,7 +61,6 @@ from .pipeline import (
     find_good_coloring,
     find_mono_copy,
     recursive_sparse_set,
-    split_pattern,
     verify_mono_copy,
     verify_sparse_set,
 )

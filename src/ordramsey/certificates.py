@@ -115,6 +115,16 @@ def _int_list(value, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _optional(d: dict, key: str, types: tuple, default, kind: str):
+    """d[key] when present and of one of the JSON types (bool is no number), else default."""
+    if key not in d:
+        return default
+    value = d[key]
+    if not isinstance(value, types) or (bool not in types and isinstance(value, bool)):
+        raise ParseError(f"{kind} field {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def decode_certificate(text: str):
     """Parse certificate JSON back into library objects.
 
@@ -164,11 +174,11 @@ def decode_certificate(text: str):
             members=_int_list(_require(d, "members", kind), "members"),
             density=parse_rational(_require(d, "density", kind)),
             bound=parse_rational(_require(d, "bound", kind)),
-            size_target=int(d.get("size_target", 1)),
-            met_size_target=bool(d.get("met_size_target", True)),
-            alpha=float(d.get("alpha", 1.0)),
-            h1=int(d.get("h1", 0)),
-            h2=int(d.get("h2", 0)),
+            size_target=_optional(d, "size_target", (int,), 1, kind),
+            met_size_target=_optional(d, "met_size_target", (bool,), True, kind),
+            alpha=float(_optional(d, "alpha", (int, float), 1.0, kind)),
+            h1=_optional(d, "h1", (int,), 0, kind),
+            h2=_optional(d, "h2", (int,), 0, kind),
         )
     if kind == "exhausted":
         trace = _require(d, "trace", kind)

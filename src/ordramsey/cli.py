@@ -368,7 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h1")
     p.add_argument("h2")
     p.add_argument("--c", type=_fraction_arg, required=True, help="density target in (0, 1/8)")
-    p.add_argument("--alpha", type=float, default=None, help="shrink factor override")
+    p.add_argument(
+        "--alpha", type=float, default=None,
+        help="per-level shrink factor in (0, 1); the default is the lemma's value, 1e-16 or "
+        "less, at which the recursion stops at its root with a one-vertex set (try 0.75)",
+    )
     p.add_argument("--window", type=int, default=None, help="sampling window override")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.set_defaults(run=cmd_sparse_set)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -72,43 +73,93 @@ def _pair_count(k: int) -> int:
     return k * (k - 1) // 2
 
 
+def _check_rows(n: int, rows, what: str) -> None:
+    """Check that rows are the symmetric, loop-free adjacency masks of a graph on 1..n.
+
+    One transpose of the rows finds every one-sided pair; the first error
+    named is the one a scan of the rows in order, each row's bits ascending,
+    would meet first.
+    """
+    if n < 0:
+        raise DomainError(f"vertex count {n} is negative")
+    if len(rows) != n + 1 or rows[0] != 0:
+        raise DomainError(f"{what} adjacency rows must have length N + 1 with index 0 empty")
+    full = ((1 << (n + 1)) - 1) & ~1
+    cols = transpose_masks([r & full for r in rows], n)
+    for v in range(1, n + 1):
+        row = rows[v]
+        if row & ~full or row & (1 << v):
+            raise DomainError(f"{what} row {v} mentions vertices outside 1..{n}")
+        one_sided = row & ~cols[v]
+        if one_sided:
+            u = (one_sided & -one_sided).bit_length() - 1
+            raise DomainError(f"{what} adjacency not symmetric at pair ({u}, {v})")
+
+
+def _relabel_rows(rows, keep: tuple[int, ...]) -> list[int]:
+    """Rows restricted to the sorted vertices keep, keep[i - 1] becoming vertex i.
+
+    Each kept row becomes a bit string from which one C-level gather picks
+    the kept columns, so there is no Python step per pair.
+    """
+    if not keep:
+        return [0]
+    w = keep[-1] + 1
+    low = (1 << w) - 1
+    gather = itemgetter(*keep)
+    out = [0]
+    for v in keep:
+        bits = format(rows[v] & low, f"0{w}b")[::-1]  # bits[u] is bit u of the row
+        out.append(int("".join(gather(bits))[::-1] + "0", 2))
+    return out
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
-    """An ordered graph on vertices 1..n with edge pairs (i, j), i < j."""
+    """An ordered graph on vertices 1..n with edge pairs (i, j), i < j.
+
+    adj[v] is the adjacency bitmask of v (index 0 unused) and the graph's only
+    state besides n; the edge set is a view computed from it.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise DomainError(f"vertex count {n} is negative")
-        norm = set()
+        rows = [0] * (n + 1)
         for e in edges:
             i, j = e
             if not (1 <= i < j <= n):
                 raise DomainError(f"edge {e!r} is not a pair (i, j) with 1 <= i < j <= {n}")
-            norm.add((i, j))
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "adj", tuple(rows))
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[int]) -> "OrderedGraph":
+        """The graph whose adjacency masks are rows (length n + 1, index 0 empty)."""
+        rows = tuple(rows)
+        _check_rows(n, rows, "graph")
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", rows)
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Adjacency bitmask per vertex; index 0 unused."""
-        rows = [0] * (self.n + 1)
-        for i, j in self.edges:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
+        return sum(r.bit_count() for r in self.adj) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
+        if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             return False
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self.edges
+        return bool(self.adj[i] >> j & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -117,14 +168,14 @@ class OrderedGraph:
         return max((self.adj[v].bit_count() for v in range(1, self.n + 1)), default=0)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [
+            (i, j) for i in range(1, self.n + 1) for j in bits_of(self.adj[i] >> (i + 1) << (i + 1))
+        ]
 
     def induced(self, members: Iterable[int]) -> tuple["OrderedGraph", tuple[int, ...]]:
         """Induced subgraph relabeled to 1..k plus the new->old vertex map (index 0 unused)."""
         keep = vertex_tuple(members, self.n, "induced subgraph")
-        pos = {v: i + 1 for i, v in enumerate(keep)}
-        edges = [(pos[i], pos[j]) for (i, j) in self.edges if i in pos and j in pos]
-        return OrderedGraph(len(keep), edges), (0,) + keep
+        return OrderedGraph.from_rows(len(keep), _relabel_rows(self.adj, keep)), (0,) + keep
 
 
 @dataclass(frozen=True)
@@ -135,18 +186,7 @@ class ColoredCompleteGraph:
     red_rows: tuple[int, ...]
 
     def __init__(self, N: int, red_rows: tuple[int, ...]):
-        if N < 0:
-            raise DomainError(f"vertex count {N} is negative")
-        if len(red_rows) != N + 1 or red_rows[0] != 0:
-            raise DomainError("red adjacency rows must have length N + 1 with index 0 empty")
-        full = ((1 << (N + 1)) - 1) & ~1
-        for v in range(1, N + 1):
-            row = red_rows[v]
-            if row & ~full or row & (1 << v):
-                raise DomainError(f"red row {v} mentions vertices outside 1..{N}")
-            for u in bits_of(row):
-                if not red_rows[u] & (1 << v):
-                    raise DomainError(f"red adjacency not symmetric at pair ({u}, {v})")
+        _check_rows(N, red_rows, "red")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "red_rows", tuple(red_rows))
 
@@ -181,12 +221,6 @@ class ColoredCompleteGraph:
         )
 
     @classmethod
-    def all_one_color(cls, N: int, color: Color) -> "ColoredCompleteGraph":
-        if color is Color.RED:
-            return cls.from_function(N, lambda i, j: True)
-        return cls.from_red_edges(N, ())
-
-    @classmethod
     def from_colex_bits(cls, N: int, bits: Iterable[int]) -> "ColoredCompleteGraph":
         """Rebuild from per-pair colors in colex order; 0 means Red, 1 means Blue."""
         it = iter(bits)
@@ -213,15 +247,8 @@ class ColoredCompleteGraph:
 
     def induced(self, members: Iterable[int]) -> tuple["ColoredCompleteGraph", tuple[int, ...]]:
         keep = vertex_tuple(members, self.N, "induced coloring")
-        pos = {v: i + 1 for i, v in enumerate(keep)}
-        k = len(keep)
-        rows = [0] * (k + 1)
-        for new_v, old_v in enumerate(keep, start=1):
-            row = self.red_rows[old_v]
-            for old_u in keep:
-                if row & (1 << old_u):
-                    rows[new_v] |= 1 << pos[old_u]
-        return ColoredCompleteGraph(k, tuple(rows)), (0,) + keep
+        rows = tuple(_relabel_rows(self.red_rows, keep))
+        return ColoredCompleteGraph(len(keep), rows), (0,) + keep
 
 
 @dataclass(frozen=True)
@@ -289,13 +316,7 @@ class Tournament:
 
     def induced(self, members: Iterable[int]) -> tuple["Tournament", tuple[int, ...]]:
         keep = vertex_tuple(members, self.N, "induced tournament")
-        pos = {v: i + 1 for i, v in enumerate(keep)}
-        rows = [0] * (len(keep) + 1)
-        for new_u, old_u in enumerate(keep, start=1):
-            for old_v in keep:
-                if self.beats[old_u] & (1 << old_v):
-                    rows[new_u] |= 1 << pos[old_v]
-        return Tournament(len(keep), tuple(rows)), (0,) + keep
+        return Tournament(len(keep), tuple(_relabel_rows(self.beats, keep))), (0,) + keep
 
 
 @dataclass(frozen=True)
@@ -355,13 +376,6 @@ class Digraph:
             raise DomainError(f"digraph is not acyclic; a cycle exists: {self.find_cycle()}")
         return tuple(order)
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-            return True
-        except DomainError:
-            return False
-
     def find_cycle(self) -> tuple[int, ...] | None:
         """Some directed cycle as a vertex tuple, or None if acyclic."""
         state = [0] * (self.n + 1)  # 0 new, 1 on stack, 2 done
@@ -399,14 +413,18 @@ class Digraph:
 # density and normalization operations
 
 
+def rows_density(rows, members: Sequence[int]) -> Fraction:
+    """Edge density of the adjacency rows inside a valid vertex tuple; 0 below 2 vertices."""
+    if len(members) < 2:
+        return Fraction(0)
+    m = mask_of(members)
+    e = sum((rows[v] & m).bit_count() for v in members) // 2
+    return Fraction(e, _pair_count(len(members)))
+
+
 def density_within(g: OrderedGraph, members: Iterable[int]) -> Fraction:
     """Edge density of g inside the vertex set; 0 for sets of size < 2."""
-    a = vertex_tuple(members, g.n, "density_within")
-    if len(a) < 2:
-        return Fraction(0)
-    amask = mask_of(a)
-    e = sum((g.adj[v] & amask).bit_count() for v in a) // 2
-    return Fraction(e, _pair_count(len(a)))
+    return rows_density(g.adj, vertex_tuple(members, g.n, "density_within"))
 
 
 def density_between(g: OrderedGraph, a: Iterable[int], b: Iterable[int]) -> Fraction:
@@ -424,27 +442,20 @@ def density_between(g: OrderedGraph, a: Iterable[int], b: Iterable[int]) -> Frac
 
 def color_class(c: ColoredCompleteGraph, color: Color) -> OrderedGraph:
     """The ordered graph carrying all pairs of one color."""
-    rows = c.class_rows(color)
-    edges = []
-    for v in range(1, c.N + 1):
-        row = rows[v]
-        for u in bits_of(row):
-            if u > v:
-                edges.append((v, u))
-    return OrderedGraph(c.N, edges)
+    return OrderedGraph.from_rows(c.N, c.class_rows(color))
 
 
 def class_density(c: ColoredCompleteGraph, color: Color, members: Iterable[int] | None = None) -> Fraction:
-    g = color_class(c, color)
-    return density_within(g, members if members is not None else range(1, c.N + 1))
+    if members is None:
+        members = range(1, c.N + 1)
+    return rows_density(c.class_rows(color), vertex_tuple(members, c.N, "density_within"))
 
 
 def remove_isolated(g: OrderedGraph) -> tuple[OrderedGraph, dict[int, int]]:
     """Drop isolated vertices, relabeling the rest order-preservingly; returns old->new map."""
-    keep = [v for v in range(1, g.n + 1) if g.adj[v]]
+    keep = tuple(v for v in range(1, g.n + 1) if g.adj[v])
     mapping = {v: i + 1 for i, v in enumerate(keep)}
-    edges = [(mapping[i], mapping[j]) for (i, j) in g.edges]
-    return OrderedGraph(len(keep), edges), mapping
+    return OrderedGraph.from_rows(len(keep), _relabel_rows(g.adj, keep)), mapping
 
 
 def degeneracy(g: OrderedGraph) -> int:

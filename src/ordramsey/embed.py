@@ -31,9 +31,6 @@ class Embedding:
     def __len__(self) -> int:
         return len(self.mapping)
 
-    def image(self) -> tuple[int, ...]:
-        return self.mapping
-
 
 @dataclass(frozen=True)
 class SparsePair:

@@ -24,6 +24,7 @@ from .core import (
     class_density,
     color_class,
     mask_of,
+    rows_density,
     vertex_tuple,
 )
 from .embed import (
@@ -108,11 +109,7 @@ class RecursionParams:
         k1 = max(k2, m1 * k2 // m2)
         h = _ceil_log2(2 / c)
         if window is None:
-            exponent = (k1 + k2) * math.log(4.0)
-            if exponent >= math.log(max(big_n, 2)):
-                window = big_n
-            else:
-                window = min(big_n, 4 ** (k1 + k2))
+            window = min(big_n, 4 ** (k1 + k2))
         window = max(1, min(window, big_n))
         if alpha is None:
             base = float(c) / 8.0
@@ -181,18 +178,8 @@ def _gate_patterns(pat1: OrderedGraph, pat2: OrderedGraph) -> None:
 
 
 def _sparser_color_on(coloring: ColoredCompleteGraph, members: tuple[int, ...]) -> Color:
-    dr = class_density(coloring, Color.RED, members)
-    db = class_density(coloring, Color.BLUE, members)
-    return Color.RED if dr <= db else Color.BLUE
-
-
-def _rows_density(rows, members) -> Fraction:
-    k = len(members)
-    if k < 2:
-        return Fraction(0)
-    m = mask_of(members)
-    edges = sum((rows[v] & m).bit_count() for v in members) // 2
-    return Fraction(edges, k * (k - 1) // 2)
+    """Red when its density on members is at most Blue's, the two summing to 1."""
+    return Color.RED if 2 * rows_density(coloring.red_rows, members) <= 1 else Color.BLUE
 
 
 def _size_target(alpha: float, levels: int, size: int) -> int:
@@ -213,11 +200,11 @@ def _trim_to_density(rows, members: tuple[int, ...], target: int, bound: Fractio
         m = mask_of(cur)
         worst = max(cur, key=lambda v: ((rows[v] & m).bit_count(), v))
         cur.remove(worst)
-    if _rows_density(rows, cur) <= bound:
+    if rows_density(rows, cur) <= bound:
         return tuple(cur)
     if len(members) <= TRIM_SCAN_LIMIT:
         for sub in combinations(members, target):
-            if _rows_density(rows, sub) <= bound:
+            if rows_density(rows, sub) <= bound:
                 return tuple(sub)
     return None
 
@@ -394,7 +381,7 @@ def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple
 
     union = tuple(sorted(w1 + w2))
     bound = Fraction(1, 2 ** (h1 if i is Color.RED else h2)) + c / 2
-    if _rows_density(rows, union) > bound:
+    if rows_density(rows, union) > bound:
         return Exhausted(
             trace + (f"union density exceeds the bound {bound} at {len(union)} vertices",)
         )
@@ -440,33 +427,6 @@ def recursive_sparse_set(
     return res
 
 
-def split_pattern(pattern: OrderedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split the vertices into a prefix and suffix, each with <= m/2 edges.
-
-    The prefix is the longest one whose induced edge count stays within half
-    of the total; disjointness of prefix and suffix edge sets makes the
-    suffix bound automatic.
-    """
-    if pattern.m < 1:
-        raise ParameterError("pattern must have at least one edge")
-    m = pattern.m
-    ends = [0] * (pattern.n + 1)
-    for _, j in pattern.edges:
-        ends[j] += 1
-    best = 1
-    seen = 0
-    for ell in range(1, pattern.n + 1):
-        seen += ends[ell]
-        if 2 * seen <= m:
-            best = ell
-    lower = tuple(range(1, best + 1))
-    upper = tuple(range(best + 1, pattern.n + 1))
-    upper_edges = sum(1 for (i, _) in pattern.edges if i > best)
-    if 2 * upper_edges > m:
-        raise InternalContractError("suffix of the split exceeds half the edges")
-    return lower, upper
-
-
 def find_good_coloring(
     pat1: OrderedGraph, pat2: OrderedGraph, big_n: int
 ) -> ColoredCompleteGraph | None:
@@ -480,7 +440,7 @@ def find_good_coloring(
     if big_n < 1:
         raise ParameterError("N must be positive")
     bits = kernels.search_good_coloring(
-        big_n, pat1.n, sorted(pat1.edges), pat2.n, sorted(pat2.edges)
+        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges()
     )
     return None if bits is None else ColoredCompleteGraph.from_colex_bits(big_n, bits)
 

@@ -27,6 +27,7 @@ from .core import (
     color_class,
     density_within,
     mask_of,
+    rows_density,
 )
 from .errors import DomainError, InternalContractError, ParameterError, TupleCapError
 
@@ -56,14 +57,6 @@ class Skeleton:
         object.__setattr__(self, "blocks", blocks_t)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def all_vertices(self) -> tuple[int, ...]:
-        out = []
-        for j, blk in enumerate(self.blocks):
-            out.extend(blk)
-            if j < self.a:
-                out.append(self.spine[j])
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -131,10 +124,6 @@ class CliqueTupleIndex:
     total: int
     truncated: bool
     buckets: dict
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self.buckets)
 
     def max_bucket(self) -> tuple[tuple[int, ...], int] | None:
         """Most populated bucket (ties to the lexicographically least key)."""
@@ -237,11 +226,12 @@ def find_skeleton_from_cliques(
 # sparse-graph clique-or-independent-set finder
 
 
-def _es_chains(g: OrderedGraph, theta: Fraction) -> tuple[list[int], list[int]]:
-    """Two-chain greedy: grow an independent set while the minimum degree stays
-    below theta * (|S| - 1), otherwise grow a clique through a maximum-degree
-    vertex.  Returns (clique chain, independent chain)."""
-    alive = mask_of(range(1, g.n + 1))
+def _es_chains(adj, theta: Fraction) -> tuple[list[int], list[int]]:
+    """Two-chain greedy on the graph with adjacency rows adj: grow an
+    independent set while the minimum degree stays below theta * (|S| - 1),
+    otherwise grow a clique through a maximum-degree vertex.  Returns (clique
+    chain, independent chain)."""
+    alive = mask_of(range(1, len(adj)))
     clique: list[int] = []
     indep: list[int] = []
     while alive:
@@ -250,16 +240,16 @@ def _es_chains(g: OrderedGraph, theta: Fraction) -> tuple[list[int], list[int]]:
             v = alive.bit_length() - 1
             indep.append(v)
             break
-        degs = [( (g.adj[v] & alive).bit_count(), v) for v in bits_of(alive)]
+        degs = [((adj[v] & alive).bit_count(), v) for v in bits_of(alive)]
         dmin, vmin = min(degs)
         if Fraction(dmin) <= theta * (size - 1):
             indep.append(vmin)
             alive &= ~(1 << vmin)
-            alive &= ~g.adj[vmin]
+            alive &= ~adj[vmin]
         else:
             dmax, vmax = max(degs, key=lambda dv: (dv[0], -dv[1]))
             clique.append(vmax)
-            alive &= g.adj[vmax]
+            alive &= adj[vmax]
     return clique, indep
 
 
@@ -285,7 +275,7 @@ def es_clique_or_independent(
     dens = density_within(g, range(1, g.n + 1))
     if dens > eps:
         raise ParameterError(f"graph density {dens} exceeds eps={eps}")
-    clique, indep = _es_chains(g, eps)
+    clique, indep = _es_chains(g.adj, eps)
     kind, members = ("independent", indep) if len(indep) >= len(clique) else ("clique", clique)
     members_t = tuple(sorted(members))
     _check_homogeneous(g, kind, members_t)
@@ -315,7 +305,6 @@ class DenseSkeletonResult:
     target_b: float
     met_target: bool
     samples_used: int  # windows processed: 1 when the window covers all N
-    cliques_seen: dict
 
     @property
     def found(self) -> bool:
@@ -462,17 +451,17 @@ def sample_color_cliques(
     for _ in range(rounds):
         members = sorted(rng.sample(universe, window)) if window < coloring.N else universe
         sub, back = coloring.induced(members)
-        red_graph = color_class(sub, Color.RED)
-        red_dens = density_within(red_graph, range(1, sub.N + 1)) if sub.N >= 2 else Fraction(0)
+        red_dens = rows_density(sub.red_rows, range(1, sub.N + 1))
+        # below two vertices both densities are 0; otherwise they sum to 1
+        blue_dens = 1 - red_dens if sub.N >= 2 else red_dens
         if density_gate is not None and gate_color is not None:
-            gate_dens = red_dens if gate_color is Color.RED else 1 - red_dens
+            gate_dens = red_dens if gate_color is Color.RED else blue_dens
             if sub.N >= 2 and gate_dens > density_gate:
                 continue
         sparse = Color.RED if red_dens <= Fraction(1, 2) else Color.BLUE
-        graph = red_graph if sparse is Color.RED else color_class(sub, Color.BLUE)
-        theta = density_within(graph, range(1, sub.N + 1))
+        theta = red_dens if sparse is Color.RED else blue_dens
         theta = max(Fraction(1, 100), min(theta, Fraction(49, 100)))
-        clique_chain, indep_chain = _es_chains(graph, theta)
+        clique_chain, indep_chain = _es_chains(sub.class_rows(sparse), theta)
         for color, chain in ((sparse, clique_chain), (sparse.other, indep_chain)):
             k_needed = need.get(color)
             if k_needed is None or len(chain) < k_needed:
@@ -544,23 +533,20 @@ def find_skeleton_in_dense(
     rounds = _sample_rounds(big_n, window, samples)
     n_red, n_blue = len(harvest[Color.RED]), len(harvest[Color.BLUE])
     if n_red == 0 and n_blue == 0:
-        return DenseSkeletonResult(None, None, _dense_target_b(big_n, a, c), False, rounds,
-                                   {Color.RED: n_red, Color.BLUE: n_blue})
+        return DenseSkeletonResult(None, None, _dense_target_b(big_n, a, c), False, rounds)
     majority = Color.RED if n_red >= n_blue else Color.BLUE
 
     index = _index_from_cliques(harvest[majority], k, tuple_cap)
     skel, _ = _skeleton_from_index(index, a, 1)
     target = _dense_target_b(big_n, a, c)
     if skel is None:
-        return DenseSkeletonResult(None, None, target, False, rounds,
-                                   {Color.RED: n_red, Color.BLUE: n_blue})
+        return DenseSkeletonResult(None, None, target, False, rounds)
     host = color_class(coloring, majority)
     report = verify_skeleton(host, skel)
     if not report:
         raise InternalContractError(f"dense skeleton fails condition {report.condition}")
     met = skel.b >= target
-    return DenseSkeletonResult(majority, skel, target, met, rounds,
-                               {Color.RED: n_red, Color.BLUE: n_blue})
+    return DenseSkeletonResult(majority, skel, target, met, rounds)
 
 
 def _dense_target_b(big_n: int, a: int, c: Fraction) -> float:

@@ -141,6 +141,27 @@ class TestSparseSetKind:
                 '"density":"0/1","bound":"1/2"}'
             )
 
+    def test_absent_optional_fields_take_defaults(self):
+        _, back = decode_certificate(
+            '{"kind":"sparse_set","color":"blue","members":[1],'
+            '"density":"0/1","bound":"1/2"}'
+        )
+        assert (back.size_target, back.met_size_target, back.alpha, back.h1, back.h2) == (
+            1, True, 1.0, 0, 0
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("size_target", '"x"'), ("size_target", "true"), ("met_size_target", '"false"'),
+         ("met_size_target", "0"), ("alpha", "[1]"), ("alpha", "false"), ("h2", "null")],
+    )
+    def test_optional_field_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ParseError, match=field):
+            decode_certificate(
+                '{"kind":"sparse_set","color":"blue","members":[1],'
+                f'"density":"0/1","bound":"1/2","{field}":{value}}}'
+            )
+
 
 class TestExhaustedKind:
     def test_round_trip(self):

@@ -231,6 +231,24 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("size_target", "x"), ("alpha", [1]), ("met_size_target", "false")],
+    )
+    def test_sparse_set_field_of_wrong_type(self, capsys, files, tmp_path, field, value):
+        code, out, _ = run(
+            capsys,
+            ["sparse-set", files["allblue30"], files["k9"], files["k9"], "--c", "1/10"],
+        )
+        rec = json.loads(out)
+        rec[field] = value
+        cert = write(tmp_path / "ss.json", json.dumps(rec))
+        code, out, err = run(capsys, ["verify", cert, files["allblue30"]])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
     def test_skeleton_roundtrip(self, capsys, files, tmp_path):
         code, out, _ = run(capsys, ["skeleton", files["k11"], "--a", "1"])
         cert = write(tmp_path / "skel.json", out)

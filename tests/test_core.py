@@ -1,5 +1,6 @@
 """Core types: ordered graphs, colorings, tournaments, digraphs, densities."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 import random
@@ -343,6 +344,162 @@ class TestTournamentCheck:
         else:
             with pytest.raises(DomainError, match=rf"^pair \({bad[0]}, {bad[1]}\) must"):
                 Tournament(N, tuple(rows))
+
+
+def drawn_pairs(max_n=12):
+    """(n, pairs, members): a pair list on 1..n, one draw per pair, and a vertex subset."""
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+                lambda bits: [p for p, b in zip(combinations(range(1, n + 1), 2), bits) if b]
+            ),
+            st.lists(st.booleans(), min_size=n, max_size=n).map(
+                lambda bits: [v for v, b in zip(range(1, n + 1), bits) if b]
+            ),
+        )
+    )
+
+
+def rows_of(n, pairs):
+    rows = [0] * (n + 1)
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
+
+
+def pairs_inside(pairs, members):
+    """The pairs with both ends in members, relabeled to 1..k in order."""
+    pos = {v: i + 1 for i, v in enumerate(sorted(members))}
+    return {(pos[i], pos[j]) for i, j in pairs if i in pos and j in pos}
+
+
+def reference_density(pairs, members):
+    k = len(members)
+    return Fraction(len(pairs_inside(pairs, members)), k * (k - 1) // 2) if k >= 2 else 0
+
+
+def first_row_error(n, rows, what):
+    """The DomainError text met first by a scan of the rows in order, each row's
+    vertices ascending."""
+    for v in range(1, n + 1):
+        if rows[v] >> v & 1:
+            return f"{what} row {v} mentions vertices outside 1..{n}"
+        for u in range(1, n + 1):
+            if rows[v] >> u & 1 and not rows[u] >> v & 1:
+                return f"{what} adjacency not symmetric at pair ({u}, {v})"
+    return None
+
+
+class TestRowsRepresentation:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_pairs())
+    def test_constructors_agree_with_the_pair_list(self, drawn):
+        n, pairs, _ = drawn
+        listed = OrderedGraph(n, pairs + pairs[::-1])
+        from_rows = OrderedGraph.from_rows(n, rows_of(n, pairs))
+        expect = set(pairs)
+        for g in (listed, from_rows):
+            assert g.n == n
+            assert g.edges == frozenset(pairs)
+            assert g.sorted_edges() == sorted(pairs)
+            assert g.m == len(pairs)
+            for i in range(-1, n + 3):
+                for j in range(-1, n + 3):
+                    assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in expect), (i, j)
+        assert listed == from_rows
+        assert hash(listed) == hash(from_rows)
+        assert listed != OrderedGraph(n + 1, pairs)
+        if pairs:
+            assert listed != OrderedGraph(n, pairs[1:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_pairs())
+    def test_color_classes_and_induced_match_the_pair_list(self, drawn):
+        n, red, members = drawn
+        everything = set(combinations(range(1, n + 1), 2))
+        blue = everything - set(red)
+        c = ColoredCompleteGraph.from_red_edges(n, red)
+        assert color_class(c, Color.RED).edges == set(red)
+        assert color_class(c, Color.BLUE).edges == blue
+        keep = (0,) + tuple(sorted(members))
+
+        sub, back = c.induced(members)
+        assert back == keep
+        assert color_class(sub, Color.RED).edges == pairs_inside(red, members)
+        assert color_class(sub, Color.BLUE).edges == pairs_inside(blue, members)
+
+        g_sub, back = OrderedGraph(n, red).induced(members)
+        assert back == keep
+        assert g_sub.n == len(members)
+        assert g_sub.edges == pairs_inside(red, members)
+
+        # a red pair (i, j) is the arc i -> j, a blue one j -> i
+        t_sub, back = Tournament.from_arcs(n, red + [(j, i) for i, j in blue]).induced(members)
+        assert back == keep
+        inside = pairs_inside(red, members)
+        assert set(t_sub.arcs()) == {
+            (i, j) if (i, j) in inside else (j, i)
+            for i, j in combinations(range(1, len(members) + 1), 2)
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_pairs())
+    def test_densities_match_the_pair_list(self, drawn):
+        n, red, members = drawn
+        blue = sorted(set(combinations(range(1, n + 1), 2)) - set(red))
+        c = ColoredCompleteGraph.from_red_edges(n, red)
+        assert density_within(OrderedGraph(n, red), members) == reference_density(red, members)
+        assert class_density(c, Color.RED, members) == reference_density(red, members)
+        assert class_density(c, Color.BLUE, members) == reference_density(blue, members)
+        everyone = range(1, n + 1)
+        assert class_density(c, Color.BLUE) == reference_density(blue, everyone)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+                st.lists(st.integers(0, 9), max_size=2),
+            )
+        )
+    )
+    def test_rows_check_names_the_first_bad_row(self, drawn):
+        # per pair: 0 neither direction, 1 both, 2 and 3 only one; plus a few loops
+        n, kinds, loops = drawn
+        rows = [0] * (n + 1)
+        for (u, v), kind in zip(combinations(range(1, n + 1), 2), kinds):
+            if kind in (1, 2):
+                rows[u] |= 1 << v
+            if kind in (1, 3):
+                rows[v] |= 1 << u
+        for v in loops:
+            if 1 <= v <= n:
+                rows[v] |= 1 << v
+        for what, build in (
+            ("red", lambda: ColoredCompleteGraph(n, tuple(rows)).red_rows),
+            ("graph", lambda: OrderedGraph.from_rows(n, rows).adj),
+        ):
+            error = first_row_error(n, rows, what)
+            if error is None:
+                assert build() == tuple(rows)
+            else:
+                with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+                    build()
+
+    def test_rows_shape_and_range_errors(self):
+        with pytest.raises(DomainError, match="^vertex count -1 is negative$"):
+            OrderedGraph.from_rows(-1, [0])
+        with pytest.raises(DomainError, match="^graph adjacency rows must have length N"):
+            OrderedGraph.from_rows(2, [0, 4])
+        with pytest.raises(DomainError, match="^graph adjacency rows must have length N"):
+            OrderedGraph.from_rows(1, [1, 0])
+        with pytest.raises(DomainError, match=r"^graph row 1 mentions vertices outside 1\.\.2$"):
+            OrderedGraph.from_rows(2, [0, 1 << 3, 0])
+        with pytest.raises(DomainError, match=r"^red row 2 mentions vertices outside 1\.\.2$"):
+            ColoredCompleteGraph(2, (0, 0, 1))
 
 
 class TestMaskHelpers:

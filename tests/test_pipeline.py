@@ -1,5 +1,5 @@
-"""Recursive sparse-set extraction, the monochromatic-copy pipeline, pattern
-splitting, and the exact small-instance oracle."""
+"""Recursive sparse-set extraction, the monochromatic-copy search and the
+exact small-instance oracle."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from ordramsey.pipeline import (
     find_good_coloring,
     find_mono_copy,
     recursive_sparse_set,
-    split_pattern,
     verify_mono_copy,
     verify_sparse_set,
 )
@@ -34,7 +33,6 @@ from conftest import (
     brute_force_embeddings,
     complete_graph,
     paley,
-    random_ordered_graph,
     two_blue_cliques,
 )
 
@@ -45,47 +43,6 @@ def k_pattern(n):
 
 def monotone_path(n):
     return OrderedGraph(n, [(i, i + 1) for i in range(1, n)])
-
-
-class TestSplitPattern:
-    def test_single_edge(self):
-        left, right = split_pattern(OrderedGraph(2, [(1, 2)]))
-        assert left == (1,)
-        assert right == (2,)
-
-    def test_path_five(self):
-        left, right = split_pattern(monotone_path(5))
-        assert left == (1, 2, 3)
-        assert right == (4, 5)
-
-    def test_edgeless_rejected(self):
-        with pytest.raises(ParameterError):
-            split_pattern(OrderedGraph(3))
-
-    def test_prefix_oracle(self):
-        # U_L must be the largest prefix with at most m/2 internal edges and
-        # the suffix must also hold at most m/2
-        for seed in range(60):
-            n = seed % 9 + 2
-            g = random_ordered_graph(n, 0.6, 10_000 + seed)
-            if g.m == 0:
-                continue
-            left, right = split_pattern(g)
-            half = Fraction(g.m, 2)
-
-            def inner_edges(vs):
-                vs = set(vs)
-                return sum(1 for i, j in g.sorted_edges() if i in vs and j in vs)
-
-            assert inner_edges(left) <= half
-            assert inner_edges(right) <= half
-            best = max(
-                ell
-                for ell in range(1, n + 1)
-                if inner_edges(range(1, ell + 1)) <= half
-            )
-            assert left == tuple(range(1, best + 1))
-            assert right == tuple(range(best + 1, n + 1))
 
 
 def hub_zone_coloring():
@@ -232,6 +189,20 @@ class TestRecursiveSparseSet:
             else:
                 continue
             assert ok, (seed, why)
+
+
+class TestRecursionParams:
+    # K3,K3 gives k1 = k2 = 1 and K5,K5 gives k1 = k2 = 2, so the default
+    # window is N up to 4^(k1 + k2) and 4^(k1 + k2) above it
+    @pytest.mark.parametrize(
+        "k, big_n, window",
+        [(3, 1, 1), (3, 15, 15), (3, 16, 16), (3, 17, 16), (3, 120, 16),
+         (5, 30, 30), (5, 255, 255), (5, 256, 256), (5, 257, 256), (5, 4**8, 256)],
+    )
+    def test_default_window(self, k, big_n, window):
+        params = RecursionParams.from_patterns(k_pattern(k), k_pattern(k), Fraction(1, 10), big_n)
+        assert (params.k1, params.k2) == ((1, 1) if k == 3 else (2, 2))
+        assert params.window == window
 
 
 class TestVerifiers:
