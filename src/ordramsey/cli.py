@@ -37,6 +37,7 @@ from .errors import (
     TupleCapError,
 )
 from .pipeline import (
+    Exhausted,
     MonoCopy,
     SparseSet,
     exact_ordered_ramsey,
@@ -107,7 +108,11 @@ def _fraction_arg(text: str) -> Fraction:
 def cmd_exact(cfg: RunConfig, args) -> int:
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
-    result = exact_ordered_ramsey(pat1, pat2, args.max_n)
+    result = exact_ordered_ramsey(pat1, pat2, args.max_n, cfg.node_budget)
+    if isinstance(result, Exhausted):
+        _emit(certificate_dict(result))
+        _say(cfg, "exact search exhausted: " + result.trace[-1])
+        return EXIT_EXHAUSTED
     if result is None:
         _emit({"kind": "ramsey_exact", "max_n": args.max_n, "n_star": None})
         _say(cfg, f"ordered ramsey number exceeds max_n = {args.max_n}")
@@ -335,7 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
         "spine keys enumerated from sampled cliques by `sparse-set` "
         f"(default: {DEFAULT_TUPLE_CAP})",
     )
-    top.add_argument("--node-budget", type=int, default=10_000_000)
+    top.add_argument(
+        "--node-budget",
+        type=int,
+        default=10_000_000,
+        help="search decisions allowed to `exact`, summed over every N (default: 10000000)",
+    )
     top.add_argument("-q", "--quiet", action="store_true", help="suppress stderr summaries")
     sub = top.add_subparsers(dest="command", required=True)
 

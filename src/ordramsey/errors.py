@@ -31,6 +31,10 @@ class GenerationError(OrdRamseyError):
         super().__init__(f"{message} (after {tries} tries)")
 
 
+class BudgetExhausted(OrdRamseyError):
+    """A search used up its decision budget before it could decide."""
+
+
 class TupleCapError(OrdRamseyError):
     """A clique-tuple enumeration cap was exceeded and the result is unusable."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import bits_of
+from .errors import BudgetExhausted
 
 # The benchmark records this in every result and refuses to compare runs
 # whose values differ.  Every kernel has one implementation, so it is
@@ -105,23 +106,78 @@ def count_embeddings(
     return count
 
 
+# A learned clause of at most this many pairs is watched for the rest of the
+# search.  A longer one only serves as the reason of the pair it asserts and
+# is dropped when that pair is unassigned.  With every learned clause
+# watched, refuting K3,K4 or K4,K3 at N = 9 took 3-4 times as long, spent
+# visiting watches; limits from 4 to 12 all did worse than 8 there.
+LEARNED_WATCH_LIMIT = 8
+
+
+class DecisionBudget:
+    """Decisions allowed to a run of searches (limit) and made so far (used)."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+
+def _copy_clauses(
+    N: int,
+    pat1_n: int,
+    pat1_edges: list[tuple[int, int]],
+    pat2_n: int,
+    pat2_edges: list[tuple[int, int]],
+) -> dict[tuple[int, ...], None]:
+    """The distinct clauses of the forbidden copies, as sorted literal tuples.
+
+    A Red copy of pattern 1 asks one of its pairs to be Blue, a Blue copy of
+    pattern 2 one of its pairs to be Red.
+    """
+    clauses: dict[tuple[int, ...], None] = {}
+    for color, pn, pedges in ((0, pat1_n, pat1_edges), (1, pat2_n, pat2_edges)):
+        if pn > N:
+            continue
+        other = 1 - color
+        for sub in combinations(range(1, N + 1), pn):
+            # pair (i, j), i < j, is variable (j-1)(j-2)/2 + i - 1
+            clauses[tuple(sorted({
+                (sub[b - 1] - 1) * (sub[b - 1] - 2) + 2 * sub[a - 1] - 2 + other
+                for a, b in pedges
+            }))] = None
+    return clauses
+
+
 def search_good_coloring(
     N: int,
     pat1_n: int,
     pat1_edges: list[tuple[int, int]],
     pat2_n: int,
     pat2_edges: list[tuple[int, int]],
+    budget: DecisionBudget | None = None,
 ) -> list[int] | None:
     """Find a coloring of ordered K_N with no Red copy of pattern 1 and no Blue
-    copy of pattern 2, backtracking over pairs in colex order (Red tried first).
+    copy of pattern 2: the lexicographically least one over the pairs in colex
+    order, Red before Blue.
 
     Every k-subset of K_N hosts exactly one copy of a k-vertex pattern, so the
     forbidden copies are C(N, k1) + C(N, k2) clauses over the C(N, 2) pair
-    variables, all held in memory.  A clause is violated when every pair in
-    it takes its forbidden color.  Counter-based unit propagation forces the
-    last free pair of a clause to the other color; it removes only branches
-    with no good completion, so the result is the lexicographically least good
-    coloring, as a plain backtracking search would find.
+    variables, all held in memory.  A literal 2*v + c says that pair v has
+    color c, and the clause of a forbidden copy asks one of its pairs to take
+    the other color.  The search is conflict-driven clause learning: two
+    watched literals per clause drive unit propagation, and a conflict learns
+    its first-UIP clause, backjumps to the second-highest level in it and
+    asserts the UIP pair's other color.  It always decides the lowest
+    unassigned pair Red, with no restarts.  A learned clause follows from
+    the copy clauses, so it removes no good coloring.  Were a decision ever to
+    disagree with the least good coloring, the search could only end on a
+    smaller good coloring, which does not exist; so it ends on that one.
+
+    budget, when given, bounds the decisions of a run of searches: a search
+    that would make the run's decision budget.limit + 1 raises
+    BudgetExhausted instead.
 
     Returns per-pair colors in colex order (0 Red, 1 Blue), or None when every
     coloring contains a forbidden copy.
@@ -132,100 +188,164 @@ def search_good_coloring(
     if pat2_n <= N and not pat2_edges:
         return None
 
-    index: dict[tuple[int, int], int] = {}
-    for j in range(2, N + 1):
-        for i in range(1, j):
-            index[i, j] = len(index)
-    nvars = len(index)
-
-    # watch[c][v]: the clauses forbidding color c that contain pair v
-    watch: list[list[list[int]]] = [[[] for _ in range(nvars)] for _ in range(2)]
-    clauses: list[tuple[int, ...]] = []
-    units: list[tuple[int, int]] = []  # (pair, the color it is forced to)
-    for color, pn, pedges in ((0, pat1_n, pat1_edges), (1, pat2_n, pat2_edges)):
-        if pn > N:
+    nvars = N * (N - 1) // 2
+    # watches[lit]: the clauses with lit in their first two places, visited
+    # when lit becomes false
+    watches: list[list[list[int]]] = [[] for _ in range(2 * nvars)]
+    units: list[int] = []
+    for key in _copy_clauses(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
+        if len(key) == 1:
+            units.append(key[0])
             continue
-        seen: set[tuple[int, ...]] = set()
-        for sub in combinations(range(1, N + 1), pn):
-            clause = tuple(sorted({index[sub[a - 1], sub[b - 1]] for a, b in pedges}))
-            if clause in seen:
-                continue
-            seen.add(clause)
-            if len(clause) == 1:
-                units.append((clause[0], 1 - color))
-            for v in clause:
-                watch[color][v].append(len(clauses))
-            clauses.append(clause)
-    # need[cl]: pairs of clause cl not yet propagated in its forbidden color;
-    # 1 leaves one pair to force, 0 marks a violated clause
-    need = [len(clause) for clause in clauses]
+        clause = list(key)
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
 
-    val = [-1] * nvars
+    # lval[lit]: 1 true, -1 false, 0 unassigned
+    lval = [0] * (2 * nvars)
+    level = [0] * nvars
+    reason: list[list[int] | None] = [None] * nvars
+    seen_var = [False] * nvars
     trail: list[int] = []
-    head = 0  # trail[:head] have been propagated into need
-
-    def propagate() -> bool:
-        nonlocal head
-        ok = True
-        while ok and head < len(trail):
-            v = trail[head]
-            head += 1
-            c = val[v]
-            # finish every clause of v even after a conflict, so undo is exact
-            for cl in watch[c][v]:
-                left = need[cl] - 1
-                need[cl] = left
-                if left == 0:
-                    ok = False
-                elif left == 1 and ok:
-                    for u in clauses[cl]:
-                        if val[u] < 0:
-                            val[u] = 1 - c
-                            trail.append(u)
-                            break
-        return ok
-
-    def undo(mark: int) -> None:
-        nonlocal head
-        for v in trail[mark:head]:
-            for cl in watch[val[v]][v]:
-                need[cl] += 1
-        for v in trail[mark:]:
-            val[v] = -1
-        del trail[mark:]
-        head = mark
-
-    # a clause of one pair forces it before any decision
-    for v, c in units:
-        if val[v] == 1 - c:
+    starts: list[int] = []  # starts[d - 1]: trail length before decision level d
+    for lit in units:
+        if lval[lit] < 0:
             return None
-        if val[v] < 0:
-            val[v] = c
-            trail.append(v)
-    decisions: list[tuple[int, int]] = []  # (pair, trail length before it)
-    k = 0
-    ok = propagate()
+        if not lval[lit]:
+            lval[lit] = 1
+            lval[lit ^ 1] = -1
+            trail.append(lit)
+    head = 0  # trail[:head] have been propagated
+    depth = 0
+    k = 0  # every pair below k is assigned
     while True:
-        if ok:
-            while k < nvars and val[k] >= 0:
-                k += 1
-            if k == nvars:
-                return val
-            decisions.append((k, len(trail)))
-            val[k] = 0
-        else:
-            while decisions:
-                k, mark = decisions[-1]
-                flip = val[k] == 0
-                undo(mark)
-                if flip:
-                    break
-                decisions.pop()
-            else:
+        conflict = None
+        while head < len(trail):
+            false_lit = trail[head] ^ 1
+            head += 1
+            ws = watches[false_lit]
+            if not ws:
+                continue
+            watches[false_lit] = kept = []
+            keep = kept.append
+            rest = iter(ws)
+            for cl in rest:
+                # keep the false literal in place 1
+                first = cl[0]
+                if first == false_lit:
+                    first = cl[1]
+                    if lval[first] > 0:
+                        keep(cl)
+                        continue
+                    cl[0] = first
+                    cl[1] = false_lit
+                elif lval[first] > 0:
+                    keep(cl)
+                    continue
+                for t in range(2, len(cl)):
+                    lit = cl[t]
+                    if lval[lit] >= 0:
+                        cl[1] = lit
+                        cl[t] = false_lit
+                        watches[lit].append(cl)
+                        break
+                else:
+                    keep(cl)
+                    if lval[first]:
+                        kept.extend(rest)
+                        conflict = cl
+                        break
+                    lval[first] = 1
+                    lval[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = depth
+                    reason[v] = cl
+                    trail.append(first)
+            if conflict is not None:
+                break
+
+        if conflict is not None:
+            if not depth:
                 return None
-            val[k] = 1
-        trail.append(k)
-        ok = propagate()
+            # first UIP: resolve with the reasons of this level's pairs,
+            # latest first, until one pair of this level is left
+            learnt = [0]
+            back = 0
+            open_here = 0
+            cl = conflict
+            skip = 0
+            pos = len(trail)
+            while True:
+                for t in range(skip, len(cl)):
+                    lit = cl[t]
+                    v = lit >> 1
+                    if not seen_var[v] and level[v]:
+                        seen_var[v] = True
+                        if level[v] == depth:
+                            open_here += 1
+                        else:
+                            learnt.append(lit)
+                            if level[v] > back:
+                                back = level[v]
+                pos -= 1
+                while not seen_var[trail[pos] >> 1]:
+                    pos -= 1
+                uip = trail[pos]
+                v = uip >> 1
+                seen_var[v] = False
+                open_here -= 1
+                if not open_here:
+                    break
+                cl = reason[v]
+                skip = 1  # cl[0] is the literal cl asserted
+            learnt[0] = uip ^ 1
+            for lit in learnt:
+                seen_var[lit >> 1] = False
+
+            # backjump to level back; the lowest unassigned pair is then
+            # the decision of level back + 1
+            cut = starts[back]
+            k = trail[cut] >> 1
+            for lit in trail[cut:]:
+                lval[lit] = 0
+                lval[lit ^ 1] = 0
+            del trail[cut:]
+            del starts[back:]
+            head = cut
+            depth = back
+            if len(learnt) > 1:
+                # watch a literal of level back beside the asserted one
+                for t in range(1, len(learnt)):
+                    if level[learnt[t] >> 1] == back:
+                        learnt[1], learnt[t] = learnt[t], learnt[1]
+                        break
+                if len(learnt) <= LEARNED_WATCH_LIMIT:
+                    watches[learnt[0]].append(learnt)
+                    watches[learnt[1]].append(learnt)
+            lit = learnt[0]
+            lval[lit] = 1
+            lval[lit ^ 1] = -1
+            v = lit >> 1
+            level[v] = depth
+            reason[v] = learnt
+            trail.append(lit)
+            continue
+
+        while k < nvars and lval[2 * k]:
+            k += 1
+        if k == nvars:
+            return [1 if lval[2 * v + 1] > 0 else 0 for v in range(nvars)]
+        if budget is not None:
+            if budget.used == budget.limit:
+                raise BudgetExhausted(f"decision budget of {budget.limit} exhausted")
+            budget.used += 1
+        depth += 1
+        starts.append(len(trail))
+        lval[2 * k] = 1
+        lval[2 * k + 1] = -1
+        level[k] = depth
+        reason[k] = None
+        trail.append(2 * k)
 
 
 def cyclic_triangle_packing(

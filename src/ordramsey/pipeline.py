@@ -33,7 +33,7 @@ from .embed import (
     skeleton_embed_or_sparse_pair,
     verify_embedding,
 )
-from .errors import InternalContractError, ParameterError
+from .errors import BudgetExhausted, InternalContractError, ParameterError
 from .skeleton import (
     DEFAULT_SAMPLES,
     DEFAULT_TUPLE_CAP,
@@ -428,39 +428,52 @@ def recursive_sparse_set(
 
 
 def find_good_coloring(
-    pat1: OrderedGraph, pat2: OrderedGraph, big_n: int
+    pat1: OrderedGraph,
+    pat2: OrderedGraph,
+    big_n: int,
+    budget: kernels.DecisionBudget | None = None,
 ) -> ColoredCompleteGraph | None:
     """A coloring of ordered K_N with no red pat1 and no blue pat2, or None.
 
     The result is the lexicographically least such coloring over the pairs in
     colex order, Red before Blue.  The search holds the C(N, k1) + C(N, k2)
     forbidden copies (k1, k2 the pattern orders) in memory as clauses over
-    the C(N, 2) pair colors and prunes with unit propagation.
+    the C(N, 2) pair colors and runs conflict-driven clause learning on them.
+    budget, when given, bounds its decisions and raises BudgetExhausted when
+    they run out.
     """
     if big_n < 1:
         raise ParameterError("N must be positive")
     bits = kernels.search_good_coloring(
-        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges()
+        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges(), budget
     )
     return None if bits is None else ColoredCompleteGraph.from_colex_bits(big_n, bits)
 
 
 def exact_ordered_ramsey(
-    pat1: OrderedGraph, pat2: OrderedGraph, max_n: int
-) -> tuple[int, ColoredCompleteGraph] | None:
+    pat1: OrderedGraph, pat2: OrderedGraph, max_n: int, node_budget: int | None = None
+) -> tuple[int, ColoredCompleteGraph] | Exhausted | None:
     """Least N <= max_n forcing a red pat1 or blue pat2, with a witness.
 
     The witness is a good coloring on N* - 1 vertices containing neither
     pattern in its color.  Returns None when N* exceeds max_n.  Each N runs
     find_good_coloring, which holds C(N, k1) + C(N, k2) clauses in memory.
+    node_budget, when given, bounds the search decisions summed over every
+    N; when they run out the result is Exhausted, naming that N and the count.
     """
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")
     if max_n < 1:
         raise ParameterError("maxN must be positive")
+    budget = None if node_budget is None else kernels.DecisionBudget(node_budget)
     witness = None
     for big_n in range(1, max_n + 1):
-        good = find_good_coloring(pat1, pat2, big_n)
+        try:
+            good = find_good_coloring(pat1, pat2, big_n, budget)
+        except BudgetExhausted:
+            return Exhausted(
+                (f"node budget exhausted at N = {big_n} after {budget.used} decisions",)
+            )
         if good is None:
             assert witness is not None  # K_1 contains no pattern with an edge
             return big_n, witness

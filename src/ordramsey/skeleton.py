@@ -153,6 +153,22 @@ def build_clique_tuple_index(
     return CliqueTupleIndex(k, total, truncated, buckets)
 
 
+def _by_population(buckets: dict):
+    """Bucket keys by population, descending, ties to the least key.
+
+    The first key takes one pass; the others are sorted only when it is
+    passed over.
+    """
+    if not buckets:
+        return
+
+    def rank(key):
+        return -buckets[key][0], key
+
+    yield min(buckets, key=rank)
+    yield from sorted(buckets, key=rank)[1:]
+
+
 def _skeleton_from_index(
     index: CliqueTupleIndex, a: int, b_required: Fraction | int
 ) -> tuple[Skeleton | None, int]:
@@ -163,8 +179,7 @@ def _skeleton_from_index(
     even-position sets become the blocks.  Returns (skeleton, selected bucket
     population); (None, 0) when no bucket qualifies.
     """
-    order = sorted(index.buckets, key=lambda kk: (-index.buckets[kk][0], kk))
-    for key in order:
+    for key in _by_population(index.buckets):
         count, masks = index.buckets[key]
         sizes = [(m.bit_count(), pos) for pos, m in enumerate(masks)]
         # choose a + 1 positions maximizing the minimum set size; ties keep
@@ -449,8 +464,10 @@ def sample_color_cliques(
     found: dict[Color, list[tuple[int, ...]]] = {Color.RED: [], Color.BLUE: []}
     seen: dict[Color, set] = {Color.RED: set(), Color.BLUE: set()}
     for _ in range(rounds):
-        members = sorted(rng.sample(universe, window)) if window < coloring.N else universe
-        sub, back = coloring.induced(members)
+        if window < coloring.N:
+            sub, back = coloring.induced(sorted(rng.sample(universe, window)))
+        else:
+            sub, back = coloring, range(coloring.N + 1)
         red_dens = rows_density(sub.red_rows, range(1, sub.N + 1))
         # below two vertices both densities are 0; otherwise they sum to 1
         blue_dens = 1 - red_dens if sub.N >= 2 else red_dens

@@ -29,6 +29,10 @@ def files(tmp_path):
         "k11": write(tmp_path / "k11.og", formats.write_og(complete_graph(11))),
         "empty6": write(tmp_path / "empty6.og", formats.write_og(OrderedGraph(6))),
         "path4": write(tmp_path / "path4.og", formats.write_og(path4)),
+        "c4x": write(
+            tmp_path / "c4x.og",
+            formats.write_og(OrderedGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])),
+        ),
         "allred": write(tmp_path / "allred.okc", formats.write_okc(all_red(10))),
         "allblue30": write(
             tmp_path / "allblue30.okc",
@@ -75,6 +79,24 @@ class TestExact:
     def test_wrong_extension(self, capsys, files):
         code, out, err = run(capsys, ["exact", files["allred"], files["k3"], "4"])
         assert code == 2
+
+    def test_default_node_budget_keeps_the_certificate(self, capsys, files):
+        # the certificate the counter-propagation search printed
+        code, out, err = run(capsys, ["exact", files["c4x"], files["k3"], "12"])
+        assert code == 0
+        assert out == (
+            '{"kind":"ramsey_exact","n_star":9,'
+            '"witness":"8\\nRRRRBBB\\nRBBRRB\\nRBBRB\\nRBBR\\nRBR\\nRR\\nR\\n"}\n'
+        )
+
+    def test_tiny_node_budget_exhausts(self, capsys, files):
+        argv = ["--node-budget", "50", "exact", files["c4x"], files["k3"], "12"]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        rec = json.loads(out)
+        assert rec["kind"] == "exhausted"
+        assert rec["trace"][-1].startswith("node budget exhausted at N = ")
+        assert rec["trace"][-1].endswith(" after 50 decisions")
 
 
 class TestSearch:

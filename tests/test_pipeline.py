@@ -45,6 +45,10 @@ def monotone_path(n):
     return OrderedGraph(n, [(i, i + 1) for i in range(1, n)])
 
 
+def crossing_four_cycle():
+    return OrderedGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+
+
 def hub_zone_coloring():
     """Red: two hubs adjacent to everything plus all cross-zone pairs; the
     three zones are internally blue.  The only red 5-cliques are
@@ -335,6 +339,36 @@ class TestExactOrderedRamsey:
     def test_classical_r_3_4(self):
         assert exact_ordered_ramsey(k_pattern(3), k_pattern(4), 10)[0] == 9
 
+    def test_crossing_four_cycle_against_triangle(self):
+        assert exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)[0] == 9
+
+    def test_k4_k3_refuted_at_nine(self):
+        assert find_good_coloring(k_pattern(4), k_pattern(3), 8) is not None
+        assert find_good_coloring(k_pattern(4), k_pattern(3), 9) is None
+
+
+class TestNodeBudget:
+    def decisions_of_full_run(self):
+        budget = kernels.DecisionBudget(10**9)
+        for big_n in range(1, 10):
+            find_good_coloring(crossing_four_cycle(), k_pattern(3), big_n, budget)
+        return budget.used
+
+    def test_budget_covers_every_n(self):
+        used = self.decisions_of_full_run()
+        res = exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12, node_budget=used)
+        assert res == exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)
+        assert res[0] == 9
+
+    def test_one_decision_short_exhausts_at_the_last_n(self):
+        used = self.decisions_of_full_run()
+        res = exact_ordered_ramsey(
+            crossing_four_cycle(), k_pattern(3), 12, node_budget=used - 1
+        )
+        assert res == Exhausted(
+            (f"node budget exhausted at N = 9 after {used - 1} decisions",)
+        )
+
 
 @st.composite
 def small_patterns(draw):
@@ -383,3 +417,136 @@ class TestSearchGoodColoringDifferential:
     @settings(max_examples=20, deadline=None)
     def test_matches_brute_force_on_k6(self, pat1, pat2):
         self.check(6, pat1, pat2)
+
+
+def counter_propagation_search(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
+    """The clause search before conflict learning, kept as a reference.
+
+    One clause per forbidden copy; a count per clause of its pairs not yet
+    propagated in the forbidden color forces the last free pair to the other
+    color at 1 and conflicts at 0.  Red-first chronological backtracking over
+    the pairs in colex order, so it returns the least good coloring.
+    """
+    if pat1_n <= N and not pat1_edges:
+        return None
+    if pat2_n <= N and not pat2_edges:
+        return None
+    index = {}
+    for j in range(2, N + 1):
+        for i in range(1, j):
+            index[i, j] = len(index)
+    nvars = len(index)
+    watch = [[[] for _ in range(nvars)] for _ in range(2)]
+    clauses = []
+    units = []
+    for color, pn, pedges in ((0, pat1_n, pat1_edges), (1, pat2_n, pat2_edges)):
+        if pn > N:
+            continue
+        seen = set()
+        for sub in combinations(range(1, N + 1), pn):
+            clause = tuple(sorted({index[sub[a - 1], sub[b - 1]] for a, b in pedges}))
+            if clause in seen:
+                continue
+            seen.add(clause)
+            if len(clause) == 1:
+                units.append((clause[0], 1 - color))
+            for v in clause:
+                watch[color][v].append(len(clauses))
+            clauses.append(clause)
+    need = [len(clause) for clause in clauses]
+    val = [-1] * nvars
+    trail = []
+    head = 0
+
+    def propagate():
+        nonlocal head
+        ok = True
+        while ok and head < len(trail):
+            v = trail[head]
+            head += 1
+            c = val[v]
+            for cl in watch[c][v]:
+                need[cl] -= 1
+                if need[cl] == 0:
+                    ok = False
+                elif need[cl] == 1 and ok:
+                    for u in clauses[cl]:
+                        if val[u] < 0:
+                            val[u] = 1 - c
+                            trail.append(u)
+                            break
+        return ok
+
+    def undo(mark):
+        nonlocal head
+        for v in trail[mark:head]:
+            for cl in watch[val[v]][v]:
+                need[cl] += 1
+        for v in trail[mark:]:
+            val[v] = -1
+        del trail[mark:]
+        head = mark
+
+    for v, c in units:
+        if val[v] == 1 - c:
+            return None
+        if val[v] < 0:
+            val[v] = c
+            trail.append(v)
+    decisions = []
+    k = 0
+    ok = propagate()
+    while True:
+        if ok:
+            while k < nvars and val[k] >= 0:
+                k += 1
+            if k == nvars:
+                return val
+            decisions.append((k, len(trail)))
+            val[k] = 0
+        else:
+            while decisions:
+                k, mark = decisions[-1]
+                flip = val[k] == 0
+                undo(mark)
+                if flip:
+                    break
+                decisions.pop()
+            else:
+                return None
+            val[k] = 1
+        trail.append(k)
+        ok = propagate()
+
+
+def patterns_up_to_four():
+    """Every ordered graph on 2 to 4 vertices with at least one edge."""
+    out = []
+    for n in (2, 3, 4):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1, 1 << len(pairs)):
+            out.append((n, [pairs[b] for b in range(len(pairs)) if mask >> b & 1]))
+    return out
+
+
+class TestSearchGoodColoringAgainstCounterPropagation:
+    """The learning search against the search it replaced, N up to N*.
+
+    Against P4 every N up to 9 is compared.  Against K3 the comparison stops
+    at N = 8: every pair left at N = 9 is refuted there (R(3,4) = 9), and the
+    26 such pairs take the reference about 6 s.  TestExactOrderedRamsey
+    checks three of them.
+    """
+
+    @pytest.mark.parametrize("partner, max_n", [("K3", 8), ("P4", 9)])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_every_small_pattern(self, partner, max_n, side):
+        other = (3, [(1, 2), (1, 3), (2, 3)]) if partner == "K3" else (4, [(1, 2), (2, 3), (3, 4)])
+        for pat in patterns_up_to_four():
+            pat1, pat2 = (pat, other) if side == "first" else (other, pat)
+            for N in range(1, max_n + 1):
+                want = counter_propagation_search(N, pat1[0], pat1[1], pat2[0], pat2[1])
+                got = kernels.search_good_coloring(N, pat1[0], pat1[1], pat2[0], pat2[1])
+                assert got == want, (pat1, pat2, N)
+                if want is None:
+                    break

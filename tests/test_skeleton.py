@@ -16,6 +16,7 @@ from ordramsey.errors import DomainError, InternalContractError, ParameterError,
 from ordramsey.skeleton import (
     DEFAULT_TUPLE_CAP,
     Skeleton,
+    _by_population,
     _index_from_cliques,
     build_clique_tuple_index,
     es_bound,
@@ -251,6 +252,21 @@ class TestIndexFromCliques:
         assert idx.total == 0 and not idx.truncated and not idx.buckets
 
 
+class TestBucketOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            st.integers(1, 4),
+            max_size=12,
+        )
+    )
+    def test_most_populated_first_then_sorted(self, counts):
+        buckets = {key: [count, []] for key, count in counts.items()}
+        want = sorted(buckets, key=lambda key: (-buckets[key][0], key))
+        assert list(_by_population(buckets)) == want
+
+
 class TestFindSkeletonFromCliques:
     def test_complete_host_meets_lemma_bound(self):
         for n_param, a in ((5, 1), (9, 2)):
@@ -342,6 +358,13 @@ class TestSampleColorCliques:
             many = sample_color_cliques(col, need, window=window, samples=64, seed=3)
             assert many == once
             assert once[Color.RED] or once[Color.BLUE]
+
+    @pytest.mark.parametrize("n, seed", [(0, 0), (1, 0), (2, 1), (9, 2), (30, 3)])
+    def test_full_window_needs_no_copy(self, n, seed):
+        # a full window harvests the coloring itself with the identity map,
+        # which is what inducing it on every vertex returns
+        col = ColoredCompleteGraph.from_random(n, seed, red_probability=0.4)
+        assert col.induced(range(1, n + 1)) == (col, tuple(range(n + 1)))
 
     def test_harvested_cliques_are_monochromatic(self):
         col = ColoredCompleteGraph.from_random(30, 11, red_probability=0.3)
