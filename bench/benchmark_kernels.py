@@ -109,6 +109,13 @@ def workloads():
 
     yield "clique_tuple_buckets K40", w_cliques_k40
 
+    # skeleton on K_40 with a = 2 (k = 9), the shape of the slowest skeleton
+    # test, capped inside the block of one 6-vertex prefix
+    def w_cliques_k40_k9():
+        return kernels.clique_tuple_buckets(40, k40, 9, 2_000_000)
+
+    yield "clique_tuple_buckets K40 k=9 capped", w_cliques_k40_k9
+
     t160 = random_tournament_rows(160, random.Random(1600))
 
     def w_chain_160():
@@ -144,9 +151,9 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    print(f"{'kernel':<30} {'time (s)':>10}")
+    print(f"{'kernel':<36} {'time (s)':>10}")
     for name, fn in workloads():
-        print(f"{name:<30} {best_time(fn, args.repeat):>10.4f}")
+        print(f"{name:<36} {best_time(fn, args.repeat):>10.4f}")
 
 
 if __name__ == "__main__":

@@ -506,6 +506,21 @@ def digraph_injection(
     return (mapping[1:] if found else None), nodes, exhausted
 
 
+def _edges_between(side: int, other: int, adj: list[int]) -> tuple[int, int, int]:
+    """Edges between the disjoint vertex sets side and other, by a loop over
+    side: (their number, the side vertices on one, the other vertices on one)."""
+    count = side_hit = other_hit = 0
+    while side:
+        low = side & -side
+        side ^= low
+        row = other & adj[low.bit_length() - 1]
+        if row:
+            count += row.bit_count()
+            side_hit |= low
+            other_hit |= row
+    return count, side_hit, other_hit
+
+
 def clique_tuple_buckets(
     n: int, adj: list[int], k: int, cap: int
 ) -> tuple[int, bool, dict[tuple[int, ...], list]]:
@@ -513,12 +528,16 @@ def clique_tuple_buckets(
 
     Aggregates tuples into buckets keyed by the odd-position vertices
     (positions 2, 4, ... in 1-based position counting); each bucket holds
-    [tuple count, list of even-position vertex bitmasks].  For odd k the last
-    position is an even one, so each (k-1)-prefix is recorded as one bucket
-    update: its extension mask is OR-ed into the last mask and its popcount
-    added to the count.  The cap still counts tuples in lexicographic order:
-    the result holds exactly the first cap tuples, and truncated is True when
-    at least one further tuple existed.
+    [tuple count, list of even-position vertex bitmasks].  For odd k >= 3 the
+    last three positions x < y < w are filled in blocks: with the first k - 3
+    vertices (the prefix) fixed, the tuples sharing the last spine vertex y
+    all land in one bucket, so each (prefix, y) is one bucket update (a
+    count, a mask of the x and a mask of the w).  The cap still counts tuples
+    in lexicographic order, where a prefix's tuples are contiguous: a prefix
+    is committed in blocks only when all its tuples fit under the cap, and
+    otherwise recorded one (k-1)-prefix at a time, cut at exactly the cap'th
+    tuple.  So the result holds exactly the first cap tuples, and truncated
+    is True when at least one further tuple existed.
     """
     buckets: dict[tuple[int, ...], list] = {}
     total = 0
@@ -571,8 +590,47 @@ def clique_tuple_buckets(
         if truncated:
             raise _Stop
 
+    def record_tail(depth: int, cands: int) -> bool:
+        # the tuples tup[:depth] + (x, y, w), x < y < w a triangle in cands,
+        # as one bucket update per y; False (nothing recorded) when they do
+        # not all fit under the cap
+        nonlocal total
+        blocks = []
+        size = 0
+        # y lies strictly between the least and the greatest candidate
+        mid = cands ^ (cands & -cands)
+        mid ^= 1 << (mid.bit_length() - 1)
+        for y in bits_of(mid):
+            row_y = cands & adj[y]
+            xs = row_y & ((1 << y) - 1)
+            above = row_y >> (y + 1) << (y + 1)
+            if not xs or not above:
+                continue
+            if xs.bit_count() <= above.bit_count():
+                count, x_mask, last_mask = _edges_between(xs, above, adj)
+            else:
+                count, last_mask, x_mask = _edges_between(above, xs, adj)
+            if count:
+                blocks.append((y, count, x_mask, last_mask))
+                size += count
+        if size > cap - total:
+            return False
+        for y, count, x_mask, last_mask in blocks:
+            tup[depth + 1] = y
+            ent = bucket()
+            ent[0] += count
+            masks = ent[1]
+            for idx in range(half - 2):
+                masks[idx] |= 1 << tup[2 * idx]
+            masks[half - 2] |= x_mask
+            masks[half - 1] |= last_mask
+        total += size
+        return True
+
     def rec(depth: int, cands: int) -> None:
         if cands.bit_count() < k - depth:
+            return
+        if depth + 3 == k and k % 2 and record_tail(depth, cands):
             return
         if depth + 2 == k and k % 2:
             for v in bits_of(cands):

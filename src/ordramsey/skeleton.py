@@ -116,8 +116,8 @@ class CliqueTupleIndex:
     cap with work left: tuples on the host-graph path
     (build_clique_tuple_index), counted in lexicographic order, so a
     truncated index holds exactly the first cap tuples even though the last
-    even position is recorded as one mask per prefix; spine keys on the
-    clique-harvest path (_index_from_cliques).
+    three positions are recorded as one block per prefix and last spine
+    vertex; spine keys on the clique-harvest path (_index_from_cliques).
     """
 
     k: int
@@ -127,9 +127,9 @@ class CliqueTupleIndex:
 
     def max_bucket(self) -> tuple[tuple[int, ...], int] | None:
         """Most populated bucket (ties to the lexicographically least key)."""
-        if not self.buckets:
+        key = next(_by_population(self.buckets), None)
+        if key is None:
             return None
-        key = min(self.buckets, key=lambda kk: (-self.buckets[kk][0], kk))
         return key, self.buckets[key][0]
 
 
@@ -138,10 +138,11 @@ def build_clique_tuple_index(
 ) -> CliqueTupleIndex:
     """Bucket the increasing clique k-tuples of host (lexicographic order, capped).
 
-    For odd k, every prefix of k - 1 vertices is recorded as one mask of its
-    last-position extensions rather than tuple by tuple.  The cap still
-    counts tuples in lexicographic order: a truncated index holds exactly the
-    first tuple_cap tuples.
+    For odd k >= 3, the tuples sharing their first k - 3 vertices and their
+    last spine vertex are recorded as one bucket update (a count and the
+    masks of their last two even positions) rather than tuple by tuple.  The
+    cap still counts tuples in lexicographic order: a truncated index holds
+    exactly the first tuple_cap tuples.
     """
     if k < 1:
         raise ParameterError(f"tuple length {k} must be positive")

@@ -116,9 +116,19 @@ class TestCliqueTupleIndex:
                 assert set(idx.buckets) == keys
 
     def test_cap_marks_truncated(self):
-        idx = build_clique_tuple_index(complete_graph(12), 5, tuple_cap=10)
-        assert idx.truncated
-        assert idx.total == 10
+        # the tuples of one 2-vertex prefix are committed as a block, so cap
+        # on, just before and just after the prefix boundaries and inside one
+        host = complete_graph(12)
+        listed = brute_force_clique_tuples(host, 5)
+        starts = [i for i in range(1, len(listed)) if listed[i][:2] != listed[i - 1][:2]]
+        caps = {1, 10, (starts[0] + starts[1]) // 2}
+        for b in starts[:3] + starts[-2:] + [len(listed)]:
+            caps.update((b - 1, b, b + 1))
+        for cap in sorted(caps):
+            idx = build_clique_tuple_index(host, 5, tuple_cap=cap)
+            assert idx.total == min(cap, len(listed)), cap
+            assert idx.truncated == (cap < len(listed)), cap
+            assert idx.buckets == reference_buckets(listed[:cap], 5), cap
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -175,6 +185,25 @@ class TestCliqueTupleBucketsDifferential:
             assert got_total == min(total, cap), cap
             assert truncated == (total > cap), cap
             assert buckets == reference_buckets(listed[:cap], k), cap
+
+
+class TestCliqueTupleBucketsLargerHosts:
+    """Hosts of 16 to 20 vertices, where a prefix's block of tuples is large
+    enough to straddle a cap near the total."""
+
+    @pytest.mark.parametrize("n, p", ((20, 0.5), (18, 0.8), (16, 1.0)))
+    def test_matches_brute_force_around_the_total(self, n, p):
+        for k in (3, 5, 7):
+            host = random_ordered_graph(n, p, 9100 + 10 * n + k)
+            listed = brute_force_clique_tuples(host, k)
+            total = len(listed)
+            for cap in (total - 1, total, total + 1):
+                if cap < 1:
+                    continue
+                got = kernels.clique_tuple_buckets(host.n, list(host.adj), k, cap)
+                assert got == (
+                    min(total, cap), total > cap, reference_buckets(listed[:cap], k)
+                ), (host.n, k, cap)
 
 
 def reference_index(cliques, k):
