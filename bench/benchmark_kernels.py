@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the search kernels on deterministic workloads and print a table.
 
-Every time is the best of --repeat runs.
+It also times the .okc reader and writer on an N=120 coloring, the size of
+the perfbench sparse-set inputs.  Every time is the best of --repeat runs.
 Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
@@ -11,6 +12,8 @@ import time
 from itertools import combinations
 
 from ordramsey import kernels
+from ordramsey.core import ColoredCompleteGraph
+from ordramsey.io import parse_okc, write_okc
 
 
 def adj_rows(n, edges):
@@ -135,6 +138,11 @@ def workloads():
     yield "search_good_coloring C4x,K3", w_refute(9, (4, c4x), (3, k3))
     yield "search_good_coloring K3,K4", w_refute(9, (3, k3), (4, k4))
     yield "search_good_coloring P4,P4", w_refute(10, (4, p4), (4, p4))
+
+    c120 = ColoredCompleteGraph.from_random(120, 120)
+    okc120 = write_okc(c120)
+    yield "parse_okc N=120", lambda: parse_okc(okc120)
+    yield "write_okc N=120", lambda: write_okc(c120)
 
 
 def best_time(fn, repeat):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -56,6 +56,22 @@ def transpose_masks(rows: Iterable[int], n: int) -> list[int]:
     w = n + 1
     grid = "".join([format(r, f"0{w}b")[::-1] for r in rows])
     return [int(grid[u::w][::-1], 2) for u in range(w)]
+
+
+def symmetric_rows(grid: str, n: int) -> tuple[int, ...]:
+    """Adjacency rows on 0..n of the pairs marked in a 0/1 matrix.
+
+    grid is the (n + 1) x (n + 1) matrix as one string of '0' and '1', row u
+    holding columns 0..n; bit v of result[u] is set when entry (u, v) or
+    entry (v, u) is '1'.  Row u is one slice and column u one strided slice
+    of the reversed grid, so the work is in C rather than one Python step
+    per entry.
+    """
+    w = n + 1
+    rev = grid[::-1]
+    return tuple(
+        int(rev[(n - u) * w : (n - u + 1) * w], 2) | int(rev[n - u :: w], 2) for u in range(w)
+    )
 
 
 def vertex_tuple(members: Iterable[int], n: int, what: str = "vertex set") -> tuple[int, ...]:
@@ -178,6 +194,10 @@ class OrderedGraph:
         return OrderedGraph.from_rows(len(keep), _relabel_rows(self.adj, keep)), (0,) + keep
 
 
+# a pair's "is red" byte to its grid digit
+_RED_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class ColoredCompleteGraph:
     """A Red/Blue coloring of all pairs of an ordered complete graph on 1..N."""
@@ -222,15 +242,29 @@ class ColoredCompleteGraph:
 
     @classmethod
     def from_colex_bits(cls, N: int, bits: Iterable[int]) -> "ColoredCompleteGraph":
-        """Rebuild from per-pair colors in colex order; 0 means Red, 1 means Blue."""
-        it = iter(bits)
-        red = []
-        for j in range(2, N + 1):
-            for i in range(1, j):
-                b = next(it)
-                if b == 0:
-                    red.append((i, j))
-        return cls.from_red_edges(N, red)
+        """Rebuild from per-pair colors in colex order; 0 means Red, 1 means Blue.
+
+        Column j is the j - 1 colors of the pairs (1, j) .. (j - 1, j); as
+        digits (Red = 1) they are row j of a lower-triangle grid, which
+        symmetric_rows turns into adjacency rows.
+        """
+        if N < 0:
+            raise DomainError(f"vertex count {N} is negative")
+        bits = list(bits)
+        expected = _pair_count(N)
+        if len(bits) != expected:
+            raise DomainError(f"expected C({N}, 2) = {expected} colex bits, got {len(bits)}")
+        if bits.count(0) + bits.count(1) != expected:
+            bad = next(b for b in bits if b != 0 and b != 1)
+            raise DomainError(f"colex bit {bad!r} is neither 0 (Red) nor 1 (Blue)")
+        red = bytes(map(not_, bits)).translate(_RED_TO_DIGIT).decode()
+        w = N + 1
+        grid = ["0" * w] * w
+        k = 0
+        for j in range(2, w):
+            grid[j] = "0" + red[k : k + j - 1] + "0" * (w - j)
+            k += j - 1
+        return cls(N, symmetric_rows("".join(grid), N))
 
     def color_of(self, i: int, j: int) -> Color:
         if i == j or not (1 <= i <= self.N and 1 <= j <= self.N):

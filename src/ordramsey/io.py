@@ -13,7 +13,14 @@ Parsers reject duplicate edges/arcs and any trailing garbage.
 
 from __future__ import annotations
 
-from .core import ColoredCompleteGraph, Digraph, OrderedGraph, Tournament, transpose_masks
+from .core import (
+    ColoredCompleteGraph,
+    Digraph,
+    OrderedGraph,
+    Tournament,
+    symmetric_rows,
+    transpose_masks,
+)
 from .errors import ParseError
 
 
@@ -66,7 +73,19 @@ def write_og(g: OrderedGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+_DROP_COLORS = str.maketrans("", "", "RB")
+_COLOR_TO_BIT = str.maketrans("RB", "10")
+_BIT_TO_COLOR = str.maketrans("10", "RB")
+
+
 def parse_okc(text: str) -> ColoredCompleteGraph:
+    """Parse a .okc file one row at a time.
+
+    Row k, as digits ('R' = 1) after k + 1 zeros, is row k of an
+    upper-triangle grid, which symmetric_rows turns into adjacency rows.
+    Only a row that fails the check is scanned character by character, to
+    name its first bad character.
+    """
     lines = _lines(text)
     if not lines:
         raise ParseError("empty input", 1)
@@ -76,27 +95,25 @@ def parse_okc(text: str) -> ColoredCompleteGraph:
     expected = max(0, n_val - 1)
     if len(lines) != 1 + expected:
         raise ParseError(f"expected {expected} row lines, found {len(lines) - 1}", len(lines))
-    red = []
+    grid = ["0" * (n_val + 1)] * (n_val + 1)
     for k in range(1, n_val):
-        lineno = 1 + k
         row = lines[k]
         if len(row) != n_val - k:
-            raise ParseError(f"row {k} must hold {n_val - k} characters, got {len(row)}", lineno)
-        for offset, ch in enumerate(row):
-            if ch == "R":
-                red.append((k, k + 1 + offset))
-            elif ch != "B":
-                raise ParseError(f"invalid color character {ch!r}", lineno)
-    return ColoredCompleteGraph.from_red_edges(n_val, red)
+            raise ParseError(f"row {k} must hold {n_val - k} characters, got {len(row)}", k + 1)
+        if row.translate(_DROP_COLORS):
+            for ch in row:
+                if ch not in "RB":
+                    raise ParseError(f"invalid color character {ch!r}", k + 1)
+        grid[k] = "0" * (k + 1) + row.translate(_COLOR_TO_BIT)
+    return ColoredCompleteGraph(n_val, symmetric_rows("".join(grid), n_val))
 
 
 def write_okc(c: ColoredCompleteGraph) -> str:
+    """One string per row: bits k + 1 .. N of red_rows[k], lowest first."""
     out = [str(c.N)]
     for k in range(1, c.N):
-        row = "".join(
-            "R" if c.red_rows[k] & (1 << j) else "B" for j in range(k + 1, c.N + 1)
-        )
-        out.append(row)
+        bits = format(c.red_rows[k] >> (k + 1), f"0{c.N - k}b")
+        out.append(bits[::-1].translate(_BIT_TO_COLOR))
     return "\n".join(out) + "\n"
 
 

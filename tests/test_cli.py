@@ -125,6 +125,16 @@ class TestSearch:
             '{"kind":"exhausted","trace":["exhaustive search over 17 vertices found no copy"]}\n'
         )
 
+    def test_bad_character_names_its_line(self, capsys, files, tmp_path):
+        lines = formats.write_okc(ColoredCompleteGraph.from_random(60, 7)).split("\n")
+        lines[37] = lines[37][:5] + "X" + lines[37][6:]
+        col = write(tmp_path / "bad60.okc", "\n".join(lines))
+        code, out, err = run(capsys, ["search", col, files["k3"], files["k3"]])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "line 38:" in err
+        assert "Traceback" not in err
+
 
 class TestEmbed:
     def test_found(self, capsys, files):

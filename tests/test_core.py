@@ -23,6 +23,7 @@ from ordramsey.core import (
     mask_of,
     ordered_pair_from_digraph,
     remove_isolated,
+    symmetric_rows,
     transpose_masks,
     vertex_tuple,
 )
@@ -159,6 +160,18 @@ class TestColoredCompleteGraph:
         a = ColoredCompleteGraph.from_random(10, 3)
         b = ColoredCompleteGraph.from_random(10, 3)
         assert a.red_rows == b.red_rows
+
+    def test_from_colex_bits_too_few(self):
+        with pytest.raises(DomainError, match=r"C\(4, 2\) = 6 colex bits, got 5"):
+            ColoredCompleteGraph.from_colex_bits(4, [0] * 5)
+
+    def test_from_colex_bits_too_many(self):
+        with pytest.raises(DomainError, match=r"C\(4, 2\) = 6 colex bits, got 7"):
+            ColoredCompleteGraph.from_colex_bits(4, [1] * 7)
+
+    def test_from_colex_bits_value_two(self):
+        with pytest.raises(DomainError, match="colex bit 2 is neither"):
+            ColoredCompleteGraph.from_colex_bits(3, [0, 2, 3])
 
     def test_induced_preserves_colors(self):
         c = ColoredCompleteGraph.from_random(9, 5)
@@ -520,6 +533,24 @@ class TestMaskHelpers:
             for v in range(n + 1):
                 assert cols[v] >> u & 1 == rows[u] >> v & 1
         assert transpose_masks(cols, n) == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.text("01", min_size=(n + 1) ** 2, max_size=(n + 1) ** 2)
+            )
+        )
+    )
+    def test_symmetric_rows(self, drawn):
+        n, grid = drawn
+        rows = symmetric_rows(grid, n)
+        w = n + 1
+        assert len(rows) == w
+        for u in range(w):
+            for v in range(w):
+                marked = grid[u * w + v] == "1" or grid[v * w + u] == "1"
+                assert rows[u] >> v & 1 == marked
 
     def test_round_trip(self):
         vs = [3, 1, 7]

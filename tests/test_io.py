@@ -1,5 +1,6 @@
 """Text format round-trips and parse rejection with 1-based line numbers."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -246,6 +247,141 @@ class TestTrnPerColumn:
             assert (str(got.value), got.value.line) == (str(err), err.line)
         else:
             assert parse_trn(text) == expected
+
+
+def per_pair_write_okc(c):
+    out = [str(c.N)]
+    for k in range(1, c.N):
+        row = c.red_rows[k]
+        out.append("".join("R" if row & (1 << j) else "B" for j in range(k + 1, c.N + 1)))
+    return "\n".join(out) + "\n"
+
+
+def per_pair_parse_okc(text):
+    """One step per character: the parser the per-row one must agree with."""
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty input", 1)
+    parts = lines[0].split()
+    if len(parts) != 1:
+        raise ParseError(f"expected 1 integers, got {lines[0]!r}", 1)
+    n = int(parts[0])
+    expected = max(0, n - 1)
+    if len(lines) != 1 + expected:
+        raise ParseError(f"expected {expected} row lines, found {len(lines) - 1}", len(lines))
+    red = []
+    for k in range(1, n):
+        row = lines[k]
+        if len(row) != n - k:
+            raise ParseError(f"row {k} must hold {n - k} characters, got {len(row)}", 1 + k)
+        for offset, ch in enumerate(row):
+            if ch == "R":
+                red.append((k, k + 1 + offset))
+            elif ch != "B":
+                raise ParseError(f"invalid color character {ch!r}", 1 + k)
+    return ColoredCompleteGraph.from_red_edges(n, red)
+
+
+def per_pair_from_colex_bits(n, bits):
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    assert len(bits) == len(pairs)
+    return ColoredCompleteGraph.from_red_edges(n, [p for p, b in zip(pairs, bits) if b == 0])
+
+
+def random_colorings(max_n):
+    shares = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
+    return st.builds(
+        ColoredCompleteGraph.from_random, st.integers(0, max_n), st.integers(0, 10**6), shares
+    )
+
+
+def colex_bits(max_n):
+    def of_size(n):
+        pairs = n * (n - 1) // 2
+        return st.tuples(st.just(n), st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs))
+
+    return st.integers(0, max_n).flatmap(of_size)
+
+
+class TestOkcPerRow:
+    # sha256 of write_okc(ColoredCompleteGraph.from_random(N, seed, p)) as
+    # written by the per-pair writer
+    GOLDEN = [
+        (0, 0, 0.5, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        (1, 0, 0.5, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+        (2, 3, 0.5, "b9acc3c08dbe92b0ce875490b7b5ee79233fe1bcd557b6158bf1d2debe90ce0f"),
+        (17, 1, 0.5, "3581c91c2ad0c5854d19921b06c0e28d54ae24f118e291172f7c33ef653c33ac"),
+        (60, 5, 0.3, "4448c4814cb22a6874c2b1e959998639c7e64ec31301cef536de2130fac14ce5"),
+        (120, 42, 0.5, "d4c71e739f1462812829d2fb9017413d9b0ed8d13da20a71e9dfbaff01c56f93"),
+        (200, 7, 0.9, "a1dd334abe8ad585cdf735f307e9dd6f25381f1fe1a1a8f40262c285dcef4a40"),
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_colorings(14))
+    def test_writer_matches_per_pair_and_round_trips(self, c):
+        text = write_okc(c)
+        assert text == per_pair_write_okc(c)
+        assert parse_okc(text) == c
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_sizes(self, n):
+        for share in (0.0, 1.0):
+            c = ColoredCompleteGraph.from_random(n, 0, share)
+            text = write_okc(c)
+            assert text == per_pair_write_okc(c)
+            assert parse_okc(text) == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        random_colorings(14),
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.sampled_from(["X", "r", " ", "\r"]),
+            ),
+            max_size=3,
+        ),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 1])), max_size=2),
+        st.integers(-2, 2),
+    )
+    def test_errors_match_per_pair_parser(self, c, junk, resize, extra):
+        lines = write_okc(c).split("\n")[:-1]
+        for row, col, ch in junk:
+            if len(lines) > 1:
+                k = 1 + row % (len(lines) - 1)
+                pos = col % (len(lines[k]) + 1)
+                lines[k] = lines[k][:pos] + ch + lines[k][pos + 1 :]
+        for row, delta in resize:
+            if len(lines) > 1:
+                k = 1 + row % (len(lines) - 1)
+                lines[k] = lines[k][:-1] if delta < 0 else lines[k] + "B"
+        if extra > 0:
+            lines += ["R"] * extra
+        elif extra < 0:
+            lines = lines[: max(1, len(lines) + extra)]
+        text = "\n".join(lines) + "\n"
+        try:
+            expected = per_pair_parse_okc(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                parse_okc(text)
+            assert (str(got.value), got.value.line) == (str(err), err.line)
+        else:
+            assert parse_okc(text) == expected
+
+    @pytest.mark.parametrize("n, seed, p, digest", GOLDEN)
+    def test_golden_digests(self, n, seed, p, digest):
+        text = write_okc(ColoredCompleteGraph.from_random(n, seed, p))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(colex_bits(16))
+    def test_from_colex_bits_matches_per_pair(self, case):
+        n, bits = case
+        assert ColoredCompleteGraph.from_colex_bits(n, bits) == per_pair_from_colex_bits(n, bits)
 
 
 class TestPathHelpers:
