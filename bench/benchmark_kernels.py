@@ -67,7 +67,7 @@ def workloads():
     pre_path = pre_lists(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
 
     def w_count():
-        return kernels.count_embeddings(22, kn, 5, pre_path, None, 10**9)
+        return kernels.count_embeddings(22, kn, 5, pre_path, 10**9)
 
     yield "count_embeddings", w_count
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,18 +60,8 @@ EXIT_GENERATION = 5
 SEED_ENV = "ORDRAMSEY_SEED"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved global options for one invocation."""
-
-    seed: int
-    tuple_cap: int
-    node_budget: int
-    quiet: bool
-
-
-def _say(cfg: RunConfig, message: str) -> None:
-    if not cfg.quiet:
+def _say(args, message: str) -> None:
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -105,64 +94,64 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
-def cmd_exact(cfg: RunConfig, args) -> int:
+def cmd_exact(args) -> int:
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
-    result = exact_ordered_ramsey(pat1, pat2, args.max_n, cfg.node_budget)
+    result = exact_ordered_ramsey(pat1, pat2, args.max_n, args.node_budget)
     if isinstance(result, Exhausted):
         _emit(certificate_dict(result))
-        _say(cfg, "exact search exhausted: " + result.trace[-1])
+        _say(args, "exact search exhausted: " + result.trace[-1])
         return EXIT_EXHAUSTED
     if result is None:
         _emit({"kind": "ramsey_exact", "max_n": args.max_n, "n_star": None})
-        _say(cfg, f"ordered ramsey number exceeds max_n = {args.max_n}")
+        _say(args, f"ordered ramsey number exceeds max_n = {args.max_n}")
         return EXIT_BOUND
     n_star, witness = result
     _emit(certificate_dict((n_star, formats.write_okc(witness))))
-    _say(cfg, f"n_star = {n_star} with a witness coloring on {witness.N} vertices")
+    _say(args, f"n_star = {n_star} with a witness coloring on {witness.N} vertices")
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig, args) -> int:
+def cmd_search(args) -> int:
     coloring = _load(args.coloring, ColoredCompleteGraph, "an .okc coloring")
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
     result = find_mono_copy(coloring, pat1, pat2)
     _emit(certificate_dict(result))
     if isinstance(result, MonoCopy):
-        _say(cfg, f"found a {result.color.name.lower()} copy on {len(result.mapping)} vertices")
+        _say(args, f"found a {result.color.name.lower()} copy on {len(result.mapping)} vertices")
         return EXIT_OK
-    _say(cfg, "search exhausted: " + "; ".join(result.trace[-1:]))
+    _say(args, "search exhausted: " + "; ".join(result.trace[-1:]))
     return EXIT_EXHAUSTED
 
 
-def cmd_embed(cfg: RunConfig, args) -> int:
+def cmd_embed(args) -> int:
     host = _load(args.host, OrderedGraph, "an .og host")
     pattern = _load(args.pattern, OrderedGraph, "an .og pattern")
     emb = find_ordered_embedding(host, pattern)
     if emb is None:
         _emit({"kind": "exhausted", "trace": ["no order-preserving embedding"]})
-        _say(cfg, "no order-preserving embedding")
+        _say(args, "no order-preserving embedding")
         return EXIT_EXHAUSTED
     _emit(certificate_dict(emb))
-    _say(cfg, f"embedding found: {list(emb.mapping)}")
+    _say(args, f"embedding found: {list(emb.mapping)}")
     return EXIT_OK
 
 
-def cmd_skeleton(cfg: RunConfig, args) -> int:
+def cmd_skeleton(args) -> int:
     host = _load(args.host, OrderedGraph, "an .og host")
     n = args.window if args.window is not None else 4 * args.a + 1
-    skel = find_skeleton_from_cliques(host, n, args.a, args.d, cfg.tuple_cap)
+    skel = find_skeleton_from_cliques(host, n, args.a, args.d, args.tuple_cap)
     if skel is None:
         _emit({"kind": "exhausted", "trace": [f"no ({args.a}, b)-skeleton at d = {args.d}"]})
-        _say(cfg, "no skeleton met the block-size target")
+        _say(args, "no skeleton met the block-size target")
         return EXIT_EXHAUSTED
     _emit(certificate_dict(skel))
-    _say(cfg, f"({skel.a}, {skel.b})-skeleton with spine {list(skel.spine)}")
+    _say(args, f"({skel.a}, {skel.b})-skeleton with spine {list(skel.spine)}")
     return EXIT_OK
 
 
-def cmd_sparse_set(cfg: RunConfig, args) -> int:
+def cmd_sparse_set(args) -> int:
     coloring = _load(args.coloring, ColoredCompleteGraph, "an .okc coloring")
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
@@ -174,21 +163,21 @@ def cmd_sparse_set(cfg: RunConfig, args) -> int:
         alpha=args.alpha,
         window=args.window,
         samples=args.samples,
-        tuple_cap=cfg.tuple_cap,
-        seed=cfg.seed,
+        tuple_cap=args.tuple_cap,
+        seed=args.seed,
     )
     _emit(certificate_dict(result))
     if isinstance(result, SparseSet):
         _say(
-            cfg,
+            args,
             f"{result.color.name.lower()} set of {len(result.members)} vertices, "
             f"density {rational_str(result.density)} <= {rational_str(result.bound)}",
         )
         return EXIT_OK
     if isinstance(result, MonoCopy):
-        _say(cfg, f"stumbled on a {result.color.name.lower()} copy instead")
+        _say(args, f"stumbled on a {result.color.name.lower()} copy instead")
         return EXIT_OK
-    _say(cfg, "recursion exhausted: " + "; ".join(result.trace[-1:]))
+    _say(args, "recursion exhausted: " + "; ".join(result.trace[-1:]))
     return EXIT_EXHAUSTED
 
 
@@ -196,7 +185,7 @@ def _write_out(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
-def cmd_construct(cfg: RunConfig, args) -> int:
+def cmd_construct(args) -> int:
     if args.what == "sn":
         sub = build_subdivision_S(args.n)
         out = args.out or f"sn_{args.n}.dg"
@@ -216,7 +205,7 @@ def cmd_construct(cfg: RunConfig, args) -> int:
             "sidecar": sidecar,
         }
         _emit(summary)
-        _say(cfg, f"{sub.digraph.n} vertices, {len(sub.digraph.arcs)} arcs -> {out}")
+        _say(args, f"{sub.digraph.n} vertices, {len(sub.digraph.arcs)} arcs -> {out}")
         return EXIT_OK
     if args.what == "blowup":
         outer = _load(args.outer, Tournament, "a .trn tournament")
@@ -233,22 +222,22 @@ def cmd_construct(cfg: RunConfig, args) -> int:
             "out": out,
         }
         _emit(summary)
-        _say(cfg, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
+        _say(args, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
         return EXIT_OK
-    T = iterated_lower_bound_tournament(args.n, cfg.seed)
-    out = args.out or f"lowerbound_{args.n}_{cfg.seed}.trn"
+    T = iterated_lower_bound_tournament(args.n, args.seed)
+    out = args.out or f"lowerbound_{args.n}_{args.seed}.trn"
     _write_out(out, formats.write_trn(T))
     summary = {
         "kind": "construct",
         "what": "lowerbound",
         "n": args.n,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "vertices": T.N,
         "arcs": T.N * (T.N - 1) // 2,
         "out": out,
     }
     _emit(summary)
-    _say(cfg, f"{T.N} vertices -> {out}")
+    _say(args, f"{T.N} vertices -> {out}")
     return EXIT_OK
 
 
@@ -298,7 +287,7 @@ def _verify_dispatch(kind: str, payload, host, pattern):
     return verify_sparse_set(host, payload)
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     kind, payload = decode_certificate(_read_text(args.certificate))
     if kind not in ("embedding", "sparse_pair", "skeleton", "sparse_set"):
         raise ParseError(f"certificates of kind {kind!r} are not verifiable")
@@ -320,9 +309,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         }
     )
     if valid:
-        _say(cfg, f"{kind} certificate is valid")
+        _say(args, f"{kind} certificate is valid")
         return EXIT_OK
-    _say(cfg, f"{kind} certificate is invalid: {reason}")
+    _say(args, f"{kind} certificate is invalid: {reason}")
     return EXIT_EXHAUSTED
 
 
@@ -412,30 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_config(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
+def _resolve_globals(args) -> None:
+    """Fill in the seed from the environment and check the global caps."""
+    if args.seed is None:
         raw = os.environ.get(SEED_ENV, "0")
         try:
-            seed = int(raw)
+            args.seed = int(raw)
         except ValueError:
             raise ParseError(f"{SEED_ENV} must be an integer, got {raw!r}")
-    cfg = RunConfig(
-        seed=seed,
-        tuple_cap=args.tuple_cap,
-        node_budget=args.node_budget,
-        quiet=args.quiet,
-    )
-    if cfg.tuple_cap < 1 or cfg.node_budget < 1:
+    if args.tuple_cap < 1 or args.node_budget < 1:
         raise ParameterError("caps must be positive")
-    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.run(cfg, args)
+        _resolve_globals(args)
+        return args.run(args)
     except (ParseError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -379,13 +379,6 @@ class Digraph:
             rows[u] |= 1 << v
         return tuple(rows)
 
-    @cached_property
-    def in_adj(self) -> tuple[int, ...]:
-        rows = [0] * (self.n + 1)
-        for u, v in self.arcs:
-            rows[v] |= 1 << u
-        return tuple(rows)
-
     def underlying_graph(self) -> OrderedGraph:
         return OrderedGraph(self.n, ((min(u, v), max(u, v)) for u, v in self.arcs))
 

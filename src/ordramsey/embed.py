@@ -142,9 +142,7 @@ def count_embeddings(
     """Number of distinct order-preserving embeddings, saturating at cap."""
     if cap < 1:
         raise ParameterError("cap must be positive")
-    return kernels.count_embeddings(
-        host.n, list(host.adj), pattern.n, _pre_lists(pattern), None, cap
-    )
+    return kernels.count_embeddings(host.n, list(host.adj), pattern.n, _pre_lists(pattern), cap)
 
 
 def greedy_embed_or_sparse_pair(

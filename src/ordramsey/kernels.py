@@ -21,6 +21,47 @@ def _full_mask(n: int) -> int:
     return ((1 << (n + 1)) - 1) & ~1
 
 
+def _completion_masks(
+    host_n: int,
+    host_adj: list[int],
+    pat_n: int,
+    pat_pre: list[list[int]],
+    slots: list[int] | None,
+    mapping: list[int],
+):
+    """The one embedding search behind find_embedding and count_embeddings.
+
+    Yields, for each embedded prefix of pattern vertices 1..pat_n-1 in
+    lexicographic order, the nonempty mask of host vertices that complete it.
+    pat_n >= 1.  mapping has length pat_n and mapping[0] == 0; while a mask
+    is yielded, mapping[1:] holds the host vertices of its prefix.
+    """
+    full = _full_mask(host_n)
+    if slots is None:
+        slots = [full] * (pat_n + 1)
+    rest = [0] * pat_n  # rest[t]: host vertices not yet tried for pattern vertex t
+    t = 0
+    while True:
+        nxt = t + 1
+        c = slots[nxt] & full & ~((2 << mapping[t]) - 1)
+        for j in pat_pre[nxt]:
+            c &= host_adj[mapping[j]]
+        if nxt < pat_n:
+            rest[nxt] = c
+            t = nxt
+        elif c:
+            yield c
+        r = rest[t]
+        while not r:
+            if t == 0:
+                return
+            t -= 1
+            r = rest[t]
+        low = r & -r
+        rest[t] = r ^ low
+        mapping[t] = low.bit_length() - 1
+
+
 def find_embedding(
     host_n: int,
     host_adj: list[int],
@@ -37,73 +78,24 @@ def find_embedding(
     """
     if pat_n == 0:
         return []
-    full = _full_mask(host_n)
-    if slots is None:
-        slots = [full] * (pat_n + 1)
-    mapping = [0] * (pat_n + 1)
-    cand = [0] * (pat_n + 1)
-    cursor = [0] * (pat_n + 1)
-
-    t = 1
-    cand[1] = slots[1] & full
-    while t >= 1:
-        rest = cand[t] & ~((1 << (cursor[t] + 1)) - 1) if cursor[t] else cand[t]
-        if not rest:
-            t -= 1
-            continue
-        w = (rest & -rest).bit_length() - 1
-        cursor[t] = w
-        mapping[t] = w
-        if t == pat_n:
-            return mapping[1:]
-        nxt = t + 1
-        c = slots[nxt] & full & ~((1 << (w + 1)) - 1)
-        for j in pat_pre[nxt]:
-            c &= host_adj[mapping[j]]
-        cand[nxt] = c
-        cursor[nxt] = 0
-        t = nxt
+    mapping = [0] * pat_n
+    for mask in _completion_masks(host_n, host_adj, pat_n, pat_pre, slots, mapping):
+        return mapping[1:] + [(mask & -mask).bit_length() - 1]
     return None
 
 
 def count_embeddings(
-    host_n: int,
-    host_adj: list[int],
-    pat_n: int,
-    pat_pre: list[list[int]],
-    slots: list[int] | None,
-    cap: int,
+    host_n: int, host_adj: list[int], pat_n: int, pat_pre: list[list[int]], cap: int
 ) -> int:
-    """Number of distinct embeddings, saturating at cap."""
+    """Number of distinct embeddings, saturating at cap >= 1."""
     if pat_n == 0:
-        return min(1, cap)
-    full = _full_mask(host_n)
-    if slots is None:
-        slots = [full] * (pat_n + 1)
-    mapping = [0] * (pat_n + 1)
-    count = 0
-
-    def rec(t: int) -> bool:
-        nonlocal count
-        for w in bits_of(cand_at(t)):
-            mapping[t] = w
-            if t == pat_n:
-                count += 1
-                if count >= cap:
-                    return True
-            elif rec(t + 1):
-                return True
-        return False
-
-    def cand_at(t: int) -> int:
-        prev = mapping[t - 1] if t > 1 else 0
-        c = slots[t] & full & ~((1 << (prev + 1)) - 1)
-        for j in pat_pre[t]:
-            c &= host_adj[mapping[j]]
-        return c
-
-    rec(1)
-    return count
+        return 1
+    total = 0
+    for mask in _completion_masks(host_n, host_adj, pat_n, pat_pre, None, [0] * pat_n):
+        total += mask.bit_count()
+        if total >= cap:
+            return cap
+    return total
 
 
 # A learned clause of at most this many pairs is watched for the rest of the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 
 from . import kernels
 from .core import (
@@ -41,8 +41,6 @@ from .skeleton import (
     _skeleton_from_index,
     sample_color_cliques,
 )
-
-TRIM_SCAN_LIMIT = 20
 
 
 def _loglog(m: int) -> float:
@@ -190,9 +188,10 @@ def _trim_to_density(rows, members: tuple[int, ...], target: int, bound: Fractio
     """Shrink members to the target size keeping density within bound.
 
     Greedily removes the vertex of highest degree inside the current set
-    (ties to the larger index), which never increases the density; the bound
-    is re-checked and, should the greedy ever miss it, small sets fall back
-    to an exhaustive scan over subsets.
+    (ties to the larger index).  That never raises the density: a vertex of
+    maximum degree d in a set of n vertices and e edges has d >= 2e/n, which
+    is exactly when (e - d)/C(n-1, 2) <= e/C(n, 2).  So members within bound
+    stay within it; a result over it is a broken contract.
     """
     cur = list(members)
     target = max(1, min(target, len(cur)))
@@ -200,13 +199,12 @@ def _trim_to_density(rows, members: tuple[int, ...], target: int, bound: Fractio
         m = mask_of(cur)
         worst = max(cur, key=lambda v: ((rows[v] & m).bit_count(), v))
         cur.remove(worst)
-    if rows_density(rows, cur) <= bound:
-        return tuple(cur)
-    if len(members) <= TRIM_SCAN_LIMIT:
-        for sub in combinations(members, target):
-            if rows_density(rows, sub) <= bound:
-                return tuple(sub)
-    return None
+    dens = rows_density(rows, cur)
+    if dens > bound:
+        raise InternalContractError(
+            f"density {dens} of the trimmed set exceeds the bound {bound}"
+        )
+    return tuple(cur)
 
 
 class _BtState:
@@ -303,7 +301,7 @@ def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple
         a_col = params.k1 if col is Color.RED else params.k2
         index = _index_from_cliques(harvest[col], k_col, state.tuple_cap)
         truncated = truncated or index.truncated
-        cand, _ = _skeleton_from_index(index, a_col, Fraction(len(X), 2 * window**5))
+        cand = _skeleton_from_index(index, a_col, Fraction(len(X), 2 * window**5))
         if cand is not None:
             skel, skel_color = cand, col
             break
@@ -350,10 +348,12 @@ def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple
     ell1, w1_raw = r1
     if ell1 is not i:
         return (ell1, w1_raw)
+    # every (i, set) a child returns meets child_bound: a base case is a
+    # whole set under a bound >= 1 or a single vertex, a union is checked
+    # against its own node's bound, and a set passed up unchanged has a
+    # color whose halving budget was not spent
     child_bound = Fraction(1, 2 ** (h1c if i is Color.RED else h2c)) + c / 2
     w1 = _trim_to_density(rows, w1_raw, min(s_star, len(w1_raw)), child_bound)
-    if w1 is None:
-        return Exhausted(trace + ("density trim of the lower sparse set failed",))
 
     b_size = min(half_target, len(B) // 2)
     if b_size < 1:
@@ -373,11 +373,7 @@ def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple
     s_use = min(len(w1), len(w2_raw), s_star)
     if s_use < len(w1):
         w1 = _trim_to_density(rows, w1, s_use, child_bound)
-        if w1 is None:
-            return Exhausted(trace + ("density re-trim of the lower sparse set failed",))
     w2 = _trim_to_density(rows, w2_raw, s_use, child_bound)
-    if w2 is None:
-        return Exhausted(trace + ("density trim of the upper sparse set failed",))
 
     union = tuple(sorted(w1 + w2))
     bound = Fraction(1, 2 ** (h1 if i is Color.RED else h2)) + c / 2
@@ -457,7 +453,8 @@ def exact_ordered_ramsey(
 
     The witness is a good coloring on N* - 1 vertices containing neither
     pattern in its color.  Returns None when N* exceeds max_n.  Each N runs
-    find_good_coloring, which holds C(N, k1) + C(N, k2) clauses in memory.
+    the search of find_good_coloring, which holds C(N, k1) + C(N, k2)
+    clauses in memory; only the last good coloring becomes a graph.
     node_budget, when given, bounds the search decisions summed over every
     N; when they run out the result is Exhausted, naming that N and the count.
     """
@@ -466,18 +463,19 @@ def exact_ordered_ramsey(
     if max_n < 1:
         raise ParameterError("maxN must be positive")
     budget = None if node_budget is None else kernels.DecisionBudget(node_budget)
-    witness = None
+    edges1, edges2 = pat1.sorted_edges(), pat2.sorted_edges()
+    witness_bits = None
     for big_n in range(1, max_n + 1):
         try:
-            good = find_good_coloring(pat1, pat2, big_n, budget)
+            bits = kernels.search_good_coloring(big_n, pat1.n, edges1, pat2.n, edges2, budget)
         except BudgetExhausted:
             return Exhausted(
                 (f"node budget exhausted at N = {big_n} after {budget.used} decisions",)
             )
-        if good is None:
-            assert witness is not None  # K_1 contains no pattern with an edge
-            return big_n, witness
-        witness = good
+        if bits is None:
+            assert witness_bits is not None  # K_1 contains no pattern with an edge
+            return big_n, ColoredCompleteGraph.from_colex_bits(big_n - 1, witness_bits)
+        witness_bits = bits
     return None
 
 

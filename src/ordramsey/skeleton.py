@@ -172,16 +172,16 @@ def _by_population(buckets: dict):
 
 def _skeleton_from_index(
     index: CliqueTupleIndex, a: int, b_required: Fraction | int
-) -> tuple[Skeleton | None, int]:
+) -> Skeleton | None:
     """Pick a bucket and assemble a skeleton with blocks of size >= b_required.
 
     Buckets are scanned by population (descending; ties to the least key), so
     the pigeonhole bucket is tried first.  Within a bucket the a + 1 largest
-    even-position sets become the blocks.  Returns (skeleton, selected bucket
-    population); (None, 0) when no bucket qualifies.
+    even-position sets become the blocks.  Returns None when no bucket
+    qualifies.
     """
     for key in _by_population(index.buckets):
-        count, masks = index.buckets[key]
+        masks = index.buckets[key][1]
         sizes = [(m.bit_count(), pos) for pos, m in enumerate(masks)]
         # choose a + 1 positions maximizing the minimum set size; ties keep
         # the leftmost positions for determinism
@@ -195,8 +195,8 @@ def _skeleton_from_index(
         blocks = tuple(tuple(bits_of(masks[pos])) for pos in positions)
         # spine vertex after even position 2*pos is the odd entry at index pos
         spine = tuple(key[positions[j]] for j in range(a))
-        return Skeleton(spine, blocks, a, b_achieved), count
-    return None, 0
+        return Skeleton(spine, blocks, a, b_achieved)
+    return None
 
 
 def find_skeleton_from_cliques(
@@ -224,7 +224,7 @@ def find_skeleton_from_cliques(
         raise ParameterError(f"density parameter d={d} must lie in (0, 1]")
     index = build_clique_tuple_index(host, 4 * a + 1, tuple_cap)
     b_required = d * big_n / Fraction(n) ** 5
-    skel, _ = _skeleton_from_index(index, a, b_required)
+    skel = _skeleton_from_index(index, a, b_required)
     if skel is None:
         if index.truncated:
             raise TupleCapError(
@@ -555,7 +555,7 @@ def find_skeleton_in_dense(
     majority = Color.RED if n_red >= n_blue else Color.BLUE
 
     index = _index_from_cliques(harvest[majority], k, tuple_cap)
-    skel, _ = _skeleton_from_index(index, a, 1)
+    skel = _skeleton_from_index(index, a, 1)
     target = _dense_target_b(big_n, a, c)
     if skel is None:
         return DenseSkeletonResult(None, None, target, False, rounds)

@@ -50,14 +50,27 @@ class TestFindOrderedEmbedding:
         assert find_ordered_embedding(complete_graph(3), complete_graph(4)) is None
 
     def test_agrees_with_brute_force(self):
+        # includes empty patterns and hosts, patterns larger than their
+        # host, and (for every other trial that fits) a random slot system
         rng = random.Random(17)
-        for trial in range(300):
-            hn = rng.randint(2, 10)
-            pn = rng.randint(1, min(5, hn))
+        for trial in range(400):
+            hn = rng.randint(0, 10)
+            pn = rng.randint(0, min(6, hn + 1))
             host = random_ordered_graph(hn, rng.uniform(0.2, 0.9), 1000 + trial)
             pattern = random_ordered_graph(pn, rng.uniform(0.2, 0.9), 2000 + trial)
             expected = brute_force_embeddings(host, pattern)
-            got = find_ordered_embedding(host, pattern)
+            slots = None
+            if trial % 2 and 1 <= pn <= hn:
+                used = sorted(rng.sample(range(1, hn + 1), rng.randint(pn, hn)))
+                cuts = [0] + sorted(rng.sample(range(1, len(used)), pn - 1)) + [len(used)]
+                slots = SlotSystem(
+                    [used[cuts[t]:cuts[t + 1]] for t in range(pn)], host_n=hn
+                )
+                expected = [
+                    tup for tup in expected
+                    if all(v in slot for v, slot in zip(tup, slots.slots))
+                ]
+            got = find_ordered_embedding(host, pattern, slots)
             if expected:
                 assert got is not None
                 assert got.mapping == min(expected)
@@ -99,15 +112,18 @@ class TestCountEmbeddings:
             count_embeddings(complete_graph(3), OrderedGraph(1), cap=0)
 
     def test_agrees_with_brute_force(self):
+        # includes empty patterns and hosts, patterns larger than their
+        # host, and every cap from 1 to one past the true count
         rng = random.Random(23)
         for trial in range(200):
-            hn = rng.randint(2, 9)
-            pn = rng.randint(1, min(4, hn))
+            hn = rng.randint(0, 9)
+            pn = rng.randint(0, min(5, hn + 1))
             host = random_ordered_graph(hn, rng.uniform(0.3, 0.9), 3000 + trial)
             pattern = random_ordered_graph(pn, rng.uniform(0.3, 0.9), 4000 + trial)
-            assert count_embeddings(host, pattern) == len(
-                brute_force_embeddings(host, pattern)
-            )
+            true = len(brute_force_embeddings(host, pattern))
+            assert count_embeddings(host, pattern) == true
+            for cap in range(1, true + 2):
+                assert count_embeddings(host, pattern, cap) == min(cap, true)
 
 
 class TestSlotSystem:

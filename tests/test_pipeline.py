@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordramsey import kernels, pipeline
-from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class
+from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, rows_density
 from ordramsey.embed import find_ordered_embedding
 from ordramsey.errors import DomainError, ParameterError
 from ordramsey.pipeline import (
@@ -144,7 +144,7 @@ class TestBinaryTreeSparse:
     def test_exhaustion_names_a_biting_key_cap(self, monkeypatch):
         # reject every bucket, so the node exhausts for want of a skeleton;
         # its trace names the cap only where the cap cut the index short
-        monkeypatch.setattr(pipeline, "_skeleton_from_index", lambda *args: (None, 0))
+        monkeypatch.setattr(pipeline, "_skeleton_from_index", lambda *args: None)
         col = all_blue(20)
         params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 1, 10)
         for cap, note in ((1, " (spine-key cap 1 reached)"), (10_000, "")):
@@ -159,6 +159,29 @@ class TestBinaryTreeSparse:
         params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 1, 5)
         with pytest.raises(Exception):
             binary_tree_sparse(col, [], k_pattern(3), k_pattern(3), params)
+
+
+class TestTrimToDensity:
+    # the recursion trims sets that already meet their bound and treats a
+    # trimmed set over it as a broken contract, so the greedy step must never
+    # raise the density
+    @given(st.integers(1, 14), st.integers(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_trim_never_raises_density(self, n, seed):
+        rng = random.Random(seed)
+        p = rng.random()
+        rows = [0] * (n + 1)
+        for i, j in combinations(range(1, n + 1), 2):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        members = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        target = rng.randint(1, len(members))
+        dens = rows_density(rows, members)
+        out = pipeline._trim_to_density(rows, members, target, dens)
+        assert len(out) == target
+        assert set(out) <= set(members)
+        assert rows_density(rows, out) <= dens
 
 
 class TestRecursiveSparseSet:
@@ -341,6 +364,19 @@ class TestExactOrderedRamsey:
 
     def test_crossing_four_cycle_against_triangle(self):
         assert exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)[0] == 9
+
+    def test_one_witness_graph_per_call(self, monkeypatch):
+        # the good colorings below N* - 1 stay colex bits
+        built = []
+        from_bits = ColoredCompleteGraph.from_colex_bits
+
+        def counting(cls, big_n, bits):
+            built.append(big_n)
+            return from_bits(big_n, bits)
+
+        monkeypatch.setattr(ColoredCompleteGraph, "from_colex_bits", classmethod(counting))
+        n_star, witness = exact_ordered_ramsey(k_pattern(3), k_pattern(3), 8)
+        assert (n_star, witness.N, built) == (6, 5, [5])
 
     def test_k4_k3_refuted_at_nine(self):
         assert find_good_coloring(k_pattern(4), k_pattern(3), 8) is not None
