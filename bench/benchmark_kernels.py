@@ -89,9 +89,8 @@ def workloads():
         out = []
         for s in range(40, 46):
             rows = random_tournament_rows(24, random.Random(s))
-            out.append(
-                kernels.digraph_injection(24, rows, idx - 1, star_arcs, list(range(1, idx)), 50_000)
-            )
+            budget = kernels.DecisionBudget(50_000)
+            out.append(kernels.digraph_injection(24, rows, idx - 1, star_arcs, budget))
         return out
 
     yield "digraph_injection", w_inject

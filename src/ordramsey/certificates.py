@@ -110,7 +110,8 @@ def _require(d: dict, key: str, kind: str):
 
 
 def _int_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    # `type(v) is int` here and below: JSON true and false decode to bools, no integers
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
         raise ParseError(f"{where} must be a list of integers")
     return tuple(value)
 
@@ -156,7 +157,7 @@ def decode_certificate(text: str):
         blocks = _require(d, "blocks", kind)
         if not isinstance(blocks, list):
             raise ParseError("blocks must be a list of lists")
-        if not isinstance(d.get("a"), int) or not isinstance(d.get("b"), int):
+        if type(d.get("a")) is not int or type(d.get("b")) is not int:
             raise ParseError("skeleton a and b must be integers")
         skel = Skeleton(
             spine=_int_list(_require(d, "spine", kind), "spine"),
@@ -190,7 +191,7 @@ def decode_certificate(text: str):
     if n_star is None:
         # the exceeds-maxN form carries no value and no witness
         return kind, (None, None)
-    if not isinstance(n_star, int) or n_star < 1:
+    if type(n_star) is not int or n_star < 1:
         raise ParseError("n_star must be a positive integer or null")
     if not isinstance(witness, str):
         raise ParseError("witness must be the coloring text")

@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     TupleCapError,
 )
+from .kernels import DEFAULT_NODE_BUDGET
 from .pipeline import (
     Exhausted,
     MonoCopy,
@@ -69,19 +70,21 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _read_text(path: str) -> str:
+def _file_op(verb: str, path: str, op):
+    """op(), with an OSError on path reported as a ParseError, an input error."""
     try:
-        return Path(path).read_text()
+        return op()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+        raise ParseError(f"cannot {verb} {path}: {exc.strerror}") from None
+
+
+def _write_out(path: str, text: str) -> None:
+    _file_op("write", path, lambda: Path(path).write_text(text))
 
 
 def _load(path: str, want: type, label: str):
     """Parse a file by its extension and insist on the expected value type."""
-    try:
-        value = formats.load_path(path)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    value = _file_op("read", path, lambda: formats.load_path(path))
     if not isinstance(value, want):
         raise ParseError(f"{path} holds a {type(value).__name__}, expected {label}")
     return value
@@ -181,10 +184,6 @@ def cmd_sparse_set(args) -> int:
     return EXIT_EXHAUSTED
 
 
-def _write_out(path: str, text: str) -> None:
-    Path(path).write_text(text)
-
-
 def cmd_construct(args) -> int:
     if args.what == "sn":
         sub = build_subdivision_S(args.n)
@@ -192,9 +191,7 @@ def cmd_construct(args) -> int:
         _write_out(out, formats.write_dg(sub.digraph))
         sidecar = str(Path(out).with_suffix(".triples.json"))
         triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
-        Path(sidecar).write_text(
-            json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        _write_out(sidecar, json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n")
         summary = {
             "kind": "construct",
             "what": "sn",
@@ -288,7 +285,8 @@ def _verify_dispatch(kind: str, payload, host, pattern):
 
 
 def cmd_verify(args) -> int:
-    kind, payload = decode_certificate(_read_text(args.certificate))
+    text = _file_op("read", args.certificate, Path(args.certificate).read_text)
+    kind, payload = decode_certificate(text)
     if kind not in ("embedding", "sparse_pair", "skeleton", "sparse_set"):
         raise ParseError(f"certificates of kind {kind!r} are not verifiable")
     suffix = Path(args.host).suffix
@@ -332,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--node-budget",
         type=int,
-        default=10_000_000,
-        help="search decisions allowed to `exact`, summed over every N (default: 10000000)",
+        default=DEFAULT_NODE_BUDGET,
+        help="search decisions allowed to `exact`, summed over every N "
+        f"(default: {DEFAULT_NODE_BUDGET})",
     )
     top.add_argument("-q", "--quiet", action="store_true", help="suppress stderr summaries")
     sub = top.add_subparsers(dest="command", required=True)
@@ -418,17 +417,12 @@ def main(argv=None) -> int:
     try:
         _resolve_globals(args)
         return args.run(args)
-    except (ParseError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TupleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
     except OrdRamseyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, TupleCapError):
+            return EXIT_BOUND
+        if isinstance(exc, GenerationError):
+            return EXIT_GENERATION
         return EXIT_INPUT
 
 

@@ -10,9 +10,9 @@ from typing import Sequence
 
 from . import kernels
 from .core import Digraph, Tournament
-from .errors import DomainError, GenerationError, ParameterError
+from .errors import BudgetExhausted, DomainError, GenerationError, ParameterError
+from .kernels import DEFAULT_NODE_BUDGET
 
-DEFAULT_NODE_BUDGET = 10_000_000
 BASE_CUTOFF = 20
 
 
@@ -192,20 +192,22 @@ def contains_subdivision(
     """Budgeted search for a copy of the subdivided star on n base vertices.
 
     Assigns base vertices 1..n first and then triple vertices in
-    lexicographic order; every attempted assignment costs one node.
+    lexicographic order; every attempted assignment costs one node, and an
+    exhausted result reports the budget as its nodes.
     """
     if budget < 1:
         raise ParameterError(f"node budget must be >= 1, got {budget}")
     S = build_subdivision_S(n)
     if S.digraph.n > T.N:
         return InjectionResult(None, 0, False)
-    order = list(range(1, S.digraph.n + 1))
-    mapping, nodes, exhausted = kernels.digraph_injection(
-        T.N, list(T.beats), S.digraph.n, sorted(S.digraph.arcs), order, budget
-    )
-    return InjectionResult(
-        None if mapping is None else tuple(mapping), nodes, exhausted
-    )
+    spent = kernels.DecisionBudget(budget)
+    try:
+        mapping, nodes = kernels.digraph_injection(
+            T.N, list(T.beats), S.digraph.n, sorted(S.digraph.arcs), spent
+        )
+    except BudgetExhausted:
+        return InjectionResult(None, spent.used, True)
+    return InjectionResult(None if mapping is None else tuple(mapping), nodes, False)
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,12 @@ def count_embeddings(
 # visiting watches; limits from 4 to 12 all did worse than 8 there.
 LEARNED_WATCH_LIMIT = 8
 
+DEFAULT_NODE_BUDGET = 10_000_000
+
 
 class DecisionBudget:
-    """Decisions allowed to a run of searches (limit) and made so far (used)."""
+    """Steps allowed to a run of searches (limit) and taken so far (used): the
+    decisions of search_good_coloring, the attempts of digraph_injection."""
 
     __slots__ = ("limit", "used")
 
@@ -426,18 +429,16 @@ def digraph_injection(
     beats: list[int],
     pat_n: int,
     pat_arcs: list[tuple[int, int]],
-    order: list[int],
-    budget: int,
-) -> tuple[list[int] | None, int, bool]:
+    budget: DecisionBudget,
+) -> tuple[list[int] | None, int]:
     """Arc-preserving injection of a digraph pattern into a tournament host.
 
-    Assigns pattern vertices in the given order with forward checking; every
-    attempted assignment counts one node against the budget.  Returns
-    (mapping with element i-1 the host of pattern vertex i, nodes used, exhausted).
+    Assigns pattern vertices 1..pat_n in order with forward checking.  Each
+    attempted assignment spends a node of budget; the attempt past its limit
+    raises BudgetExhausted.  Returns (mapping with element i-1 the host of
+    pattern vertex i, or None; nodes this call spent).
     """
     full = _full_mask(host_n)
-    if pat_n > host_n:
-        return None, 0, False
     beaten = [0] * (host_n + 1)
     for h in range(1, host_n + 1):
         beaten[h] = full & ~beats[h] & ~(1 << h)
@@ -451,8 +452,9 @@ def digraph_injection(
     cand = [full] * (pat_n + 1)
     mapping = [0] * (pat_n + 1)
     trail: list[tuple[int, int]] = []
+    later = [list(range(p + 1, pat_n + 1)) for p in range(pat_n + 1)]
+    left = budget.limit - budget.used
     nodes = 0
-    exhausted = False
 
     def assign(p: int, h: int, upcoming: list[int]) -> bool:
         for q in upcoming:
@@ -474,28 +476,26 @@ def digraph_injection(
             q, old = trail.pop()
             cand[q] = old
 
-    def rec(t: int) -> bool:
-        nonlocal nodes, exhausted
-        if t == pat_n:
+    def rec(p: int) -> bool:
+        nonlocal nodes
+        if p > pat_n:
             return True
-        p = order[t]
-        upcoming = order[t + 1 :]
+        upcoming = later[p]
         for h in bits_of(cand[p]):
             nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return False
+            if nodes > left:
+                budget.used = budget.limit
+                raise BudgetExhausted(f"node budget of {budget.limit} exhausted")
             mapping[p] = h
             mark = len(trail)
-            if assign(p, h, upcoming) and rec(t + 1):
+            if assign(p, h, upcoming) and rec(p + 1):
                 return True
             undo(mark)
-            if exhausted:
-                return False
         return False
 
-    found = rec(0)
-    return (mapping[1:] if found else None), nodes, exhausted
+    found = rec(1)
+    budget.used += nodes
+    return (mapping[1:] if found else None), nodes
 
 
 def _edges_between(side: int, other: int, adj: list[int]) -> tuple[int, int, int]:

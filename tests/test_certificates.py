@@ -125,6 +125,16 @@ class TestSkeletonKind:
             )
 
 
+# certificates of other kinds, one field left as VALUE
+OTHER_KINDS_WITH_FIELD = {
+    "map": '{"kind":"embedding","map":VALUE}',
+    "spine": '{"kind":"skeleton","spine":VALUE,"blocks":[[1],[4]],"a":1,"b":1}',
+    "a": '{"kind":"skeleton","spine":[3],"blocks":[[1],[4]],"a":VALUE,"b":1}',
+    "b": '{"kind":"skeleton","spine":[3],"blocks":[[1],[4]],"a":1,"b":VALUE}',
+    "n_star": '{"kind":"ramsey_exact","n_star":VALUE,"witness":"2\\nR\\n"}',
+}
+
+
 class TestSparseSetKind:
     def test_round_trip(self):
         ss = SparseSet(
@@ -153,14 +163,20 @@ class TestSparseSetKind:
     @pytest.mark.parametrize(
         "field, value",
         [("size_target", '"x"'), ("size_target", "true"), ("met_size_target", '"false"'),
-         ("met_size_target", "0"), ("alpha", "[1]"), ("alpha", "false"), ("h2", "null")],
+         ("met_size_target", "0"), ("alpha", "[1]"), ("alpha", "false"), ("h2", "null"),
+         ("map", "[true,2]"), ("spine", "[false]"), ("a", "true"), ("b", "true"),
+         ("n_star", "true")],
     )
     def test_optional_field_of_wrong_type_rejected(self, field, value):
+        # the sparse_set fields are optional; the others are integers of other
+        # kinds, where a JSON boolean is no integer either
+        text = OTHER_KINDS_WITH_FIELD.get(
+            field,
+            '{"kind":"sparse_set","color":"blue","members":[1],'
+            '"density":"0/1","bound":"1/2","FIELD":VALUE}',
+        )
         with pytest.raises(ParseError, match=field):
-            decode_certificate(
-                '{"kind":"sparse_set","color":"blue","members":[1],'
-                f'"density":"0/1","bound":"1/2","{field}":{value}}}'
-            )
+            decode_certificate(text.replace("FIELD", field).replace("VALUE", value))
 
 
 class TestExhaustedKind:

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from ordramsey import io as formats
+from ordramsey import cli, io as formats
 from ordramsey.cli import main
 from ordramsey.core import ColoredCompleteGraph, OrderedGraph, Tournament
+from ordramsey.errors import GenerationError, TupleCapError
 
 from conftest import all_red, complete_graph, paley
 
@@ -213,6 +214,13 @@ class TestConstruct:
         assert code == 0
         assert formats.parse_trn(out_path.read_text()).N == 4
 
+    @pytest.mark.parametrize("argv", [["sn", "3"], ["lowerbound", "3"]])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "missing" / "x.out"
+        code, out, err = run(capsys, ["construct", *argv, "--out", str(out_path)])
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {out_path}: No such file or directory\n"
+
 
 class TestVerify:
     def make_embedding_cert(self, capsys, files, tmp_path):
@@ -281,6 +289,14 @@ class TestVerify:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
+    def test_boolean_map_entry_is_rejected(self, capsys, tmp_path):
+        host = write(tmp_path / "p3.og", "3 1\n1 2\n")
+        pattern = write(tmp_path / "p2.og", "2 1\n1 2\n")
+        cert = write(tmp_path / "emb.json", '{"kind":"embedding","map":[true,2]}')
+        code, out, err = run(capsys, ["verify", cert, host, "--pattern", pattern])
+        assert code == 2 and out == ""
+        assert err == "error: map must be a list of integers\n"
+
     def test_skeleton_roundtrip(self, capsys, files, tmp_path):
         code, out, _ = run(capsys, ["skeleton", files["k11"], "--a", "1"])
         cert = write(tmp_path / "skel.json", out)
@@ -294,6 +310,25 @@ class TestVerify:
             capsys, ["verify", cert, files["t3"], "--pattern", files["path4"]]
         )
         assert code == 2
+
+
+class TestErrorExitCodes:
+    def test_tuple_cap_error_exits_3(self, capsys, files, monkeypatch):
+        def over_cap(*args):
+            raise TupleCapError("tuple cap of 5 exceeded")
+
+        monkeypatch.setattr(cli, "find_skeleton_from_cliques", over_cap)
+        code, out, err = run(capsys, ["skeleton", files["k11"], "--a", "1"])
+        assert (code, out, err) == (3, "", "error: tuple cap of 5 exceeded\n")
+
+    def test_generation_error_exits_5(self, capsys, tmp_path, monkeypatch):
+        def no_draw(*args):
+            raise GenerationError("no avoiding tournament", 7)
+
+        monkeypatch.setattr(cli, "iterated_lower_bound_tournament", no_draw)
+        argv = ["construct", "lowerbound", "30", "--out", str(tmp_path / "lb.trn")]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (5, "", "error: no avoiding tournament (after 7 tries)\n")
 
 
 class TestSeedResolution:

@@ -12,6 +12,7 @@ from ordramsey import kernels
 from ordramsey.kernels import cyclic_triangle_packing
 from ordramsey.constructions import (
     BASE_CUTOFF,
+    InjectionResult,
     blowup,
     build_subdivision_S,
     contains_subdivision,
@@ -23,7 +24,7 @@ from ordramsey.constructions import (
     verify_subdivision_copy,
 )
 from ordramsey.core import Tournament, degeneracy
-from ordramsey.errors import DomainError, GenerationError, ParameterError
+from ordramsey.errors import BudgetExhausted, DomainError, GenerationError, ParameterError
 from ordramsey.io import write_trn
 
 
@@ -380,11 +381,40 @@ class TestContainsSubdivision:
         T = iterated_lower_bound_tournament(50, 0)
         res = contains_subdivision(T, 5, budget=50)
         assert res.exhausted and not res.found
-        assert res.nodes >= 50
+        assert res.nodes == 50
 
     def test_budget_gate(self):
         with pytest.raises(ParameterError):
             contains_subdivision(transitive_tournament(5), 3, budget=0)
+
+
+class TestSubdivisionNodeBudget:
+    def found_run(self):
+        T = iterated_lower_bound_tournament(50, 0)
+        res = contains_subdivision(T, 4)
+        assert res.found and res.nodes > 1
+        return T, res
+
+    def test_budget_of_the_found_run_changes_nothing(self):
+        T, res = self.found_run()
+        assert contains_subdivision(T, 4, budget=res.nodes) == res
+
+    def test_one_node_short_exhausts_at_the_budget(self):
+        T, res = self.found_run()
+        short = contains_subdivision(T, 4, budget=res.nodes - 1)
+        assert short == InjectionResult(None, res.nodes - 1, True)
+
+    def test_kernel_spends_the_shared_budget(self):
+        T, res = self.found_run()
+        S = build_subdivision_S(4)
+        args = (T.N, list(T.beats), S.digraph.n, sorted(S.digraph.arcs))
+        budget = kernels.DecisionBudget(2 * res.nodes)
+        for _ in range(2):
+            assert kernels.digraph_injection(*args, budget) == (list(res.mapping), res.nodes)
+        assert budget.used == budget.limit
+        with pytest.raises(BudgetExhausted):
+            kernels.digraph_injection(*args, budget)
+        assert budget.used == budget.limit
 
 
 class TestVerifySubdivisionCopy:
