@@ -29,6 +29,7 @@ from .embed import (
     greedy_embed_or_sparse_pair,
     skeleton_embed_or_sparse_pair,
     verify_embedding,
+    verify_sparse_pair,
 )
 from .errors import (
     DomainError,
@@ -92,7 +93,7 @@ from .constructions import (
     verify_bucket_claims,
     verify_subdivision_copy,
 )
-from .certificates import decode_certificate, encode_certificate
+from .certificates import decode_certificate, encode_certificate, verify_certificate
 
 __version__ = "0.1.0"
 

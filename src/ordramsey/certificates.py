@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import Color
-from .embed import Embedding, SparsePair
-from .errors import ParseError
-from .pipeline import Exhausted, MonoCopy, SparseSet
-from .skeleton import Skeleton
+from .core import Color, ColoredCompleteGraph, OrderedGraph, color_class
+from .embed import Embedding, SparsePair, verify_embedding, verify_sparse_pair
+from .errors import DomainError, ParseError
+from .pipeline import Exhausted, MonoCopy, SparseSet, verify_sparse_set
+from .skeleton import Skeleton, verify_skeleton
 
-KINDS = ("embedding", "sparse_pair", "skeleton", "sparse_set", "exhausted", "ramsey_exact")
+VERIFIABLE_KINDS = ("embedding", "sparse_pair", "skeleton", "sparse_set")
+KINDS = VERIFIABLE_KINDS + ("exhausted", "ramsey_exact")
 
 
 def rational_str(x: Fraction) -> str:
@@ -196,3 +197,38 @@ def decode_certificate(text: str):
     if not isinstance(witness, str):
         raise ParseError("witness must be the coloring text")
     return kind, (n_star, witness)
+
+
+def verify_certificate(kind: str, payload, host, pattern=None) -> tuple[bool, str | None]:
+    """Re-check a decoded certificate against its host; returns (valid, reason).
+
+    A colored embedding or skeleton, and every sparse_set, is checked inside
+    its color's class of a ColoredCompleteGraph (an .okc host); the rest
+    against an OrderedGraph (an .og host).  An unverifiable kind, a host of
+    the wrong type or an embedding without its pattern raises ParseError.  A
+    vertex outside the host, a repeated vertex or an empty side makes the
+    certificate invalid, with the DomainError's text as the reason.
+    """
+    if kind not in VERIFIABLE_KINDS:
+        raise ParseError(f"certificates of kind {kind!r} are not verifiable")
+    if kind == "embedding" and pattern is None:
+        raise ParseError("embedding certificates need --pattern")
+    claim, color = payload if kind in ("embedding", "skeleton") else (payload, None)
+    colored = color is not None or kind == "sparse_set"
+    if not isinstance(host, ColoredCompleteGraph if colored else OrderedGraph):
+        suffix = ".okc" if colored else ".og"
+        raise ParseError(f"this {kind} certificate verifies against an {suffix} host")
+    graph = host if color is None else color_class(host, color)
+    try:
+        if kind == "embedding":
+            return verify_embedding(graph, pattern, claim.mapping)
+        if kind == "sparse_pair":
+            return verify_sparse_pair(graph, claim)
+        if kind == "skeleton":
+            report = verify_skeleton(graph, claim)
+            if report.ok:
+                return True, None
+            return False, f"condition ({report.condition}) fails at {report.witness}"
+        return verify_sparse_set(host, claim)
+    except DomainError as exc:
+        return False, str(exc)

@@ -20,14 +20,15 @@ from .certificates import (
     decode_certificate,
     parse_rational,
     rational_str,
+    verify_certificate,
 )
 from .constructions import (
     blowup,
     build_subdivision_S,
     iterated_lower_bound_tournament,
 )
-from .core import ColoredCompleteGraph, OrderedGraph, Tournament, color_class, density_between
-from .embed import find_ordered_embedding, verify_embedding
+from .core import ColoredCompleteGraph, OrderedGraph, Tournament
+from .embed import find_ordered_embedding
 from .errors import (
     GenerationError,
     OrdRamseyError,
@@ -43,13 +44,11 @@ from .pipeline import (
     exact_ordered_ramsey,
     find_mono_copy,
     recursive_sparse_set,
-    verify_sparse_set,
 )
 from .skeleton import (
     DEFAULT_SAMPLES,
     DEFAULT_TUPLE_CAP,
     find_skeleton_from_cliques,
-    verify_skeleton,
 )
 
 EXIT_OK = 0
@@ -133,7 +132,7 @@ def cmd_embed(args) -> int:
     pattern = _load(args.pattern, OrderedGraph, "an .og pattern")
     emb = find_ordered_embedding(host, pattern)
     if emb is None:
-        _emit({"kind": "exhausted", "trace": ["no order-preserving embedding"]})
+        _emit(certificate_dict(Exhausted(("no order-preserving embedding",))))
         _say(args, "no order-preserving embedding")
         return EXIT_EXHAUSTED
     _emit(certificate_dict(emb))
@@ -146,7 +145,7 @@ def cmd_skeleton(args) -> int:
     n = args.window if args.window is not None else 4 * args.a + 1
     skel = find_skeleton_from_cliques(host, n, args.a, args.d, args.tuple_cap)
     if skel is None:
-        _emit({"kind": "exhausted", "trace": [f"no ({args.a}, b)-skeleton at d = {args.d}"]})
+        _emit(certificate_dict(Exhausted((f"no ({args.a}, b)-skeleton at d = {args.d}",))))
         _say(args, "no skeleton met the block-size target")
         return EXIT_EXHAUSTED
     _emit(certificate_dict(skel))
@@ -238,57 +237,9 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _verify_dispatch(kind: str, payload, host, pattern):
-    """Run the matching verifier; returns (valid, reason)."""
-    if kind == "embedding":
-        emb, color = payload
-        if pattern is None:
-            raise ParseError("embedding certificates need --pattern")
-        if color is None:
-            if not isinstance(host, OrderedGraph):
-                raise ParseError("a plain embedding verifies against an .og host")
-            return verify_embedding(host, pattern, emb.mapping)
-        if not isinstance(host, ColoredCompleteGraph):
-            raise ParseError("a colored embedding verifies against an .okc host")
-        return verify_embedding(color_class(host, color), pattern, emb.mapping)
-    if kind == "sparse_pair":
-        if not isinstance(host, OrderedGraph):
-            raise ParseError("a sparse_pair verifies against an .og host")
-        sp = payload
-        if not sp.lower or not sp.upper:
-            return False, "both sides must be nonempty"
-        if max(sp.lower) >= min(sp.upper):
-            return False, "lower side must precede upper side"
-        dens = density_between(host, sp.lower, sp.upper)
-        if dens != sp.density:
-            return False, f"recomputed density {dens} differs from claimed {sp.density}"
-        if dens >= sp.c:
-            return False, f"density {dens} is not below c = {sp.c}"
-        return True, None
-    if kind == "skeleton":
-        skel, color = payload
-        if color is None:
-            if not isinstance(host, OrderedGraph):
-                raise ParseError("an uncolored skeleton verifies against an .og host")
-            graph = host
-        else:
-            if not isinstance(host, ColoredCompleteGraph):
-                raise ParseError("a colored skeleton verifies against an .okc host")
-            graph = color_class(host, color)
-        report = verify_skeleton(graph, skel)
-        if report.ok:
-            return True, None
-        return False, f"condition ({report.condition}) fails at {report.witness}"
-    if not isinstance(host, ColoredCompleteGraph):
-        raise ParseError("a sparse_set verifies against an .okc host")
-    return verify_sparse_set(host, payload)
-
-
 def cmd_verify(args) -> int:
     text = _file_op("read", args.certificate, Path(args.certificate).read_text)
     kind, payload = decode_certificate(text)
-    if kind not in ("embedding", "sparse_pair", "skeleton", "sparse_set"):
-        raise ParseError(f"certificates of kind {kind!r} are not verifiable")
     suffix = Path(args.host).suffix
     if suffix == ".og":
         host = _load(args.host, OrderedGraph, "an .og host")
@@ -297,7 +248,7 @@ def cmd_verify(args) -> int:
     else:
         raise ParseError(f"{args.host}: hosts are .og or .okc files")
     pattern = _load(args.pattern, OrderedGraph, "an .og pattern") if args.pattern else None
-    valid, reason = _verify_dispatch(kind, payload, host, pattern)
+    valid, reason = verify_certificate(kind, payload, host, pattern)
     _emit(
         {
             "kind": "verify",

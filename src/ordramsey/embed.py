@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import kernels
-from .core import OrderedGraph, bits_of, density_between, mask_of, vertex_tuple
+from .core import OrderedGraph, bits_of, density_between, mask_of
 from .errors import DomainError, InternalContractError, ParameterError
 from .skeleton import Skeleton, verify_skeleton
 
@@ -42,6 +42,22 @@ class SparsePair:
     density: Fraction
 
 
+def verify_sparse_pair(host: OrderedGraph, sp: SparsePair) -> tuple[bool, str | None]:
+    """Check a sparse-pair claim; returns (ok, reason for the first violation).
+
+    A vertex outside the host, a repeated vertex or an empty side raises
+    DomainError (from density_between) rather than returning a verdict.
+    """
+    dens = density_between(host, sp.lower, sp.upper)
+    if max(sp.lower) >= min(sp.upper):
+        return False, "lower side must precede upper side"
+    if dens != sp.density:
+        return False, f"recomputed density {dens} differs from claimed {sp.density}"
+    if dens >= sp.c:
+        return False, f"density {dens} is not below c = {sp.c}"
+    return True, None
+
+
 @dataclass(frozen=True)
 class SlotSystem:
     """Nonempty pairwise-disjoint vertex sets with max(V_i) < min(V_{i+1})."""
@@ -65,9 +81,6 @@ class SlotSystem:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def min_size(self) -> int:
-        return min(len(s) for s in self.slots)
 
     def masks(self) -> list[int]:
         return [0] + [mask_of(s) for s in self.slots]
@@ -150,7 +163,6 @@ def greedy_embed_or_sparse_pair(
     pattern: OrderedGraph,
     slots,
     c: Fraction,
-    declared_min: int | None = None,
 ) -> Embedding | SparsePair:
     """Embed the pattern with one vertex per slot, or extract a sparse pair.
 
@@ -161,7 +173,7 @@ def greedy_embed_or_sparse_pair(
     acceptable, pigeonholing over the later neighbors (smallest witnessing
     neighbor first) yields sets (lower, upper) with cross density below c and
     |lower|, |upper| >= (c^D / D) * N, where D is the pattern's maximum
-    degree and N the declared minimum slot size.
+    degree and N the smallest slot size.
     """
     c = Fraction(c)
     if not 0 < c < 1:
@@ -172,13 +184,6 @@ def greedy_embed_or_sparse_pair(
     n = pattern.n
     if len(slot_sys) != n:
         raise DomainError(f"slot count {len(slot_sys)} != pattern order {n}")
-    min_size = slot_sys.min_size() if n else 0
-    if declared_min is None:
-        declared_min = min_size
-    if n and not 1 <= declared_min <= min_size:
-        raise ParameterError(
-            f"declared minimum slot size {declared_min} must lie in 1..{min_size}"
-        )
     if n == 0:
         return Embedding(())
 
@@ -230,14 +235,12 @@ def greedy_embed_or_sparse_pair(
                 if (adj[w] & cand[i]).bit_count() * cd < cn * size_i
             ]
             if len(low) * delta >= u_size:
-                lower = tuple(low)
                 upper = tuple(bits_of(cand[i]))
-                dens = density_between(host, lower, upper)
-                if dens >= c:
-                    raise InternalContractError(
-                        f"extracted pair has density {dens}, expected below {c}"
-                    )
-                return SparsePair(lower, upper, c, dens)
+                sp = SparsePair(tuple(low), upper, c, density_between(host, low, upper))
+                ok, reason = verify_sparse_pair(host, sp)
+                if not ok:
+                    raise InternalContractError(f"extracted pair failed verification: {reason}")
+                return sp
         raise InternalContractError("pigeonhole failed to produce a sparse pair")
 
     emb = Embedding(tuple(mapping[1:]))

@@ -162,6 +162,11 @@ def verify_sparse_set(
         return False, f"recomputed density {dens} differs from claimed {ss.density}"
     if dens > ss.bound:
         return False, f"density {dens} exceeds the bound {ss.bound}"
+    if ss.met_size_target != (len(ss.members) >= ss.size_target):
+        return False, (
+            f"met_size_target is {str(ss.met_size_target).lower()} for "
+            f"{len(ss.members)} members and a size target of {ss.size_target}"
+        )
     return True, None
 
 
@@ -247,17 +252,17 @@ def binary_tree_sparse(
     if isinstance(res, (MonoCopy, Exhausted)):
         return res
     color, W = res
-    dens = class_density(coloring, color, W)
     h_top = params.h1 if color is Color.RED else params.h2
     bound = Fraction(1, 2**h_top) + params.c / 2
-    if dens > bound:
-        raise InternalContractError(
-            f"sparse-set density {dens} exceeds the certified bound {bound}"
-        )
     target = _size_target(params.alpha, params.h1 + params.h2, len(X))
-    return SparseSet(
-        color, W, dens, bound, target, len(W) >= target, params.alpha, params.h1, params.h2
+    ss = SparseSet(
+        color, W, class_density(coloring, color, W), bound, target, len(W) >= target,
+        params.alpha, params.h1, params.h2,
     )
+    ok, reason = verify_sparse_set(coloring, ss)
+    if not ok:
+        raise InternalContractError(f"sparse set failed verification: {reason}")
+    return ss
 
 
 def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple):

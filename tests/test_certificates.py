@@ -12,12 +12,27 @@ from ordramsey.certificates import (
     encode_certificate,
     parse_rational,
     rational_str,
+    verify_certificate,
 )
-from ordramsey.core import Color
-from ordramsey.embed import Embedding, SparsePair
+from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph
+from ordramsey.embed import (
+    Embedding,
+    SlotSystem,
+    SparsePair,
+    find_ordered_embedding,
+    greedy_embed_or_sparse_pair,
+)
 from ordramsey.errors import ParseError
-from ordramsey.pipeline import Exhausted, MonoCopy, SparseSet
-from ordramsey.skeleton import Skeleton
+from ordramsey.pipeline import (
+    Exhausted,
+    MonoCopy,
+    SparseSet,
+    find_mono_copy,
+    recursive_sparse_set,
+)
+from ordramsey.skeleton import Skeleton, find_skeleton_from_cliques
+
+from conftest import all_red, complete_graph
 
 
 class TestRationals:
@@ -239,3 +254,32 @@ class TestMalformedEnvelopes:
             "exhausted",
             "ramsey_exact",
         }
+
+
+class TestProducersVerify:
+    def test_every_producer_round_trips_to_valid(self):
+        k3 = complete_graph(3)
+        k9 = complete_graph(9)
+        k11 = complete_graph(11)
+        path4 = OrderedGraph(4, [(1, 2), (2, 3), (3, 4)])
+        allblue = ColoredCompleteGraph.from_function(30, lambda i, j: False)
+        empty = OrderedGraph(16)
+        halves = SlotSystem([range(1, 9), range(9, 17)], host_n=16)
+        edge = OrderedGraph(2, [(1, 2)])
+        pair = greedy_embed_or_sparse_pair(empty, edge, halves, Fraction(1, 2))
+        assert isinstance(pair, SparsePair)
+        copy = find_mono_copy(all_red(6), k3, k3)
+        assert isinstance(copy, MonoCopy)
+        sparse = recursive_sparse_set(allblue, k9, k9, Fraction(1, 10))
+        assert isinstance(sparse, SparseSet)
+        produced = [
+            (find_ordered_embedding(k11, path4), k11, path4),
+            (copy, all_red(6), k3),
+            (find_skeleton_from_cliques(k11, 5, 1), k11, None),
+            (pair, empty, None),
+            (sparse, allblue, None),
+        ]
+        for cert, host, pattern in produced:
+            assert cert is not None
+            kind, payload = decode_certificate(encode_certificate(cert))
+            assert verify_certificate(kind, payload, host, pattern) == (True, None), kind

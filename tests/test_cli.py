@@ -312,6 +312,106 @@ class TestVerify:
         assert code == 2
 
 
+# hand-made certificates on 4-vertex hosts: .og for embedding, sparse_pair
+# and skeleton (pattern: one edge), .okc for sparse_set
+OUTSIDE_HOST = {
+    "embedding": {"kind": "embedding", "map": [1, 9]},
+    "sparse_pair": {"kind": "sparse_pair", "A": [1], "B": [9], "c": "1/2", "density": "0/1"},
+    "skeleton": {"kind": "skeleton", "a": 1, "b": 1, "spine": [2], "blocks": [[1], [9]]},
+    "sparse_set": {
+        "kind": "sparse_set", "color": "red", "members": [1, 9], "density": "0/1",
+        "bound": "1/1", "size_target": 1, "met_size_target": True,
+    },
+}
+REPEATED_VERTEX = {
+    "embedding": {"kind": "embedding", "map": [2, 2]},
+    "sparse_pair": {"kind": "sparse_pair", "A": [1, 1], "B": [3], "c": "1/2", "density": "0/1"},
+    "skeleton": {"kind": "skeleton", "a": 1, "b": 1, "spine": [2], "blocks": [[1], [2, 3]]},
+    "sparse_set": {
+        "kind": "sparse_set", "color": "red", "members": [1, 1], "density": "0/1",
+        "bound": "1/1", "size_target": 1, "met_size_target": True,
+    },
+}
+# each kind against the host type it does not check against
+SKELETON = {"kind": "skeleton", "a": 1, "b": 1, "spine": [2], "blocks": [[1], [3]]}
+WRONG_HOST = [
+    ({"kind": "embedding", "map": [1, 2]}, ".okc"),
+    ({"kind": "embedding", "map": [1, 2], "color": "red"}, ".og"),
+    ({"kind": "sparse_pair", "A": [1], "B": [2], "c": "1/2", "density": "0/1"}, ".okc"),
+    (SKELETON, ".okc"),
+    ({**SKELETON, "color": "red"}, ".og"),
+    (OUTSIDE_HOST["sparse_set"], ".og"),
+]
+
+
+class TestVerifyRule:
+    @pytest.fixture
+    def hosts(self, tmp_path):
+        return {
+            ".og": write(tmp_path / "k4.og", formats.write_og(complete_graph(4))),
+            ".okc": write(tmp_path / "red4.okc", formats.write_okc(all_red(4))),
+            "pattern": write(tmp_path / "p2.og", "2 1\n1 2\n"),
+        }
+
+    def verify(self, capsys, hosts, tmp_path, rec, host_suffix, pattern=True):
+        cert = write(tmp_path / "cert.json", json.dumps(rec))
+        argv = ["verify", cert, hosts[host_suffix]]
+        return run(capsys, argv + (["--pattern", hosts["pattern"]] if pattern else []))
+
+    def assert_invalid(self, code, out, kind):
+        assert code == 4
+        assert out.count("\n") == 1
+        rec = json.loads(out)
+        assert rec["kind"] == "verify" and rec["certificate_kind"] == kind
+        assert rec["valid"] is False and rec["reason"]
+
+    def assert_input_error(self, code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("table", [OUTSIDE_HOST, REPEATED_VERTEX], ids=["outside", "repeated"])
+    @pytest.mark.parametrize("kind", sorted(OUTSIDE_HOST))
+    def test_bad_vertex_is_invalid(self, capsys, hosts, tmp_path, table, kind):
+        suffix = ".okc" if kind == "sparse_set" else ".og"
+        code, out, _ = self.verify(capsys, hosts, tmp_path, table[kind], suffix)
+        self.assert_invalid(code, out, kind)
+
+    @pytest.mark.parametrize(
+        "members, extra",
+        [([1], {"size_target": 4, "met_size_target": True}), ([], {})],
+        ids=["short-of-target", "empty-with-defaults"],
+    )
+    def test_sparse_set_size_claim_is_rechecked(self, capsys, hosts, tmp_path, members, extra):
+        rec = {"kind": "sparse_set", "color": "red", "members": members,
+               "density": "0/1", "bound": "1/1", **extra}
+        code, out, _ = self.verify(capsys, hosts, tmp_path, rec, ".okc")
+        self.assert_invalid(code, out, "sparse_set")
+        assert "met_size_target" in json.loads(out)["reason"]
+
+    @pytest.mark.parametrize("rec, wrong", WRONG_HOST)
+    def test_wrong_host_type(self, capsys, hosts, tmp_path, rec, wrong):
+        code, out, err = self.verify(capsys, hosts, tmp_path, rec, wrong)
+        self.assert_input_error(code, out, err)
+        needed = ".og" if wrong == ".okc" else ".okc"
+        assert rec["kind"] in err and f"{needed} host" in err
+
+    def test_embedding_without_pattern(self, capsys, hosts, tmp_path):
+        rec = {"kind": "embedding", "map": [1, 2]}
+        code, out, err = self.verify(capsys, hosts, tmp_path, rec, ".og", pattern=False)
+        self.assert_input_error(code, out, err)
+
+    @pytest.mark.parametrize(
+        "rec",
+        [{"kind": "exhausted", "trace": ["nothing"]}, {"kind": "ramsey_exact", "n_star": None}],
+        ids=["exhausted", "ramsey_exact"],
+    )
+    def test_unverifiable_kinds(self, capsys, hosts, tmp_path, rec):
+        code, out, err = self.verify(capsys, hosts, tmp_path, rec, ".og")
+        self.assert_input_error(code, out, err)
+        assert "not verifiable" in err
+
+
 class TestErrorExitCodes:
     def test_tuple_cap_error_exits_3(self, capsys, files, monkeypatch):
         def over_cap(*args):

@@ -153,7 +153,7 @@ class TestGreedyDichotomy:
         host = complete_graph(12)
         pattern = OrderedGraph(3, [(1, 2), (2, 3)])
         slots, low = contiguous_slots(12, 3)
-        out = greedy_embed_or_sparse_pair(host, pattern, slots, Fraction(1, 2), low)
+        out = greedy_embed_or_sparse_pair(host, pattern, slots, Fraction(1, 2))
         assert isinstance(out, Embedding)
         ok, why = verify_embedding(host, pattern, out, slots)
         assert ok, why
@@ -162,7 +162,7 @@ class TestGreedyDichotomy:
         host = OrderedGraph(16)
         pattern = OrderedGraph(2, [(1, 2)])
         slots, low = contiguous_slots(16, 2)
-        out = greedy_embed_or_sparse_pair(host, pattern, slots, Fraction(1, 2), low)
+        out = greedy_embed_or_sparse_pair(host, pattern, slots, Fraction(1, 2))
         assert isinstance(out, SparsePair)
         assert out.density == 0
         # Delta = 1: |A|, |B| >= (c/1) * N = 4
@@ -175,14 +175,14 @@ class TestGreedyDichotomy:
         slots, low = contiguous_slots(4, 2)
         for bad in (Fraction(0), Fraction(1)):
             with pytest.raises(ParameterError):
-                greedy_embed_or_sparse_pair(host, pattern, slots, bad, low)
+                greedy_embed_or_sparse_pair(host, pattern, slots, bad)
 
     def test_slot_count_mismatch(self):
         host = complete_graph(6)
         pattern = OrderedGraph(3, [(1, 2)])
         slots, low = contiguous_slots(6, 2)
         with pytest.raises(DomainError):
-            greedy_embed_or_sparse_pair(host, pattern, slots, Fraction(1, 3), low)
+            greedy_embed_or_sparse_pair(host, pattern, slots, Fraction(1, 3))
 
     def test_seeded_suite_both_branches_verify(self):
         rng = random.Random(99)
@@ -195,7 +195,7 @@ class TestGreedyDichotomy:
             pattern = random_pattern_max_degree(parts, 3, 6000 + trial)
             slots, low = contiguous_slots(n_host, parts)
             c = Fraction(rng.choice([2, 3, 5]), 10)
-            out = greedy_embed_or_sparse_pair(host, pattern, slots, c, low)
+            out = greedy_embed_or_sparse_pair(host, pattern, slots, c)
             if isinstance(out, Embedding):
                 ok, why = verify_embedding(host, pattern, out, slots)
                 assert ok, why
