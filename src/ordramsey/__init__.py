@@ -46,7 +46,6 @@ from .io import (
     parse_og,
     parse_okc,
     parse_trn,
-    save_path,
     write_dg,
     write_og,
     write_okc,
@@ -68,7 +67,6 @@ from .pipeline import (
 from .skeleton import (
     CliqueTupleIndex,
     Skeleton,
-    SkeletonReport,
     build_clique_tuple_index,
     es_bound,
     es_clique_or_independent,
@@ -76,6 +74,7 @@ from .skeleton import (
     find_skeleton_from_cliques,
     find_skeleton_in_dense,
     sample_color_cliques,
+    skeleton_from_harvest,
     verify_skeleton,
 )
 from .constructions import (

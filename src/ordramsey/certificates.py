@@ -199,6 +199,12 @@ def decode_certificate(text: str):
     return kind, (n_star, witness)
 
 
+def require_verifiable(kind: str) -> None:
+    """Raise ParseError unless certificates of kind can be re-checked."""
+    if kind not in VERIFIABLE_KINDS:
+        raise ParseError(f"certificates of kind {kind!r} are not verifiable")
+
+
 def verify_certificate(kind: str, payload, host, pattern=None) -> tuple[bool, str | None]:
     """Re-check a decoded certificate against its host; returns (valid, reason).
 
@@ -209,8 +215,7 @@ def verify_certificate(kind: str, payload, host, pattern=None) -> tuple[bool, st
     vertex outside the host, a repeated vertex or an empty side makes the
     certificate invalid, with the DomainError's text as the reason.
     """
-    if kind not in VERIFIABLE_KINDS:
-        raise ParseError(f"certificates of kind {kind!r} are not verifiable")
+    require_verifiable(kind)
     if kind == "embedding" and pattern is None:
         raise ParseError("embedding certificates need --pattern")
     claim, color = payload if kind in ("embedding", "skeleton") else (payload, None)
@@ -225,10 +230,7 @@ def verify_certificate(kind: str, payload, host, pattern=None) -> tuple[bool, st
         if kind == "sparse_pair":
             return verify_sparse_pair(graph, claim)
         if kind == "skeleton":
-            report = verify_skeleton(graph, claim)
-            if report.ok:
-                return True, None
-            return False, f"condition ({report.condition}) fails at {report.witness}"
+            return verify_skeleton(graph, claim)
         return verify_sparse_set(host, claim)
     except DomainError as exc:
         return False, str(exc)

@@ -20,6 +20,7 @@ from .certificates import (
     decode_certificate,
     parse_rational,
     rational_str,
+    require_verifiable,
     verify_certificate,
 )
 from .constructions import (
@@ -240,6 +241,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     text = _file_op("read", args.certificate, Path(args.certificate).read_text)
     kind, payload = decode_certificate(text)
+    require_verifiable(kind)
     suffix = Path(args.host).suffix
     if suffix == ".og":
         host = _load(args.host, OrderedGraph, "an .og host")

@@ -167,7 +167,7 @@ class InjectionResult:
 
 def verify_subdivision_copy(
     T: Tournament, n: int, mapping: Sequence[int]
-) -> tuple[bool, str]:
+) -> tuple[bool, str | None]:
     """Check that mapping is an injective arc-preserving copy of the subdivided star."""
     S = build_subdivision_S(n)
     total = S.digraph.n
@@ -183,7 +183,7 @@ def verify_subdivision_copy(
     for u, v in sorted(S.digraph.arcs):
         if not T.has_arc(mapping[u - 1], mapping[v - 1]):
             return False, f"arc ({u}, {v}) maps to a reversed pair"
-    return True, "ok"
+    return True, None
 
 
 def contains_subdivision(
@@ -226,10 +226,6 @@ class BucketReport:
     claim_all_small: bool
     claim_few_multi: bool
     sum_matches: bool
-
-    @property
-    def all_claims_hold(self) -> bool:
-        return self.claim_all_small and self.claim_few_multi and self.sum_matches
 
 
 def verify_bucket_claims(

@@ -271,9 +271,9 @@ def skeleton_embed_or_sparse_pair(
     c = Fraction(c)
     if not 0 < c < 1:
         raise ParameterError(f"c={c} must lie strictly between 0 and 1")
-    report = verify_skeleton(host, skel)
-    if not report:
-        raise DomainError(f"skeleton fails condition {report.condition} at {report.witness}")
+    ok, reason = verify_skeleton(host, skel)
+    if not ok:
+        raise DomainError(f"invalid skeleton: {reason}")
     m = pattern.m
     n = pattern.n
     if m < 1:

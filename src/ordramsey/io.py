@@ -201,12 +201,6 @@ def write_trn(t: Tournament) -> str:
 
 
 _PARSERS = {".og": parse_og, ".okc": parse_okc, ".dg": parse_dg, ".trn": parse_trn}
-_WRITERS = {
-    OrderedGraph: write_og,
-    ColoredCompleteGraph: write_okc,
-    Digraph: write_dg,
-    Tournament: write_trn,
-}
 
 
 def load_path(path):
@@ -218,26 +212,3 @@ def load_path(path):
     if parser is None:
         raise ParseError(f"unknown file extension {p.suffix!r} for {p}")
     return parser(p.read_text())
-
-
-def save_path(path, obj) -> None:
-    from pathlib import Path
-
-    writer = _WRITERS.get(type(obj))
-    if writer is None:
-        raise ParseError(f"no writer for {type(obj).__name__}")
-    Path(path).write_text(writer(obj))
-
-
-__all__ = [
-    "parse_og",
-    "write_og",
-    "parse_okc",
-    "write_okc",
-    "parse_dg",
-    "write_dg",
-    "parse_trn",
-    "write_trn",
-    "load_path",
-    "save_path",
-]

@@ -527,9 +527,9 @@ def clique_tuple_buckets(
     count, a mask of the x and a mask of the w).  The cap still counts tuples
     in lexicographic order, where a prefix's tuples are contiguous: a prefix
     is committed in blocks only when all its tuples fit under the cap, and
-    otherwise recorded one (k-1)-prefix at a time, cut at exactly the cap'th
-    tuple.  So the result holds exactly the first cap tuples, and truncated
-    is True when at least one further tuple existed.
+    otherwise recorded tuple by tuple, cut at exactly the cap'th tuple.  So
+    the result holds exactly the first cap tuples, and truncated is True
+    when at least one further tuple existed.
     """
     buckets: dict[tuple[int, ...], list] = {}
     total = 0
@@ -559,28 +559,6 @@ def clique_tuple_buckets(
         for idx in range(half):
             masks[idx] |= 1 << tup[2 * idx]
         total += 1
-
-    def record_last(last: int) -> None:
-        # the tuples tup[:k-1] + (w,) for each w in last, w ascending
-        nonlocal total, truncated
-        count = last.bit_count()
-        room = cap - total
-        if count > room:
-            truncated = True
-            if not room:
-                raise _Stop
-            while count > room:  # keep the lowest room vertices
-                last ^= 1 << (last.bit_length() - 1)
-                count -= 1
-        ent = bucket()
-        ent[0] += count
-        masks = ent[1]
-        for idx in range(half - 1):
-            masks[idx] |= 1 << tup[2 * idx]
-        masks[half - 1] |= last
-        total += count
-        if truncated:
-            raise _Stop
 
     def record_tail(depth: int, cands: int) -> bool:
         # the tuples tup[:depth] + (x, y, w), x < y < w a triangle in cands,
@@ -624,13 +602,6 @@ def clique_tuple_buckets(
             return
         if depth + 3 == k and k % 2 and record_tail(depth, cands):
             return
-        if depth + 2 == k and k % 2:
-            for v in bits_of(cands):
-                last = cands & adj[v] & ~((1 << (v + 1)) - 1)
-                if last:
-                    tup[depth] = v
-                    record_last(last)
-            return
         for v in bits_of(cands):
             tup[depth] = v
             if depth + 1 == k:
@@ -638,12 +609,9 @@ def clique_tuple_buckets(
             else:
                 rec(depth + 1, cands & adj[v] & ~((1 << (v + 1)) - 1))
 
-    full = _full_mask(n)
     try:
-        if k == 1 and full:
-            record_last(full)
-        elif k > 1:
-            rec(0, full)
+        if k > 0:
+            rec(0, _full_mask(n))
     except _Stop:
         pass
     return total, truncated, buckets

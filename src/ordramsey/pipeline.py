@@ -37,9 +37,8 @@ from .errors import BudgetExhausted, InternalContractError, ParameterError
 from .skeleton import (
     DEFAULT_SAMPLES,
     DEFAULT_TUPLE_CAP,
-    _index_from_cliques,
-    _skeleton_from_index,
     sample_color_cliques,
+    skeleton_from_harvest,
 )
 
 
@@ -291,30 +290,18 @@ def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple
         state.samples,
         next(state.seeds),
     )
-    n_red, n_blue = len(harvest[Color.RED]), len(harvest[Color.BLUE])
-    if n_red == 0 and n_blue == 0:
+    if not harvest[Color.RED] and not harvest[Color.BLUE]:
         return Exhausted(trace + (f"no monochromatic cliques sampled on {len(X)} vertices",))
-    order = [Color.RED, Color.BLUE] if n_red >= n_blue else [Color.BLUE, Color.RED]
-
-    skel = None
-    skel_color = None
-    truncated = False
-    for col in order:
-        if not harvest[col]:
-            continue
-        k_col = need1 if col is Color.RED else need2
-        a_col = params.k1 if col is Color.RED else params.k2
-        index = _index_from_cliques(harvest[col], k_col, state.tuple_cap)
-        truncated = truncated or index.truncated
-        cand = _skeleton_from_index(index, a_col, Fraction(len(X), 2 * window**5))
-        if cand is not None:
-            skel, skel_color = cand, col
-            break
+    i, skel, truncated = skeleton_from_harvest(
+        harvest,
+        {Color.RED: params.k1, Color.BLUE: params.k2},
+        Fraction(len(X), 2 * window**5),
+        state.tuple_cap,
+    )
     if skel is None:
         note = f" (spine-key cap {state.tuple_cap} reached)" if truncated else ""
         return Exhausted(trace + ("no skeleton assembled from the sampled cliques" + note,))
 
-    i = skel_color
     host = color_class(sub, i)
     pattern = state.pat1 if i is Color.RED else state.pat2
     try:

@@ -59,52 +59,48 @@ class Skeleton:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class SkeletonReport:
-    ok: bool
-    condition: str | None = None  # "a" interleaving, "b" block size, "c" adjacency
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _fails(condition: str, *witness: int) -> tuple[bool, str]:
+    return False, f"condition ({condition}) fails at {witness}"
 
 
-def verify_skeleton(host: OrderedGraph, s: Skeleton) -> SkeletonReport:
-    """Check the three skeleton conditions; names the first violated one."""
+def verify_skeleton(host: OrderedGraph, s: Skeleton) -> tuple[bool, str | None]:
+    """Check the three skeleton conditions; returns (valid, reason), the
+    reason naming the first violated condition ("a" interleaving, "b" block
+    size, "c" adjacency) and a witness."""
     seen: set[int] = set()
     for v in s.spine:
         if not 1 <= v <= host.n:
-            return SkeletonReport(False, "a", (v,))
+            return _fails("a", v)
         seen.add(v)
     for blk in s.blocks:
         for v in blk:
             if not 1 <= v <= host.n or v in seen:
-                return SkeletonReport(False, "a", (v,))
+                return _fails("a", v)
             seen.add(v)
         if tuple(sorted(blk)) != blk:
-            return SkeletonReport(False, "a", blk)
+            return _fails("a", *blk)
     # interleaving: V_0 < v_1 < V_1 < ... < v_a < V_a
     for j in range(s.a):
         left = s.blocks[j]
         if left and left[-1] >= s.spine[j]:
-            return SkeletonReport(False, "a", (left[-1], s.spine[j]))
+            return _fails("a", left[-1], s.spine[j])
         right = s.blocks[j + 1]
         if right and s.spine[j] >= right[0]:
-            return SkeletonReport(False, "a", (s.spine[j], right[0]))
+            return _fails("a", s.spine[j], right[0])
         if j + 1 < s.a and s.spine[j] >= s.spine[j + 1]:
-            return SkeletonReport(False, "a", (s.spine[j], s.spine[j + 1]))
+            return _fails("a", s.spine[j], s.spine[j + 1])
     for j, blk in enumerate(s.blocks):
         if len(blk) < s.b:
-            return SkeletonReport(False, "b", (j, len(blk)))
+            return _fails("b", j, len(blk))
     for x, y in combinations(s.spine, 2):
         if not host.has_edge(x, y):
-            return SkeletonReport(False, "c", (x, y))
+            return _fails("c", x, y)
     for v in s.spine:
         for blk in s.blocks:
             for w in blk:
                 if not host.has_edge(v, w):
-                    return SkeletonReport(False, "c", (v, w))
-    return SkeletonReport(True)
+                    return _fails("c", v, w)
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -124,13 +120,6 @@ class CliqueTupleIndex:
     total: int
     truncated: bool
     buckets: dict
-
-    def max_bucket(self) -> tuple[tuple[int, ...], int] | None:
-        """Most populated bucket (ties to the lexicographically least key)."""
-        key = next(_by_population(self.buckets), None)
-        if key is None:
-            return None
-        return key, self.buckets[key][0]
 
 
 def build_clique_tuple_index(
@@ -232,9 +221,9 @@ def find_skeleton_from_cliques(
                 f"with b >= {float(b_required):.6g} was found"
             )
         return None
-    report = verify_skeleton(host, skel)
-    if not report:
-        raise InternalContractError(f"assembled skeleton fails condition {report.condition}")
+    ok, reason = verify_skeleton(host, skel)
+    if not ok:
+        raise InternalContractError(f"assembled skeleton: {reason}")
     return skel
 
 
@@ -435,6 +424,37 @@ def _index_from_cliques(
     return CliqueTupleIndex(k, total, truncated, buckets)
 
 
+def skeleton_from_harvest(
+    harvest: dict[Color, list[tuple[int, ...]]],
+    spine: dict[Color, int],
+    b_required: Fraction | int,
+    tuple_cap: int,
+) -> tuple[Color | None, Skeleton | None, bool]:
+    """Assemble a skeleton from the monochromatic cliques of a harvest.
+
+    Tries the color with more cliques first (ties to Red), then the other.
+    A color with spine size a has the increasing (4a+1)-tuples of its cliques
+    indexed in closed form (_index_from_cliques, at most tuple_cap spine
+    keys), and the index yields a skeleton with blocks of size >= b_required
+    or none.  Returns (color, skeleton, truncated), (None, None, truncated)
+    when neither color yields one; truncated says whether a spine-key cap
+    bit on a color tried.
+    """
+    n_red, n_blue = len(harvest[Color.RED]), len(harvest[Color.BLUE])
+    order = (Color.RED, Color.BLUE) if n_red >= n_blue else (Color.BLUE, Color.RED)
+    truncated = False
+    for color in order:
+        if not harvest[color]:
+            continue
+        a = spine[color]
+        index = _index_from_cliques(harvest[color], 4 * a + 1, tuple_cap)
+        truncated = truncated or index.truncated
+        skel = _skeleton_from_index(index, a, b_required)
+        if skel is not None:
+            return color, skel, truncated
+    return None, None, truncated
+
+
 def _sample_rounds(big_n: int, window: int, samples: int) -> int:
     """Windows sample_color_cliques processes: one when the window is all N."""
     return samples if window < big_n else min(samples, 1)
@@ -506,11 +526,10 @@ def find_skeleton_in_dense(
     class has density at most c.
 
     Samples windows (the window size follows the underlying lemma, capped at
-    N), grows monochromatic cliques per sample, takes the majority clique
-    color (ties to Red), and feeds the cliques' increasing (4a+1)-tuples to
-    the pigeonhole skeleton assembly.  The tuples are bucketed in closed form
-    from the cliques (_index_from_cliques), never listed; tuple_cap bounds the
-    spine keys enumerated.  The result reports the lemma's block size target
+    N), grows monochromatic cliques per sample, and assembles a skeleton from
+    them with skeleton_from_harvest: the cliques' increasing (4a+1)-tuples
+    are bucketed in closed form, never listed; tuple_cap bounds the spine
+    keys enumerated.  The result reports the lemma's block size target
     and whether it was met; a result with no skeleton is a search failure,
     distinct from a parameter error.
     """
@@ -549,22 +568,14 @@ def find_skeleton_in_dense(
         gate_color=sparse_color,
     )
     rounds = _sample_rounds(big_n, window, samples)
-    n_red, n_blue = len(harvest[Color.RED]), len(harvest[Color.BLUE])
-    if n_red == 0 and n_blue == 0:
-        return DenseSkeletonResult(None, None, _dense_target_b(big_n, a, c), False, rounds)
-    majority = Color.RED if n_red >= n_blue else Color.BLUE
-
-    index = _index_from_cliques(harvest[majority], k, tuple_cap)
-    skel = _skeleton_from_index(index, a, 1)
     target = _dense_target_b(big_n, a, c)
+    color, skel, _ = skeleton_from_harvest(harvest, {Color.RED: a, Color.BLUE: a}, 1, tuple_cap)
     if skel is None:
         return DenseSkeletonResult(None, None, target, False, rounds)
-    host = color_class(coloring, majority)
-    report = verify_skeleton(host, skel)
-    if not report:
-        raise InternalContractError(f"dense skeleton fails condition {report.condition}")
-    met = skel.b >= target
-    return DenseSkeletonResult(majority, skel, target, met, rounds)
+    ok, reason = verify_skeleton(color_class(coloring, color), skel)
+    if not ok:
+        raise InternalContractError(f"dense skeleton: {reason}")
+    return DenseSkeletonResult(color, skel, target, skel.b >= target, rounds)
 
 
 def _dense_target_b(big_n: int, a: int, c: Fraction) -> float:

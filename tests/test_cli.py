@@ -343,6 +343,14 @@ WRONG_HOST = [
     (OUTSIDE_HOST["sparse_set"], ".og"),
 ]
 
+# one skeleton certificate (a = 1) failing each condition on a 4-vertex host
+# that lacks the edge (2, 3)
+SKELETON_FAILURES = [
+    ({"b": 1, "spine": [2], "blocks": [[3], [4]]}, "condition (a) fails at (3, 2)"),
+    ({"b": 2, "spine": [2], "blocks": [[1], [3, 4]]}, "condition (b) fails at (0, 1)"),
+    ({"b": 1, "spine": [2], "blocks": [[1], [3]]}, "condition (c) fails at (2, 3)"),
+]
+
 
 class TestVerifyRule:
     @pytest.fixture
@@ -410,6 +418,26 @@ class TestVerifyRule:
         code, out, err = self.verify(capsys, hosts, tmp_path, rec, ".og")
         self.assert_input_error(code, out, err)
         assert "not verifiable" in err
+
+    @pytest.mark.parametrize("host", ["t.trn", "missing.og"])
+    def test_unverifiable_kind_is_refused_before_reading_files(self, capsys, tmp_path, host):
+        # neither the host nor the pattern is opened
+        write(tmp_path / "t.trn", "3\n>\n>\n<\n")
+        cert = write(tmp_path / "ex.json", '{"kind":"exhausted","trace":["x"]}')
+        argv = ["verify", cert, str(tmp_path / host), "--pattern", str(tmp_path / "no.og")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: certificates of kind 'exhausted' are not verifiable\n"
+
+    @pytest.mark.parametrize("fields, reason", SKELETON_FAILURES, ids=["a", "b", "c"])
+    def test_skeleton_reason_names_the_failed_condition(self, capsys, tmp_path, fields, reason):
+        host = write(tmp_path / "gap4.og", "4 5\n1 2\n1 3\n1 4\n2 4\n3 4\n")
+        cert = write(tmp_path / "skel.json", json.dumps({"kind": "skeleton", "a": 1, **fields}))
+        code, out, _ = run(capsys, ["verify", cert, host])
+        assert code == 4
+        assert json.loads(out) == {
+            "kind": "verify", "certificate_kind": "skeleton", "valid": False, "reason": reason
+        }
 
 
 class TestErrorExitCodes:

@@ -15,7 +15,6 @@ from ordramsey.io import (
     parse_og,
     parse_okc,
     parse_trn,
-    save_path,
     write_dg,
     write_og,
     write_okc,
@@ -390,11 +389,16 @@ class TestPathHelpers:
         c = ColoredCompleteGraph.from_random(4, 0)
         d = Digraph(3, [(3, 1)])
         t = Tournament.from_random(5, random.Random(1))
-        for name, obj in (("a.og", g), ("b.okc", c), ("c.dg", d), ("d.trn", t)):
+        for name, obj, writer in (
+            ("a.og", g, write_og),
+            ("b.okc", c, write_okc),
+            ("c.dg", d, write_dg),
+            ("d.trn", t, write_trn),
+        ):
             p = tmp_path / name
-            save_path(p, obj)
+            p.write_text(writer(obj))
             back = load_path(p)
-            assert type(back) is type(obj)
+            assert type(back) is type(obj) and back == obj
 
     def test_unknown_extension(self, tmp_path):
         p = tmp_path / "thing.xyz"

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordramsey import kernels, pipeline
+from ordramsey import kernels, pipeline, skeleton
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, rows_density
 from ordramsey.embed import find_ordered_embedding
 from ordramsey.errors import DomainError, ParameterError
@@ -144,7 +144,7 @@ class TestBinaryTreeSparse:
     def test_exhaustion_names_a_biting_key_cap(self, monkeypatch):
         # reject every bucket, so the node exhausts for want of a skeleton;
         # its trace names the cap only where the cap cut the index short
-        monkeypatch.setattr(pipeline, "_skeleton_from_index", lambda *args: None)
+        monkeypatch.setattr(skeleton, "_skeleton_from_index", lambda *args: None)
         col = all_blue(20)
         params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 1, 10)
         for cap, note in ((1, " (spine-key cap 1 reached)"), (10_000, "")):

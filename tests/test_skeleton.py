@@ -24,6 +24,7 @@ from ordramsey.skeleton import (
     find_skeleton_from_cliques,
     find_skeleton_in_dense,
     sample_color_cliques,
+    skeleton_from_harvest,
     verify_skeleton,
 )
 
@@ -64,38 +65,28 @@ class TestVerifySkeleton:
         self.blocks = ((1, 2, 3), (5, 6, 7), (9, 10, 11))
 
     def test_complete_host_passes(self):
-        rep = verify_skeleton(self.host, Skeleton(self.spine, self.blocks, 2, 3))
-        assert rep.ok
-        assert rep.condition is None
+        s = Skeleton(self.spine, self.blocks, 2, 3)
+        assert verify_skeleton(self.host, s) == (True, None)
 
     def test_short_block_fails_b(self):
         s = Skeleton(self.spine, ((1, 2, 3), (5, 6, 7), (9, 10)), 2, 3)
-        rep = verify_skeleton(self.host, s)
-        assert not rep.ok
-        assert rep.condition == "b"
-        assert rep.witness[0] == 2
+        assert verify_skeleton(self.host, s) == (False, "condition (b) fails at (2, 2)")
 
     def test_missing_spine_block_edge_fails_c(self):
         edges = [e for e in combinations(range(1, 12), 2) if e != (4, 9)]
         host = OrderedGraph(11, edges)
-        rep = verify_skeleton(host, Skeleton(self.spine, self.blocks, 2, 3))
-        assert not rep.ok
-        assert rep.condition == "c"
-        assert rep.witness == (4, 9)
+        s = Skeleton(self.spine, self.blocks, 2, 3)
+        assert verify_skeleton(host, s) == (False, "condition (c) fails at (4, 9)")
 
     def test_interleaving_violation_fails_a(self):
         s = Skeleton((4, 8), ((1, 2, 5), (5, 6, 7), (9, 10, 11)), 2, 3)
-        rep = verify_skeleton(self.host, s)
-        assert not rep.ok
-        assert rep.condition == "a"
+        assert verify_skeleton(self.host, s) == (False, "condition (a) fails at (5,)")
 
     def test_missing_spine_edge_fails_c(self):
         edges = [e for e in combinations(range(1, 12), 2) if e != (4, 8)]
         host = OrderedGraph(11, edges)
-        rep = verify_skeleton(host, Skeleton(self.spine, self.blocks, 2, 3))
-        assert not rep.ok
-        assert rep.condition == "c"
-        assert rep.witness == (4, 8)
+        s = Skeleton(self.spine, self.blocks, 2, 3)
+        assert verify_skeleton(host, s) == (False, "condition (c) fails at (4, 8)")
 
 
 class TestCliqueTupleIndex:
@@ -143,7 +134,7 @@ class TestCliqueTupleIndex:
             idx = build_clique_tuple_index(host, 5)
             if idx.total == 0:
                 continue
-            key, count = idx.max_bucket()
+            count = max(cnt for cnt, _ in idx.buckets.values())
             assert count >= idx.total / host.n ** 2
 
 
@@ -296,6 +287,36 @@ class TestBucketOrder:
         assert list(_by_population(buckets)) == want
 
 
+class TestSkeletonFromHarvest:
+    RED5 = [tuple(range(1, 6))]  # a = 1 on a 5-clique: blocks of one vertex
+    BLUE20 = [tuple(range(1, 21))]
+
+    def test_majority_color_first_ties_to_red(self):
+        spine = {Color.RED: 1, Color.BLUE: 1}
+        tie = {Color.RED: self.RED5, Color.BLUE: self.BLUE20}
+        assert skeleton_from_harvest(tie, spine, 1, DEFAULT_TUPLE_CAP)[0] is Color.RED
+        more_blue = {Color.RED: self.RED5, Color.BLUE: self.BLUE20 + [tuple(range(2, 7))]}
+        assert skeleton_from_harvest(more_blue, spine, 1, DEFAULT_TUPLE_CAP)[0] is Color.BLUE
+
+    def test_falls_back_when_the_first_color_misses_b(self):
+        harvest = {Color.RED: self.RED5 + [tuple(range(2, 7))], Color.BLUE: self.BLUE20}
+        spine = {Color.RED: 1, Color.BLUE: 2}
+        color, skel, truncated = skeleton_from_harvest(harvest, spine, 2, DEFAULT_TUPLE_CAP)
+        assert color is Color.BLUE and not truncated
+        assert skel.a == 2 and skel.b >= 2
+        assert verify_skeleton(complete_graph(20), skel) == (True, None)
+
+    def test_none_when_neither_color_yields_one(self):
+        spine = {Color.RED: 1, Color.BLUE: 1}
+        harvest = {Color.RED: self.RED5, Color.BLUE: self.BLUE20}
+        assert skeleton_from_harvest(harvest, spine, 100, DEFAULT_TUPLE_CAP) == (None, None, False)
+        # BLUE20 has C(17, 2) = 136 spine keys at a = 1; RED5 has one
+        assert skeleton_from_harvest(harvest, spine, 100, 136) == (None, None, False)
+        assert skeleton_from_harvest(harvest, spine, 100, 135) == (None, None, True)
+        empty = {Color.RED: [], Color.BLUE: []}
+        assert skeleton_from_harvest(empty, spine, 1, 1) == (None, None, False)
+
+
 class TestFindSkeletonFromCliques:
     def test_complete_host_meets_lemma_bound(self):
         for n_param, a in ((5, 1), (9, 2)):
@@ -303,7 +324,7 @@ class TestFindSkeletonFromCliques:
             skel = find_skeleton_from_cliques(complete_graph(big_n), n_param, a)
             assert skel is not None
             assert skel.b >= big_n / n_param ** 5
-            assert verify_skeleton(complete_graph(big_n), skel).ok
+            assert verify_skeleton(complete_graph(big_n), skel)[0]
 
     def test_empty_host_returns_none(self):
         assert find_skeleton_from_cliques(OrderedGraph(20), 5, 1) is None
@@ -324,7 +345,7 @@ class TestFindSkeletonFromCliques:
         host = OrderedGraph(20, sorted(set(noise + planted)))
         skel = find_skeleton_from_cliques(host, 5, 1)
         assert skel is not None
-        assert verify_skeleton(host, skel).ok
+        assert verify_skeleton(host, skel)[0]
         idx = build_clique_tuple_index(host, 5)
         assert idx.total == len(brute_force_clique_tuples(host, 5))
 
@@ -413,7 +434,7 @@ class TestFindSkeletonInDense:
         assert res.found
         assert res.color is Color.BLUE
         blue = OrderedGraph(40, [e for e in combinations(range(1, 41), 2)])
-        assert verify_skeleton(blue, res.skeleton).ok
+        assert verify_skeleton(blue, res.skeleton)[0]
 
     def test_blue_multipartite(self):
         # Blue complete 3-partite with parts of 20; Red is the sparse union
@@ -427,7 +448,7 @@ class TestFindSkeletonInDense:
         from ordramsey.core import color_class
 
         host = color_class(col, res.color)
-        assert verify_skeleton(host, res.skeleton).ok
+        assert verify_skeleton(host, res.skeleton)[0]
 
     @pytest.mark.parametrize("big_n, a", [(80, 1), (40, 2)])
     def test_all_blue_without_listing_tuples(self, big_n, a):
@@ -441,7 +462,7 @@ class TestFindSkeletonInDense:
         finally:
             tracemalloc.stop()
         assert res.found and res.color is Color.BLUE
-        assert verify_skeleton(color_class(col, Color.BLUE), res.skeleton).ok
+        assert verify_skeleton(color_class(col, Color.BLUE), res.skeleton)[0]
         assert peak < 100 * 2**20
 
     def test_samples_used_counts_windows_processed(self):
