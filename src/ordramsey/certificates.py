@@ -199,10 +199,16 @@ def decode_certificate(text: str):
     return kind, (n_star, witness)
 
 
-def require_verifiable(kind: str) -> None:
-    """Raise ParseError unless certificates of kind can be re-checked."""
+def require_verifiable(kind: str, has_pattern: bool) -> None:
+    """Raise ParseError unless certificates of kind can be re-checked.
+
+    An embedding can be re-checked only against its pattern, so has_pattern
+    says whether one was given.
+    """
     if kind not in VERIFIABLE_KINDS:
         raise ParseError(f"certificates of kind {kind!r} are not verifiable")
+    if kind == "embedding" and not has_pattern:
+        raise ParseError("embedding certificates need --pattern")
 
 
 def verify_certificate(kind: str, payload, host, pattern=None) -> tuple[bool, str | None]:
@@ -215,9 +221,7 @@ def verify_certificate(kind: str, payload, host, pattern=None) -> tuple[bool, st
     vertex outside the host, a repeated vertex or an empty side makes the
     certificate invalid, with the DomainError's text as the reason.
     """
-    require_verifiable(kind)
-    if kind == "embedding" and pattern is None:
-        raise ParseError("embedding certificates need --pattern")
+    require_verifiable(kind, pattern is not None)
     claim, color = payload if kind in ("embedding", "skeleton") else (payload, None)
     colored = color is not None or kind == "sparse_set"
     if not isinstance(host, ColoredCompleteGraph if colored else OrderedGraph):

@@ -241,7 +241,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     text = _file_op("read", args.certificate, Path(args.certificate).read_text)
     kind, payload = decode_certificate(text)
-    require_verifiable(kind)
+    require_verifiable(kind, bool(args.pattern))
     suffix = Path(args.host).suffix
     if suffix == ".og":
         host = _load(args.host, OrderedGraph, "an .og host")

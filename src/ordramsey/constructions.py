@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from . import kernels
-from .core import Digraph, Tournament
+from .core import Digraph, Tournament, record
 from .errors import BudgetExhausted, DomainError, GenerationError, ParameterError
 from .kernels import DEFAULT_NODE_BUDGET
 
 BASE_CUTOFF = 20
 
 
-@dataclass(frozen=True)
+@record
 class Subdivision:
     """The subdivided star on base 1..n plus one middle vertex per triple.
 
@@ -75,7 +74,7 @@ def random_tournament_avoiding(
     )
 
 
-@dataclass(frozen=True)
+@record
 class BlowupTournament:
     """Blowup substituting a copy of inner for every vertex of outer.
 
@@ -152,7 +151,7 @@ def iterated_lower_bound_tournament(n: int, seed: int) -> Tournament:
     return blowup(outer, inner).tournament
 
 
-@dataclass(frozen=True)
+@record
 class InjectionResult:
     """Outcome of a budgeted injection search; exhaustion is not a `no`."""
 
@@ -210,7 +209,7 @@ def contains_subdivision(
     return InjectionResult(None if mapping is None else tuple(mapping), nodes, False)
 
 
-@dataclass(frozen=True)
+@record
 class BucketReport:
     """Block-by-block accounting of where a copy's base vertices landed.
 

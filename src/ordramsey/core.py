@@ -9,11 +9,10 @@ unused), which the search kernels consume directly.  All densities are exact
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, not_
+from operator import attrgetter, itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -130,7 +129,72 @@ def _relabel_rows(rows, keep: tuple[int, ...]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make cls a frozen record over its annotated fields, in declaration order.
+
+    The class gets what ``@dataclass(frozen=True)`` gives it: an ``__init__``
+    taking the fields by position or keyword (a class attribute is the
+    field's default; ``__post_init__`` runs last if the class has one);
+    ``__eq__``, true only between instances of the same class with equal
+    field tuples; ``__hash__``, the hash of the field tuple; ``__repr__`` as
+    ``Name(field=value, ...)``; and a ``__setattr__`` and ``__delattr__``
+    that raise AttributeError.  A method the class defines itself, such as
+    its own ``__init__`` (which sets fields with ``object.__setattr__``), is
+    kept.
+
+    This is not ``dataclasses.dataclass`` on purpose.  On Python 3.11 that
+    decorator writes each generated method as source text and ``exec``s it,
+    and importing ``dataclasses`` imports ``inspect`` (with ``ast``, ``dis``
+    and ``tokenize``).  For this package's records that cost about 30 ms of
+    every command's start-up, more than most commands spend working.  Here
+    the methods are closures over the field names: no ``exec``, ``eval`` or
+    ``inspect``.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    name_set = frozenset(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        given = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (
+            len(args) > len(names)
+            or given.keys() != name_set
+            or not kwargs.keys().isdisjoint(names[: len(args)])
+        ):
+            raise TypeError(f"{cls.__name__}() takes ({', '.join(names)}), each once")
+        for name in names:
+            object.__setattr__(self, name, given[name])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(names, values(self))])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+@record
 class OrderedGraph:
     """An ordered graph on vertices 1..n with edge pairs (i, j), i < j.
 
@@ -198,7 +262,7 @@ class OrderedGraph:
 _RED_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
+@record
 class ColoredCompleteGraph:
     """A Red/Blue coloring of all pairs of an ordered complete graph on 1..N."""
 
@@ -285,7 +349,7 @@ class ColoredCompleteGraph:
         return ColoredCompleteGraph(len(keep), rows), (0,) + keep
 
 
-@dataclass(frozen=True)
+@record
 class Tournament:
     """A tournament on 1..N; beats[v] is the bitmask of vertices v has an arc into."""
 
@@ -353,7 +417,7 @@ class Tournament:
         return Tournament(len(keep), tuple(_relabel_rows(self.beats, keep))), (0,) + keep
 
 
-@dataclass(frozen=True)
+@record
 class Digraph:
     """A digraph on 1..n with arc set of ordered pairs (u, v), u != v."""
 

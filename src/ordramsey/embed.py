@@ -10,19 +10,18 @@ cross density at most c instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import kernels
-from .core import OrderedGraph, bits_of, density_between, mask_of
+from .core import OrderedGraph, bits_of, density_between, mask_of, record
 from .errors import DomainError, InternalContractError, ParameterError
 from .skeleton import Skeleton, verify_skeleton
 
 DEFAULT_COUNT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
+@record
 class Embedding:
     """mapping[i - 1] is the host vertex carrying pattern vertex i."""
 
@@ -32,7 +31,7 @@ class Embedding:
         return len(self.mapping)
 
 
-@dataclass(frozen=True)
+@record
 class SparsePair:
     """Vertex sets lower < upper with cross density at most c."""
 
@@ -58,7 +57,7 @@ def verify_sparse_pair(host: OrderedGraph, sp: SparsePair) -> tuple[bool, str | 
     return True, None
 
 
-@dataclass(frozen=True)
+@record
 class SlotSystem:
     """Nonempty pairwise-disjoint vertex sets with max(V_i) < min(V_{i+1})."""
 

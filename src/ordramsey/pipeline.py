@@ -12,7 +12,6 @@ the sparse-set recursion is never a proof of absence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
@@ -24,6 +23,7 @@ from .core import (
     class_density,
     color_class,
     mask_of,
+    record,
     rows_density,
     vertex_tuple,
 )
@@ -57,7 +57,7 @@ def _ceil_log2(x: Fraction) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@record
 class RecursionParams:
     """Knobs for the binary-tree sparse-set recursion.
 
@@ -115,7 +115,7 @@ class RecursionParams:
         return cls(c, k1, k2, alpha, h, h, window)
 
 
-@dataclass(frozen=True)
+@record
 class MonoCopy:
     """mapping[i - 1] hosts vertex i of the pattern assigned to color."""
 
@@ -123,7 +123,7 @@ class MonoCopy:
     mapping: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SparseSet:
     """A vertex set together with its certified density bound in one color."""
 
@@ -138,8 +138,10 @@ class SparseSet:
     h2: int
 
 
-@dataclass(frozen=True)
+@record
 class Exhausted:
+    """A search that stopped without an answer; trace says where and why."""
+
     trace: tuple[str, ...]
 
 

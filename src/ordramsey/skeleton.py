@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -27,6 +26,7 @@ from .core import (
     color_class,
     density_within,
     mask_of,
+    record,
     rows_density,
 )
 from .errors import DomainError, InternalContractError, ParameterError, TupleCapError
@@ -35,7 +35,7 @@ DEFAULT_TUPLE_CAP = 10_000_000
 DEFAULT_SAMPLES = 64
 
 
-@dataclass(frozen=True)
+@record
 class Skeleton:
     """Spine vertices plus a + 1 blocks; b is the claimed minimum block size."""
 
@@ -103,7 +103,7 @@ def verify_skeleton(host: OrderedGraph, s: Skeleton) -> tuple[bool, str | None]:
     return True, None
 
 
-@dataclass(frozen=True)
+@record
 class CliqueTupleIndex:
     """Increasing clique (4a+1)-tuples bucketed by their odd-position vertices.
 
@@ -303,8 +303,10 @@ def _check_homogeneous(g: OrderedGraph, kind: str, members: tuple[int, ...]) -> 
 # skeleton search inside a dense coloring
 
 
-@dataclass(frozen=True)
+@record
 class DenseSkeletonResult:
+    """A verified skeleton (or None) in color, and whether its b meets target_b."""
+
     color: Color | None
     skeleton: Skeleton | None
     target_b: float

@@ -1,9 +1,13 @@
 """End-to-end command-line runs: exit codes, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordramsey
 from ordramsey import cli, io as formats
 from ordramsey.cli import main
 from ordramsey.core import ColoredCompleteGraph, OrderedGraph, Tournament
@@ -429,6 +433,16 @@ class TestVerifyRule:
         assert (code, out) == (2, "")
         assert err == "error: certificates of kind 'exhausted' are not verifiable\n"
 
+    @pytest.mark.parametrize("host", ["t.trn", "missing.og"])
+    def test_embedding_without_pattern_is_refused_before_reading_the_host(
+        self, capsys, tmp_path, host
+    ):
+        write(tmp_path / "t.trn", "3\n>\n>\n<\n")
+        cert = write(tmp_path / "emb.json", '{"kind":"embedding","map":[2,5]}')
+        code, out, err = run(capsys, ["verify", cert, str(tmp_path / host)])
+        assert (code, out) == (2, "")
+        assert err == "error: embedding certificates need --pattern\n"
+
     @pytest.mark.parametrize("fields, reason", SKELETON_FAILURES, ids=["a", "b", "c"])
     def test_skeleton_reason_names_the_failed_condition(self, capsys, tmp_path, fields, reason):
         host = write(tmp_path / "gap4.og", "4 5\n1 2\n1 3\n1 4\n2 4\n3 4\n")
@@ -505,3 +519,18 @@ class TestDeterminism:
     def test_quiet_silences_stderr(self, capsys, files):
         code, out, err = run(capsys, ["-q", "embed", files["k11"], files["path4"]])
         assert code == 0 and err == ""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every command pays this import in a fresh interpreter; core.record's
+    # docstring says what dataclasses and inspect would add to it.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ordramsey.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    probe = "import sys, ordramsey.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordramsey.constructions import BucketReport
 from ordramsey.core import (
     Color,
     ColoredCompleteGraph,
@@ -24,10 +25,13 @@ from ordramsey.core import (
     ordered_pair_from_digraph,
     remove_isolated,
     symmetric_rows,
+    record,
     transpose_masks,
     vertex_tuple,
 )
 from ordramsey.errors import DomainError, ParameterError
+from ordramsey.pipeline import RecursionParams
+from ordramsey.skeleton import CliqueTupleIndex, Skeleton
 
 from conftest import (
     all_red,
@@ -562,3 +566,73 @@ class TestMaskHelpers:
             vertex_tuple([0, 2], 5)
         with pytest.raises(DomainError):
             vertex_tuple([1, 1], 5)
+
+
+# Each repr is the text @dataclass(frozen=True) printed for the same record.
+RECORDS = [
+    pytest.param(
+        lambda: Skeleton([3], [[1, 2], [4, 5]], 1, 2),
+        "Skeleton(spine=(3,), blocks=((1, 2), (4, 5)), a=1, b=2)",
+        id="own-init",
+    ),
+    pytest.param(
+        lambda: BucketReport(
+            bucket_sizes=(2, 1), n_prime=3, multi_threshold=4.5, multi_buckets=1,
+            claim_all_small=True, claim_few_multi=True, sum_matches=True,
+        ),
+        "BucketReport(bucket_sizes=(2, 1), n_prime=3, multi_threshold=4.5, multi_buckets=1, "
+        "claim_all_small=True, claim_few_multi=True, sum_matches=True)",
+        id="keywords",
+    ),
+    pytest.param(
+        lambda: RecursionParams(Fraction(1, 10), 5, 3, 0.75, 2, 1, 40),
+        "RecursionParams(c=Fraction(1, 10), k1=5, k2=3, alpha=0.75, h1=2, h2=1, window=40)",
+        id="post-init",
+    ),
+    pytest.param(
+        lambda: CliqueTupleIndex(5, 3, False, {(1, 3): (3, [8, 16, 32])}),
+        "CliqueTupleIndex(k=5, total=3, truncated=False, buckets={(1, 3): (3, [8, 16, 32])})",
+        id="dict-field",
+    ),
+]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("make, text", RECORDS)
+    def test_contract(self, make, text):
+        a, b = make(), make()
+        assert repr(a) == text
+        assert a == b and a is not b
+        names = tuple(type(a).__annotations__)
+        fields = tuple(getattr(a, name) for name in names)
+        if any(isinstance(value, dict) for value in fields):
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == hash(fields)
+        twin = record(type(type(a).__name__, (), {"__annotations__": dict.fromkeys(names)}))
+        assert a != twin(*fields) and twin(*fields) != a
+        for name in (names[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b
+
+    def test_post_init_still_checks(self):
+        with pytest.raises(ParameterError):
+            RecursionParams(Fraction(1, 2), 5, 3, 0.75, 2, 1, 40)
+        with pytest.raises(ParameterError):
+            RecursionParams(c=Fraction(0), k1=5, k2=3, alpha=0.75, h1=2, h2=1, window=40)
+
+    def test_defaults_and_argument_errors(self):
+        @record
+        class Pair:
+            x: int
+            y: int = 7
+
+        assert Pair(1) == Pair(x=1) == Pair(1, 7) == Pair(y=7, x=1)
+        assert repr(Pair(1)).endswith("Pair(x=1, y=7)")
+        for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 2})]:
+            with pytest.raises(TypeError):
+                Pair(*args, **kwargs)
