@@ -184,47 +184,49 @@ def cmd_sparse_set(args) -> int:
     return EXIT_EXHAUSTED
 
 
-def cmd_construct(args) -> int:
-    if args.what == "sn":
-        sub = build_subdivision_S(args.n)
-        out = args.out or f"sn_{args.n}.dg"
-        _write_out(out, formats.write_dg(sub.digraph))
-        sidecar = str(Path(out).with_suffix(".triples.json"))
-        triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
-        _write_out(sidecar, json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n")
-        summary = {
-            "kind": "construct",
-            "what": "sn",
-            "n": args.n,
-            "vertices": sub.digraph.n,
-            "arcs": len(sub.digraph.arcs),
-            "out": out,
-            "sidecar": sidecar,
-        }
-        _emit(summary)
-        _say(args, f"{sub.digraph.n} vertices, {len(sub.digraph.arcs)} arcs -> {out}")
-        return EXIT_OK
-    if args.what == "blowup":
-        outer = _load(args.outer, Tournament, "a .trn tournament")
-        inner = _load(args.inner, Tournament, "a .trn tournament")
-        B = blowup(outer, inner)
-        out = args.out or f"blowup_{outer.N}x{inner.N}.trn"
-        _write_out(out, formats.write_trn(B.tournament))
-        summary = {
-            "kind": "construct",
-            "what": "blowup",
-            "vertices": B.tournament.N,
-            "arcs": B.tournament.N * (B.tournament.N - 1) // 2,
-            "blocks": len(B.blocks),
-            "out": out,
-        }
-        _emit(summary)
-        _say(args, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
-        return EXIT_OK
+def cmd_construct_sn(args) -> int:
+    sub = build_subdivision_S(args.n)
+    out = args.out or f"sn_{args.n}.dg"
+    _write_out(out, formats.write_dg(sub.digraph))
+    sidecar = str(Path(out).with_suffix(".triples.json"))
+    triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
+    _write_out(sidecar, json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n")
+    _emit({
+        "kind": "construct",
+        "what": "sn",
+        "n": args.n,
+        "vertices": sub.digraph.n,
+        "arcs": len(sub.digraph.arcs),
+        "out": out,
+        "sidecar": sidecar,
+    })
+    _say(args, f"{sub.digraph.n} vertices, {len(sub.digraph.arcs)} arcs -> {out}")
+    return EXIT_OK
+
+
+def cmd_construct_blowup(args) -> int:
+    outer = _load(args.outer, Tournament, "a .trn tournament")
+    inner = _load(args.inner, Tournament, "a .trn tournament")
+    B = blowup(outer, inner)
+    out = args.out or f"blowup_{outer.N}x{inner.N}.trn"
+    _write_out(out, formats.write_trn(B.tournament))
+    _emit({
+        "kind": "construct",
+        "what": "blowup",
+        "vertices": B.tournament.N,
+        "arcs": B.tournament.N * (B.tournament.N - 1) // 2,
+        "blocks": len(B.blocks),
+        "out": out,
+    })
+    _say(args, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
+    return EXIT_OK
+
+
+def cmd_construct_lowerbound(args) -> int:
     T = iterated_lower_bound_tournament(args.n, args.seed)
     out = args.out or f"lowerbound_{args.n}_{args.seed}.trn"
     _write_out(out, formats.write_trn(T))
-    summary = {
+    _emit({
         "kind": "construct",
         "what": "lowerbound",
         "n": args.n,
@@ -232,8 +234,7 @@ def cmd_construct(args) -> int:
         "vertices": T.N,
         "arcs": T.N * (T.N - 1) // 2,
         "out": out,
-    }
-    _emit(summary)
+    })
     _say(args, f"{T.N} vertices -> {out}")
     return EXIT_OK
 
@@ -333,16 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     q = what.add_parser("sn", help="subdivided star digraph (.dg plus triple sidecar)")
     q.add_argument("n", type=int)
     q.add_argument("--out", default=None)
-    q.set_defaults(run=cmd_construct)
+    q.set_defaults(run=cmd_construct_sn)
     q = what.add_parser("blowup", help="substitute inner for every outer vertex")
     q.add_argument("outer")
     q.add_argument("inner")
     q.add_argument("--out", default=None)
-    q.set_defaults(run=cmd_construct)
+    q.set_defaults(run=cmd_construct_blowup)
     q = what.add_parser("lowerbound", help="iterated blowup avoiding the subdivided star")
     q.add_argument("n", type=int)
     q.add_argument("--out", default=None)
-    q.set_defaults(run=cmd_construct)
+    q.set_defaults(run=cmd_construct_lowerbound)
 
     p = sub.add_parser("verify", help="re-check a certificate against its host")
     p.add_argument("certificate")

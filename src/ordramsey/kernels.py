@@ -453,8 +453,7 @@ def digraph_injection(
     mapping = [0] * (pat_n + 1)
     trail: list[tuple[int, int]] = []
     later = [list(range(p + 1, pat_n + 1)) for p in range(pat_n + 1)]
-    left = budget.limit - budget.used
-    nodes = 0
+    start = budget.used
 
     def assign(p: int, h: int, upcoming: list[int]) -> bool:
         for q in upcoming:
@@ -477,15 +476,13 @@ def digraph_injection(
             cand[q] = old
 
     def rec(p: int) -> bool:
-        nonlocal nodes
         if p > pat_n:
             return True
         upcoming = later[p]
         for h in bits_of(cand[p]):
-            nodes += 1
-            if nodes > left:
-                budget.used = budget.limit
+            if budget.used == budget.limit:
                 raise BudgetExhausted(f"node budget of {budget.limit} exhausted")
+            budget.used += 1
             mapping[p] = h
             mark = len(trail)
             if assign(p, h, upcoming) and rec(p + 1):
@@ -494,8 +491,7 @@ def digraph_injection(
         return False
 
     found = rec(1)
-    budget.used += nodes
-    return (mapping[1:] if found else None), nodes
+    return (mapping[1:] if found else None), budget.used - start
 
 
 def _edges_between(side: int, other: int, adj: list[int]) -> tuple[int, int, int]:

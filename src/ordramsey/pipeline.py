@@ -107,6 +107,8 @@ class RecursionParams:
         h = _ceil_log2(2 / c)
         if window is None:
             window = min(big_n, 4 ** (k1 + k2))
+        elif window < 1:
+            raise ParameterError("window must be positive")
         window = max(1, min(window, big_n))
         if alpha is None:
             base = float(c) / 8.0
@@ -213,15 +215,38 @@ def _trim_to_density(rows, members: tuple[int, ...], target: int, bound: Fractio
     return tuple(cur)
 
 
-class _BtState:
-    def __init__(self, coloring, pat1, pat2, params, samples, tuple_cap, seed):
-        self.coloring = coloring
-        self.pat1 = pat1
-        self.pat2 = pat2
-        self.params = params
-        self.samples = samples
-        self.tuple_cap = tuple_cap
-        self.seeds = count(seed)
+def _halving_bound(c: Fraction, color: Color, h1: int, h2: int) -> Fraction:
+    """Density bound of a color set with halving budgets h1, h2 left to spend."""
+    return Fraction(1, 2 ** (h1 if color is Color.RED else h2)) + c / 2
+
+
+class _Stop(Exception):
+    """Carries a MonoCopy or Exhausted out of the whole sparse-set recursion."""
+
+
+def _exhausted(trace: tuple, note: str) -> _Stop:
+    return _Stop(Exhausted(trace + (note,)))
+
+
+def _low_degree_half(rows, side, against, half_target: int, c: Fraction, trace, *, upper=False):
+    """The min(half_target, |side| // 2) vertices of side with the fewest
+    neighbours in against, sorted.
+
+    The lower half A, taken against B, must keep every degree within c/4 of
+    |B|; the upper half B, taken against the trimmed W1, within c/2 of |W1|.
+    """
+    size = min(half_target, len(side) // 2)
+    if size < 1:
+        half = "upper" if upper else "lower"
+        raise _exhausted(trace, f"{half} pair half of size {len(side)} is too small to halve")
+    mask = mask_of(against)
+    by_deg = sorted(((rows[v] & mask).bit_count(), v) for v in side)
+    part = 2 if upper else 4
+    if by_deg[size - 1][0] * part * c.denominator > c.numerator * len(against):
+        raise InternalContractError(
+            f"low-degree half of {'B' if upper else 'A'} exceeds the c/{part} degree bound"
+        )
+    return tuple(sorted(v for _, v in by_deg[:size]))
 
 
 def binary_tree_sparse(
@@ -238,144 +263,117 @@ def binary_tree_sparse(
     """Recursively extract a sparse set inside members, or stumble on a copy.
 
     At each node: find a monochromatic clique skeleton in a sampled window,
-    run the skeleton embedding for that color's pattern (a success
-    short-circuits the whole recursion as a MonoCopy), otherwise split the
+    run the skeleton embedding for that color's pattern, otherwise split the
     returned sparse pair into low-degree halves and recurse with a reduced
-    halving budget, finally trimming and uniting the two sparse sets.
-    Returns MonoCopy, SparseSet, or Exhausted.
+    halving budget, finally trimming and uniting the two sparse sets.  A node
+    returns (color, set); a copy found at any node, or a node that cannot go
+    on, raises a private exception carrying a MonoCopy or an Exhausted (its
+    trace names the path from the root), which ends the whole recursion and
+    is returned as it stands.  Returns MonoCopy, SparseSet, or Exhausted.
     """
+    if samples < 1:
+        raise ParameterError("samples must be positive")
     X = vertex_tuple(members, coloring.N, "X")
     if not X:
         raise ParameterError("X must be nonempty")
     _gate_patterns(pat1, pat2)
-    state = _BtState(coloring, pat1, pat2, params, samples, tuple_cap, seed)
-    res = _bt_node(state, X, params.h1, params.h2, ())
-    if isinstance(res, (MonoCopy, Exhausted)):
-        return res
-    color, W = res
-    h_top = params.h1 if color is Color.RED else params.h2
-    bound = Fraction(1, 2**h_top) + params.c / 2
+    c = params.c
+    seeds = count(seed)
+
+    def node(X: tuple[int, ...], h1: int, h2: int, trace: tuple) -> tuple[Color, tuple]:
+        if h1 == 0 and h2 == 0:
+            return (_sparser_color_on(coloring, X), X)
+        if h1 == 0:
+            return (Color.RED, X)
+        if h2 == 0:
+            return (Color.BLUE, X)
+        if params.alpha ** (h1 + h2) * len(X) < 1.0:
+            return (_sparser_color_on(coloring, X), (min(X),))
+
+        sub, back = coloring.induced(X)
+        need1, need2 = 4 * params.k1 + 1, 4 * params.k2 + 1
+        window = min(params.window, len(X))
+        if window < min(need1, need2):
+            raise _exhausted(
+                trace, f"window {window} is below the smallest clique size {min(need1, need2)}"
+            )
+        harvest = sample_color_cliques(
+            sub, {Color.RED: need1, Color.BLUE: need2}, window, samples, next(seeds)
+        )
+        if not harvest[Color.RED] and not harvest[Color.BLUE]:
+            raise _exhausted(trace, f"no monochromatic cliques sampled on {len(X)} vertices")
+        i, skel, truncated = skeleton_from_harvest(
+            harvest,
+            {Color.RED: params.k1, Color.BLUE: params.k2},
+            Fraction(len(X), 2 * window**5),
+            tuple_cap,
+        )
+        if skel is None:
+            note = f" (spine-key cap {tuple_cap} reached)" if truncated else ""
+            raise _exhausted(trace, "no skeleton assembled from the sampled cliques" + note)
+
+        pattern = pat1 if i is Color.RED else pat2
+        try:
+            res = skeleton_embed_or_sparse_pair(
+                color_class(sub, i), skel, pattern, c / 8, enforce_size_precondition=False
+            )
+        except ParameterError as exc:
+            raise _exhausted(trace, f"skeleton embedding inapplicable: {exc}")
+        if isinstance(res, Embedding):
+            mc = MonoCopy(i, tuple(back[v] for v in res.mapping))
+            ok, reason = verify_mono_copy(coloring, pat1, pat2, mc)
+            if not ok:
+                raise InternalContractError(f"short-circuit copy failed verification: {reason}")
+            raise _Stop(mc)
+
+        A = tuple(back[v] for v in res.lower)
+        B = tuple(back[v] for v in res.upper)
+        rows = coloring.class_rows(i)
+        s_star = _size_target(params.alpha, h1 + h2, len(X))
+        half_target = math.ceil(params.alpha * len(X))
+        h1c, h2c = (h1 - 1, h2) if i is Color.RED else (h1, h2 - 1)
+
+        a_prime = _low_degree_half(rows, A, B, half_target, c, trace)
+        ell1, w1_raw = node(a_prime, h1c, h2c, trace + (f"lower half, {len(a_prime)} vertices",))
+        if ell1 is not i:
+            return (ell1, w1_raw)
+        # every (i, set) a child returns meets child_bound: a base case is a
+        # whole set under a bound >= 1 or a single vertex, a union is checked
+        # against its own node's bound, and a set passed up unchanged has a
+        # color whose halving budget was not spent
+        child_bound = _halving_bound(c, i, h1c, h2c)
+        w1 = _trim_to_density(rows, w1_raw, min(s_star, len(w1_raw)), child_bound)
+
+        b_prime = _low_degree_half(rows, B, w1, half_target, c, trace, upper=True)
+        ell2, w2_raw = node(b_prime, h1c, h2c, trace + (f"upper half, {len(b_prime)} vertices",))
+        if ell2 is not i:
+            return (ell2, w2_raw)
+        s_use = min(len(w1), len(w2_raw), s_star)
+        if s_use < len(w1):
+            w1 = _trim_to_density(rows, w1, s_use, child_bound)
+        w2 = _trim_to_density(rows, w2_raw, s_use, child_bound)
+
+        union = tuple(sorted(w1 + w2))
+        bound = _halving_bound(c, i, h1, h2)
+        if rows_density(rows, union) > bound:
+            raise _exhausted(
+                trace, f"union density exceeds the bound {bound} at {len(union)} vertices"
+            )
+        return (i, union)
+
+    try:
+        color, W = node(X, params.h1, params.h2, ())
+    except _Stop as stop:
+        return stop.args[0]
     target = _size_target(params.alpha, params.h1 + params.h2, len(X))
     ss = SparseSet(
-        color, W, class_density(coloring, color, W), bound, target, len(W) >= target,
-        params.alpha, params.h1, params.h2,
+        color, W, class_density(coloring, color, W), _halving_bound(c, color, params.h1, params.h2),
+        target, len(W) >= target, params.alpha, params.h1, params.h2,
     )
     ok, reason = verify_sparse_set(coloring, ss)
     if not ok:
         raise InternalContractError(f"sparse set failed verification: {reason}")
     return ss
-
-
-def _bt_node(state: _BtState, X: tuple[int, ...], h1: int, h2: int, trace: tuple):
-    coloring = state.coloring
-    params = state.params
-    if h1 == 0 and h2 == 0:
-        return (_sparser_color_on(coloring, X), X)
-    if h1 == 0:
-        return (Color.RED, X)
-    if h2 == 0:
-        return (Color.BLUE, X)
-    if params.alpha ** (h1 + h2) * len(X) < 1.0:
-        return (_sparser_color_on(coloring, X), (min(X),))
-
-    sub, back = coloring.induced(X)
-    need1, need2 = 4 * params.k1 + 1, 4 * params.k2 + 1
-    window = min(params.window, len(X))
-    if window < min(need1, need2):
-        return Exhausted(
-            trace + (f"window {window} is below the smallest clique size {min(need1, need2)}",)
-        )
-    harvest = sample_color_cliques(
-        sub,
-        {Color.RED: need1, Color.BLUE: need2},
-        window,
-        state.samples,
-        next(state.seeds),
-    )
-    if not harvest[Color.RED] and not harvest[Color.BLUE]:
-        return Exhausted(trace + (f"no monochromatic cliques sampled on {len(X)} vertices",))
-    i, skel, truncated = skeleton_from_harvest(
-        harvest,
-        {Color.RED: params.k1, Color.BLUE: params.k2},
-        Fraction(len(X), 2 * window**5),
-        state.tuple_cap,
-    )
-    if skel is None:
-        note = f" (spine-key cap {state.tuple_cap} reached)" if truncated else ""
-        return Exhausted(trace + ("no skeleton assembled from the sampled cliques" + note,))
-
-    host = color_class(sub, i)
-    pattern = state.pat1 if i is Color.RED else state.pat2
-    try:
-        res = skeleton_embed_or_sparse_pair(
-            host, skel, pattern, params.c / 8, enforce_size_precondition=False
-        )
-    except ParameterError as exc:
-        return Exhausted(trace + (f"skeleton embedding inapplicable: {exc}",))
-    if isinstance(res, Embedding):
-        mc = MonoCopy(i, tuple(back[v] for v in res.mapping))
-        ok, reason = verify_mono_copy(coloring, state.pat1, state.pat2, mc)
-        if not ok:
-            raise InternalContractError(f"short-circuit copy failed verification: {reason}")
-        return mc
-
-    A = tuple(back[v] for v in res.lower)
-    B = tuple(back[v] for v in res.upper)
-    c = params.c
-    rows = coloring.class_rows(i)
-    s_star = _size_target(params.alpha, h1 + h2, len(X))
-    half_target = math.ceil(params.alpha * len(X))
-
-    a_size = min(half_target, len(A) // 2)
-    if a_size < 1:
-        return Exhausted(trace + (f"lower pair half of size {len(A)} is too small to halve",))
-    mask_b = mask_of(B)
-    by_deg = sorted(((rows[v] & mask_b).bit_count(), v) for v in A)
-    a_prime = tuple(sorted(v for _, v in by_deg[:a_size]))
-    if by_deg[a_size - 1][0] * 4 * c.denominator > c.numerator * len(B):
-        raise InternalContractError("low-degree half of A exceeds the c/4 degree bound")
-
-    h1c, h2c = (h1 - 1, h2) if i is Color.RED else (h1, h2 - 1)
-    r1 = _bt_node(state, a_prime, h1c, h2c, trace + (f"lower half, {len(a_prime)} vertices",))
-    if isinstance(r1, (MonoCopy, Exhausted)):
-        return r1
-    ell1, w1_raw = r1
-    if ell1 is not i:
-        return (ell1, w1_raw)
-    # every (i, set) a child returns meets child_bound: a base case is a
-    # whole set under a bound >= 1 or a single vertex, a union is checked
-    # against its own node's bound, and a set passed up unchanged has a
-    # color whose halving budget was not spent
-    child_bound = Fraction(1, 2 ** (h1c if i is Color.RED else h2c)) + c / 2
-    w1 = _trim_to_density(rows, w1_raw, min(s_star, len(w1_raw)), child_bound)
-
-    b_size = min(half_target, len(B) // 2)
-    if b_size < 1:
-        return Exhausted(trace + (f"upper pair half of size {len(B)} is too small to halve",))
-    mask_w1 = mask_of(w1)
-    by_deg_b = sorted(((rows[v] & mask_w1).bit_count(), v) for v in B)
-    b_prime = tuple(sorted(v for _, v in by_deg_b[:b_size]))
-    if by_deg_b[b_size - 1][0] * 2 * c.denominator > c.numerator * len(w1):
-        raise InternalContractError("low-degree half of B exceeds the c/2 degree bound")
-
-    r2 = _bt_node(state, b_prime, h1c, h2c, trace + (f"upper half, {len(b_prime)} vertices",))
-    if isinstance(r2, (MonoCopy, Exhausted)):
-        return r2
-    ell2, w2_raw = r2
-    if ell2 is not i:
-        return (ell2, w2_raw)
-    s_use = min(len(w1), len(w2_raw), s_star)
-    if s_use < len(w1):
-        w1 = _trim_to_density(rows, w1, s_use, child_bound)
-    w2 = _trim_to_density(rows, w2_raw, s_use, child_bound)
-
-    union = tuple(sorted(w1 + w2))
-    bound = Fraction(1, 2 ** (h1 if i is Color.RED else h2)) + c / 2
-    if rows_density(rows, union) > bound:
-        return Exhausted(
-            trace + (f"union density exceeds the bound {bound} at {len(union)} vertices",)
-        )
-    return (i, union)
 
 
 def recursive_sparse_set(

@@ -542,6 +542,8 @@ def find_skeleton_in_dense(
         raise ParameterError("a must be positive")
     if Fraction(a) < 10 / c:
         raise ParameterError(f"need a >= 10/c = {float(10 / c):.4g}, got a={a}")
+    if samples < 1:
+        raise ParameterError("samples must be positive")
     big_n = coloring.N
     dens = class_density(coloring, sparse_color)
     if dens > c:

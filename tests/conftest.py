@@ -102,3 +102,28 @@ def two_blue_cliques(n: int) -> ColoredCompleteGraph:
     """Blue inside the halves 1..n/2 and n/2+1..n, red between them."""
     half = n // 2
     return ColoredCompleteGraph.from_function(n, lambda i, j: (i <= half) != (j <= half))
+
+
+def hub_zone_coloring():
+    """Red: two hubs adjacent to everything plus all cross-zone pairs; the
+    three zones are internally blue.  The only red 5-cliques are
+    (z0, hub1, z1, hub2, z2), so every clique tuple lands in one bucket and
+    the assembled skeleton's blocks are the zones themselves."""
+    hubs = {5, 10}
+    zones = (set(range(1, 5)), set(range(6, 10)), set(range(11, 15)))
+
+    def zone_of(v):
+        for idx, z in enumerate(zones):
+            if v in z:
+                return idx
+        return None
+
+    def is_red(i, j):
+        if i in hubs or j in hubs:
+            return True
+        return zone_of(i) != zone_of(j)
+
+    return ColoredCompleteGraph.from_function(14, is_red)
+
+
+TAIL_TRIANGLE = OrderedGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])

@@ -13,7 +13,7 @@ from ordramsey.cli import main
 from ordramsey.core import ColoredCompleteGraph, OrderedGraph, Tournament
 from ordramsey.errors import GenerationError, TupleCapError
 
-from conftest import all_red, complete_graph, paley
+from conftest import TAIL_TRIANGLE, all_red, complete_graph, hub_zone_coloring, paley
 
 
 def write(path, text):
@@ -184,6 +184,37 @@ class TestSparseSetCommand:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--samples", "0", "samples"), ("--samples", "-4", "samples"), ("--window", "-4", "window")],
+    )
+    def test_nonpositive_samples_or_window_is_an_input_error(
+        self, capsys, files, flag, value, message
+    ):
+        argv = ["sparse-set", files["allblue30"], files["k9"], files["k9"], "--c", "1/10"]
+        code, out, err = run(capsys, [*argv, "--alpha", "0.75", flag, value])
+        assert code == 2 and out == ""
+        assert err == f"error: {message} must be positive\n"
+
+    def test_pair_branch(self, capsys, files, tmp_path):
+        # the planted coloring takes the recursion below its root: a red
+        # skeleton, a sparse pair, and a union of the two children's sets
+        hz = write(tmp_path / "hz.okc", formats.write_okc(hub_zone_coloring()))
+        tt = write(tmp_path / "tt.og", formats.write_og(TAIL_TRIANGLE))
+        code, out, err = run(
+            capsys,
+            ["-q", "sparse-set", hz, tt, files["k3"], "--c", "1/10", "--alpha", "0.9",
+             "--window", "5", "--samples", "512"],
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"alpha":0.9,"bound":"13/160","color":"red","density":"0/1","h1":5,"h2":5,'
+            '"kind":"sparse_set","members":[1,3],"met_size_target":false,"size_target":5}\n'
+        )
+        cert = write(tmp_path / "ss.json", out)
+        code, out, err = run(capsys, ["verify", cert, hz])
+        assert code == 0 and json.loads(out)["valid"] is True
 
 
 class TestConstruct:

@@ -28,10 +28,12 @@ from ordramsey.pipeline import (
 )
 
 from conftest import (
+    TAIL_TRIANGLE,
     all_blue,
     all_red,
     brute_force_embeddings,
     complete_graph,
+    hub_zone_coloring,
     paley,
     two_blue_cliques,
 )
@@ -47,31 +49,6 @@ def monotone_path(n):
 
 def crossing_four_cycle():
     return OrderedGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
-
-
-def hub_zone_coloring():
-    """Red: two hubs adjacent to everything plus all cross-zone pairs; the
-    three zones are internally blue.  The only red 5-cliques are
-    (z0, hub1, z1, hub2, z2), so every clique tuple lands in one bucket and
-    the assembled skeleton's blocks are the zones themselves."""
-    hubs = {5, 10}
-    zones = (set(range(1, 5)), set(range(6, 10)), set(range(11, 15)))
-
-    def zone_of(v):
-        for idx, z in enumerate(zones):
-            if v in z:
-                return idx
-        return None
-
-    def is_red(i, j):
-        if i in hubs or j in hubs:
-            return True
-        return zone_of(i) != zone_of(j)
-
-    return ColoredCompleteGraph.from_function(14, is_red)
-
-
-TAIL_TRIANGLE = OrderedGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
 
 
 class TestBinaryTreeSparse:
@@ -189,6 +166,13 @@ class TestRecursiveSparseSet:
         col = all_blue(10)
         with pytest.raises(ParameterError):
             recursive_sparse_set(col, k_pattern(3), k_pattern(3), Fraction(1, 4))
+
+    def test_samples_gate_precedes_any_work(self):
+        # the default alpha stops the recursion at its root, before sampling
+        with pytest.raises(ParameterError, match="samples must be positive"):
+            recursive_sparse_set(
+                all_blue(30), k_pattern(9), k_pattern(9), Fraction(1, 10), samples=0
+            )
 
     def test_all_blue_gives_red_set(self):
         col = all_blue(30)

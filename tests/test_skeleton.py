@@ -479,6 +479,13 @@ class TestFindSkeletonInDense:
         with pytest.raises(ParameterError):
             find_skeleton_in_dense(col, Color.RED, 1, Fraction(1, 2))
 
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_samples_gate(self, samples):
+        # a window of all N would process one window however few were asked for
+        col = ColoredCompleteGraph.from_function(30, lambda i, j: False)
+        with pytest.raises(ParameterError, match="samples must be positive"):
+            find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), samples=samples)
+
     def test_reports_target(self):
         col = ColoredCompleteGraph.from_function(50, lambda i, j: False)
         res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), seed=2)
