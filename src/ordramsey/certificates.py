@@ -33,33 +33,19 @@ def parse_rational(s) -> Fraction:
         raise ParseError(f"bad rational {s!r}: {exc}") from None
 
 
-def _color_str(color) -> str | None:
-    return None if color is None else ("red" if color is Color.RED else "blue")
-
-
-def _color_of(value, where: str):
-    if value is None:
-        return None
-    if value == "red":
-        return Color.RED
-    if value == "blue":
-        return Color.BLUE
-    raise ParseError(f"{where}: color must be red, blue, or null, got {value!r}")
-
-
 def certificate_dict(obj, color=None) -> dict:
     """Serializable dict for an Embedding, MonoCopy, SparsePair, Skeleton,
     SparseSet, Exhausted, or (n_star, okc_text) exact-ramsey tuple."""
     if isinstance(obj, MonoCopy):
         return {
             "kind": "embedding",
-            "color": _color_str(obj.color),
+            "color": obj.color.value,
             "map": list(obj.mapping),
         }
     if isinstance(obj, Embedding):
         d = {"kind": "embedding", "map": list(obj.mapping)}
         if color is not None:
-            d["color"] = _color_str(color)
+            d["color"] = color.value
         return d
     if isinstance(obj, SparsePair):
         return {
@@ -72,7 +58,7 @@ def certificate_dict(obj, color=None) -> dict:
     if isinstance(obj, Skeleton):
         return {
             "kind": "skeleton",
-            "color": _color_str(color),
+            "color": None if color is None else color.value,
             "a": obj.a,
             "b": obj.b,
             "spine": list(obj.spine),
@@ -81,7 +67,7 @@ def certificate_dict(obj, color=None) -> dict:
     if isinstance(obj, SparseSet):
         return {
             "kind": "sparse_set",
-            "color": _color_str(obj.color),
+            "color": obj.color.value,
             "members": list(obj.members),
             "density": rational_str(obj.density),
             "bound": rational_str(obj.bound),
@@ -99,9 +85,14 @@ def certificate_dict(obj, color=None) -> dict:
     raise TypeError(f"no certificate form for {type(obj).__name__}")
 
 
-def encode_certificate(obj, color=None) -> str:
+def json_line(obj) -> str:
     """Deterministic one-line JSON, sorted keys, newline terminated."""
-    return json.dumps(certificate_dict(obj, color), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def encode_certificate(obj, color=None) -> str:
+    """The certificate of obj as one JSON line."""
+    return json_line(certificate_dict(obj, color))
 
 
 def _require(d: dict, key: str, kind: str):
@@ -143,32 +134,31 @@ def decode_certificate(text: str):
     kind = d.get("kind")
     if kind not in KINDS:
         raise ParseError(f"unknown certificate kind {kind!r}")
-
     if kind == "embedding":
-        emb = Embedding(_int_list(_require(d, "map", kind), "map"))
-        return kind, (emb, _color_of(d.get("color"), kind))
-    if kind == "sparse_pair":
-        return kind, SparsePair(
-            lower=_int_list(_require(d, "A", kind), "A"),
-            upper=_int_list(_require(d, "B", kind), "B"),
-            c=parse_rational(_require(d, "c", kind)),
-            density=parse_rational(_require(d, "density", kind)),
-        )
-    if kind == "skeleton":
+        claim = Embedding(_int_list(_require(d, "map", kind), "map"))
+    elif kind == "skeleton":
         blocks = _require(d, "blocks", kind)
         if not isinstance(blocks, list):
             raise ParseError("blocks must be a list of lists")
         if type(d.get("a")) is not int or type(d.get("b")) is not int:
             raise ParseError("skeleton a and b must be integers")
-        skel = Skeleton(
+        claim = Skeleton(
             spine=_int_list(_require(d, "spine", kind), "spine"),
             blocks=tuple(_int_list(b, "block") for b in blocks),
             a=_require(d, "a", kind),
             b=_require(d, "b", kind),
         )
-        return kind, (skel, _color_of(d.get("color"), kind))
-    if kind == "sparse_set":
-        color = _color_of(_require(d, "color", kind), kind)
+    if kind in ("embedding", "skeleton", "sparse_set"):
+        # an embedding or skeleton names a bad field of its own before a bad color,
+        # a sparse_set a bad color first
+        color = _require(d, "color", kind) if kind == "sparse_set" else d.get("color")
+        if color is not None:
+            try:
+                color = Color(color)
+            except ValueError:
+                raise ParseError(f"{kind}: color must be red, blue, or null, got {color!r}") from None
+        if kind != "sparse_set":
+            return kind, (claim, color)
         if color is None:
             raise ParseError("sparse_set color must be red or blue")
         return kind, SparseSet(
@@ -181,6 +171,13 @@ def decode_certificate(text: str):
             alpha=float(_optional(d, "alpha", (int, float), 1.0, kind)),
             h1=_optional(d, "h1", (int,), 0, kind),
             h2=_optional(d, "h2", (int,), 0, kind),
+        )
+    if kind == "sparse_pair":
+        return kind, SparsePair(
+            lower=_int_list(_require(d, "A", kind), "A"),
+            upper=_int_list(_require(d, "B", kind), "B"),
+            c=parse_rational(_require(d, "c", kind)),
+            density=parse_rational(_require(d, "density", kind)),
         )
     if kind == "exhausted":
         trace = _require(d, "trace", kind)

@@ -8,7 +8,6 @@ to stderr.  Exit codes are a stable contract: 0 success/found, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -18,6 +17,7 @@ from . import io as formats
 from .certificates import (
     certificate_dict,
     decode_certificate,
+    json_line,
     parse_rational,
     rational_str,
     require_verifiable,
@@ -67,7 +67,7 @@ def _say(args, message: str) -> None:
 
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(json_line(obj))
 
 
 def _file_op(verb: str, path: str, op):
@@ -122,7 +122,7 @@ def cmd_search(args) -> int:
     result = find_mono_copy(coloring, pat1, pat2)
     _emit(certificate_dict(result))
     if isinstance(result, MonoCopy):
-        _say(args, f"found a {result.color.name.lower()} copy on {len(result.mapping)} vertices")
+        _say(args, f"found a {result.color.value} copy on {len(result.mapping)} vertices")
         return EXIT_OK
     _say(args, "search exhausted: " + "; ".join(result.trace[-1:]))
     return EXIT_EXHAUSTED
@@ -173,12 +173,12 @@ def cmd_sparse_set(args) -> int:
     if isinstance(result, SparseSet):
         _say(
             args,
-            f"{result.color.name.lower()} set of {len(result.members)} vertices, "
+            f"{result.color.value} set of {len(result.members)} vertices, "
             f"density {rational_str(result.density)} <= {rational_str(result.bound)}",
         )
         return EXIT_OK
     if isinstance(result, MonoCopy):
-        _say(args, f"stumbled on a {result.color.name.lower()} copy instead")
+        _say(args, f"stumbled on a {result.color.value} copy instead")
         return EXIT_OK
     _say(args, "recursion exhausted: " + "; ".join(result.trace[-1:]))
     return EXIT_EXHAUSTED
@@ -190,7 +190,7 @@ def cmd_construct_sn(args) -> int:
     _write_out(out, formats.write_dg(sub.digraph))
     sidecar = str(Path(out).with_suffix(".triples.json"))
     triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
-    _write_out(sidecar, json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_out(sidecar, json_line(triples))
     _emit({
         "kind": "construct",
         "what": "sn",

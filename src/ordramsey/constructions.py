@@ -123,8 +123,12 @@ def lower_bound_parameters(n: int) -> tuple[int, int, int]:
         raise ParameterError(f"n = {n} is handled by the fixed base tournament")
     m = max(1, n // 10)
     k = math.ceil(4.0 * math.log(n))
-    n_prime = max(3, math.floor(n / (40.0 * math.log(n))))
-    return m, k, n_prime
+    return m, k, _recursive_size(n)
+
+
+def _recursive_size(n: int) -> int:
+    """The recursive size n' = max(3, floor(n / (40 ln n))); 3 for n <= 1."""
+    return max(3, math.floor(n / (40.0 * math.log(n)))) if n > 1 else 3
 
 
 def _base_tournament() -> Tournament:
@@ -237,7 +241,7 @@ def verify_bucket_claims(
     sizes = [0] * B.outer.N
     for base_vertex in range(1, n + 1):
         sizes[B.block_of(mapping[base_vertex - 1]) - 1] += 1
-    n_prime = max(3, math.floor(n / (40.0 * math.log(n)))) if n > 1 else 3
+    n_prime = _recursive_size(n)
     threshold = 4.0 * math.log(n)
     multi = sum(1 for s in sizes if s >= 2)
     return BucketReport(

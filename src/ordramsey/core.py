@@ -223,6 +223,11 @@ class OrderedGraph:
         """The graph whose adjacency masks are rows (length n + 1, index 0 empty)."""
         rows = tuple(rows)
         _check_rows(n, rows, "graph")
+        return cls._of_checked_rows(n, rows)
+
+    @classmethod
+    def _of_checked_rows(cls, n: int, rows: tuple[int, ...]) -> "OrderedGraph":
+        """The graph on rows already known to be symmetric and loop-free on 1..n."""
         g = cls.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", rows)
@@ -293,16 +298,8 @@ class ColoredCompleteGraph:
     @classmethod
     def from_random(cls, N: int, seed: int, red_probability: float = 0.5) -> "ColoredCompleteGraph":
         rng = random.Random(seed)
-        # colex pair order fixes the random stream layout
-        return cls.from_red_edges(
-            N,
-            (
-                (i, j)
-                for j in range(2, N + 1)
-                for i in range(1, j)
-                if rng.random() < red_probability
-            ),
-        )
+        # one draw per pair, in from_function's colex order
+        return cls.from_function(N, lambda i, j: rng.random() < red_probability)
 
     @classmethod
     def from_colex_bits(cls, N: int, bits: Iterable[int]) -> "ColoredCompleteGraph":
@@ -334,14 +331,6 @@ class ColoredCompleteGraph:
         if i == j or not (1 <= i <= self.N and 1 <= j <= self.N):
             raise DomainError(f"({i}, {j}) is not a vertex pair of K_{self.N}")
         return Color.RED if self.red_rows[i] & (1 << j) else Color.BLUE
-
-    def class_rows(self, color: Color) -> tuple[int, ...]:
-        if color is Color.RED:
-            return self.red_rows
-        full = ((1 << (self.N + 1)) - 1) & ~1
-        return tuple(
-            0 if v == 0 else (full & ~self.red_rows[v] & ~(1 << v)) for v in range(self.N + 1)
-        )
 
     def induced(self, members: Iterable[int]) -> tuple["ColoredCompleteGraph", tuple[int, ...]]:
         keep = vertex_tuple(members, self.N, "induced coloring")
@@ -532,14 +521,29 @@ def density_between(g: OrderedGraph, a: Iterable[int], b: Iterable[int]) -> Frac
 
 
 def color_class(c: ColoredCompleteGraph, color: Color) -> OrderedGraph:
-    """The ordered graph carrying all pairs of one color."""
-    return OrderedGraph.from_rows(c.N, c.class_rows(color))
+    """The ordered graph carrying all pairs of one color, the one way to reach a class.
+
+    Not checked again: c's red rows were checked when c was built, and their
+    complement in 1..N is symmetric and loop-free as well.
+    """
+    rows = c.red_rows
+    if color is Color.BLUE:
+        full = ((1 << (c.N + 1)) - 1) & ~1
+        rows = (0,) + tuple([full & ~rows[v] & ~(1 << v) for v in range(1, c.N + 1)])
+    return OrderedGraph._of_checked_rows(c.N, rows)
 
 
 def class_density(c: ColoredCompleteGraph, color: Color, members: Iterable[int] | None = None) -> Fraction:
     if members is None:
         members = range(1, c.N + 1)
-    return rows_density(c.class_rows(color), vertex_tuple(members, c.N, "density_within"))
+    return rows_density(color_class(c, color).adj, vertex_tuple(members, c.N, "density_within"))
+
+
+def sparser_color(c: ColoredCompleteGraph, members: Iterable[int] | None = None) -> tuple[Color, Fraction]:
+    """The color of lower density on members (default 1..N), Red on a tie, and that
+    density; below two members both densities are 0, otherwise they sum to 1."""
+    red = class_density(c, Color.RED, members)
+    return (Color.RED, red) if 2 * red <= 1 else (Color.BLUE, 1 - red)
 
 
 def remove_isolated(g: OrderedGraph) -> tuple[OrderedGraph, dict[int, int]]:

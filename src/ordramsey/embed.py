@@ -300,14 +300,7 @@ def skeleton_embed_or_sparse_pair(
     by_size = sorted(degrees, key=lambda dv: (-dv[0], dv[1]))
     spine_pattern = sorted(v for _, v in by_size[:a])
     rest = [v for v in range(1, n + 1) if v not in set(spine_pattern)]
-    rest_rank = {v: idx + 1 for idx, v in enumerate(rest)}
-
-    sub_edges = [
-        (rest_rank[i], rest_rank[j])
-        for (i, j) in pattern.edges
-        if i in rest_rank and j in rest_rank
-    ]
-    sub_pattern = OrderedGraph(len(rest), sub_edges)
+    sub_pattern, rest_of = pattern.induced(rest)
 
     # segment j holds the pattern vertices strictly between spine indices
     bounds = [0] + spine_pattern + [n + 1]
@@ -334,8 +327,8 @@ def skeleton_embed_or_sparse_pair(
     mapping = [0] * (n + 1)
     for idx, v in enumerate(spine_pattern):
         mapping[v] = skel.spine[idx]
-    for v in rest:
-        mapping[v] = res.mapping[rest_rank[v] - 1]
+    for v, w in zip(rest_of[1:], res.mapping):
+        mapping[v] = w
     emb = Embedding(tuple(mapping[1:]))
     ok, reason = verify_embedding(host, pattern, emb)
     if not ok:

@@ -25,6 +25,7 @@ from .core import (
     mask_of,
     record,
     rows_density,
+    sparser_color,
     vertex_tuple,
 )
 from .embed import (
@@ -57,6 +58,11 @@ def _ceil_log2(x: Fraction) -> int:
     return h
 
 
+def _check_c(c) -> None:
+    if not 0 < c < Fraction(1, 8):
+        raise ParameterError(f"c={c} must lie strictly in (0, 1/8)")
+
+
 @record
 class RecursionParams:
     """Knobs for the binary-tree sparse-set recursion.
@@ -75,8 +81,7 @@ class RecursionParams:
     window: int
 
     def __post_init__(self):
-        if not 0 < self.c < Fraction(1, 8):
-            raise ParameterError(f"c={self.c} must lie strictly in (0, 1/8)")
+        _check_c(self.c)
         if not self.k1 >= self.k2 >= 1:
             raise ParameterError(f"need k1 >= k2 >= 1, got k1={self.k1}, k2={self.k2}")
         if not 0.0 < self.alpha < 1.0:
@@ -98,6 +103,7 @@ class RecursionParams:
         window: int | None = None,
     ) -> "RecursionParams":
         c = Fraction(c)
+        _check_c(c)
         m1, m2 = pat1.m, pat2.m
         if m1 < 1 or m2 < 1:
             raise ParameterError("patterns must each have at least one edge")
@@ -181,11 +187,6 @@ def _gate_patterns(pat1: OrderedGraph, pat2: OrderedGraph) -> None:
             raise ParameterError(
                 f"{name} pattern has isolated vertices; strip them with remove_isolated"
             )
-
-
-def _sparser_color_on(coloring: ColoredCompleteGraph, members: tuple[int, ...]) -> Color:
-    """Red when its density on members is at most Blue's, the two summing to 1."""
-    return Color.RED if 2 * rows_density(coloring.red_rows, members) <= 1 else Color.BLUE
 
 
 def _size_target(alpha: float, levels: int, size: int) -> int:
@@ -282,13 +283,13 @@ def binary_tree_sparse(
 
     def node(X: tuple[int, ...], h1: int, h2: int, trace: tuple) -> tuple[Color, tuple]:
         if h1 == 0 and h2 == 0:
-            return (_sparser_color_on(coloring, X), X)
+            return (sparser_color(coloring, X)[0], X)
         if h1 == 0:
             return (Color.RED, X)
         if h2 == 0:
             return (Color.BLUE, X)
         if params.alpha ** (h1 + h2) * len(X) < 1.0:
-            return (_sparser_color_on(coloring, X), (min(X),))
+            return (sparser_color(coloring, X)[0], (min(X),))
 
         sub, back = coloring.induced(X)
         need1, need2 = 4 * params.k1 + 1, 4 * params.k2 + 1
@@ -328,7 +329,7 @@ def binary_tree_sparse(
 
         A = tuple(back[v] for v in res.lower)
         B = tuple(back[v] for v in res.upper)
-        rows = coloring.class_rows(i)
+        rows = color_class(coloring, i).adj
         s_star = _size_target(params.alpha, h1 + h2, len(X))
         half_target = math.ceil(params.alpha * len(X))
         h1c, h2c = (h1 - 1, h2) if i is Color.RED else (h1, h2 - 1)
@@ -394,8 +395,8 @@ def recursive_sparse_set(
     ceil(log2(2/c)); the returned SparseSet then satisfies density <= c.
     """
     c = Fraction(c)
-    if not 0 < c < Fraction(1, 8):
-        raise ParameterError(f"c={c} must lie strictly in (0, 1/8)")
+    # c before the patterns: when both are wrong the error names c, as from_patterns does
+    _check_c(c)
     _gate_patterns(pat1, pat2)
     params = RecursionParams.from_patterns(
         pat1, pat2, c, coloring.N, alpha=alpha, window=window

@@ -27,7 +27,7 @@ from .core import (
     density_within,
     mask_of,
     record,
-    rows_density,
+    sparser_color,
 )
 from .errors import DomainError, InternalContractError, ParameterError, TupleCapError
 
@@ -491,17 +491,12 @@ def sample_color_cliques(
             sub, back = coloring.induced(sorted(rng.sample(universe, window)))
         else:
             sub, back = coloring, range(coloring.N + 1)
-        red_dens = rows_density(sub.red_rows, range(1, sub.N + 1))
-        # below two vertices both densities are 0; otherwise they sum to 1
-        blue_dens = 1 - red_dens if sub.N >= 2 else red_dens
-        if density_gate is not None and gate_color is not None:
-            gate_dens = red_dens if gate_color is Color.RED else blue_dens
-            if sub.N >= 2 and gate_dens > density_gate:
+        if density_gate is not None and gate_color is not None and sub.N >= 2:
+            if class_density(sub, gate_color) > density_gate:
                 continue
-        sparse = Color.RED if red_dens <= Fraction(1, 2) else Color.BLUE
-        theta = red_dens if sparse is Color.RED else blue_dens
+        sparse, theta = sparser_color(sub)
         theta = max(Fraction(1, 100), min(theta, Fraction(49, 100)))
-        clique_chain, indep_chain = _es_chains(sub.class_rows(sparse), theta)
+        clique_chain, indep_chain = _es_chains(color_class(sub, sparse).adj, theta)
         for color, chain in ((sparse, clique_chain), (sparse.other, indep_chain)):
             k_needed = need.get(color)
             if k_needed is None or len(chain) < k_needed:

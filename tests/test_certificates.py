@@ -245,6 +245,31 @@ class TestMalformedEnvelopes:
         with pytest.raises(ParseError):
             decode_certificate('{"kind":"mystery"}')
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"kind":"embedding","map":[1],"color":[1]}',
+             "embedding: color must be red, blue, or null, got [1]"),
+            ('{"kind":"skeleton","a":1,"b":1,"spine":[2],"blocks":[[1],[3]],"color":"RED"}',
+             "skeleton: color must be red, blue, or null, got 'RED'"),
+            ('{"kind":"sparse_set","members":[1],"density":"0/1","bound":"1/2","color":1}',
+             "sparse_set: color must be red, blue, or null, got 1"),
+            ('{"kind":"sparse_set","members":[1],"density":"0/1","bound":"1/2","color":null}',
+             "sparse_set color must be red or blue"),
+            # with a second fault, an embedding or skeleton names its own field
+            # first and a sparse_set its color
+            ('{"kind":"embedding","map":"x","color":"green"}', "map must be a list of integers"),
+            ('{"kind":"skeleton","a":1,"b":1,"spine":[2],"blocks":3,"color":"green"}',
+             "blocks must be a list of lists"),
+            ('{"kind":"sparse_set","members":"x","density":"0/1","bound":"1/2","color":"green"}',
+             "sparse_set: color must be red, blue, or null, got 'green'"),
+        ],
+    )
+    def test_color_errors(self, text, error):
+        with pytest.raises(ParseError) as info:
+            decode_certificate(text)
+        assert str(info.value) == error
+
     def test_all_kinds_have_a_decoder(self):
         assert set(KINDS) == {
             "embedding",

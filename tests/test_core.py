@@ -24,6 +24,7 @@ from ordramsey.core import (
     mask_of,
     ordered_pair_from_digraph,
     remove_isolated,
+    sparser_color,
     symmetric_rows,
     record,
     transpose_masks,
@@ -159,6 +160,18 @@ class TestColoredCompleteGraph:
     def test_class_density_restricted(self):
         c = ColoredCompleteGraph.from_function(6, lambda i, j: j - i == 1)
         assert class_density(c, Color.RED, [1, 2, 3]) == Fraction(2, 3)
+
+    def test_sparser_color_tie_goes_to_red(self):
+        c = ColoredCompleteGraph.from_red_edges(4, [(1, 2), (3, 4), (1, 3)])
+        assert sparser_color(c) == (Color.RED, Fraction(1, 2))
+        assert sparser_color(c, [1, 2, 4]) == (Color.RED, Fraction(1, 3))
+        assert sparser_color(c, [1, 2, 3]) == (Color.BLUE, Fraction(1, 3))
+
+    @pytest.mark.parametrize("n, members", [(0, None), (1, None), (5, []), (5, [3])])
+    @pytest.mark.parametrize("red", [True, False])
+    def test_sparser_color_below_two_vertices_is_red_at_zero(self, n, members, red):
+        c = ColoredCompleteGraph.from_function(n, lambda i, j: red)
+        assert sparser_color(c, members) == (Color.RED, 0)
 
     def test_from_random_deterministic(self):
         a = ColoredCompleteGraph.from_random(10, 3)
@@ -460,6 +473,17 @@ class TestRowsRepresentation:
             (i, j) if (i, j) in inside else (j, i)
             for i, j in combinations(range(1, len(members) + 1), 2)
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_pairs(max_n=14))
+    def test_color_class_is_the_checked_graph_on_the_same_rows(self, drawn):
+        n, red, _ = drawn
+        blue = set(combinations(range(1, n + 1), 2)) - set(red)
+        c = ColoredCompleteGraph.from_red_edges(n, red)
+        for color, pairs in ((Color.RED, red), (Color.BLUE, blue)):
+            g = color_class(c, color)
+            assert g == OrderedGraph.from_rows(n, rows_of(n, pairs))
+            assert g == OrderedGraph.from_rows(n, g.adj)
 
     @settings(max_examples=150, deadline=None)
     @given(drawn_pairs())

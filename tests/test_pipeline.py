@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordramsey import kernels, pipeline, skeleton
+from ordramsey import core, kernels, pipeline, skeleton
+from ordramsey.certificates import decode_certificate, encode_certificate, verify_certificate
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, rows_density
 from ordramsey.embed import find_ordered_embedding
 from ordramsey.errors import DomainError, ParameterError
@@ -215,6 +216,11 @@ class TestRecursionParams:
         assert (params.k1, params.k2) == ((1, 1) if k == 3 else (2, 2))
         assert params.window == window
 
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_c_out_of_range_is_a_parameter_error(self, c):
+        with pytest.raises(ParameterError, match=rf"^c={c} must lie strictly in \(0, 1/8\)$"):
+            RecursionParams.from_patterns(k_pattern(3), k_pattern(3), c, 20)
+
 
 class TestVerifiers:
     def test_mono_copy_wrong_color_rejected(self):
@@ -277,6 +283,19 @@ class TestFindMonoCopy:
         col = all_red(8)
         with pytest.raises(ParameterError):
             find_mono_copy(col, OrderedGraph(3, [(1, 2)]), k_pattern(3))
+
+    def test_rows_are_checked_once_when_the_coloring_is_built(self, monkeypatch):
+        col = ColoredCompleteGraph.from_function(8, lambda i, j: j - i <= 2)
+        calls = []
+        check = core._check_rows
+        monkeypatch.setattr(core, "_check_rows", lambda *a: calls.append(a[2]) or check(*a))
+        res = find_mono_copy(col, k_pattern(3), k_pattern(3))
+        assert res.color is Color.RED
+        assert calls == []
+        kind, payload = decode_certificate(encode_certificate(res))
+        assert verify_certificate(kind, payload, col, k_pattern(3)) == (True, None)
+        # decoding and re-checking the certificate builds no graph from rows either
+        assert calls == []
 
     def test_seeded_dense_blue(self):
         for seed in range(5):
