@@ -97,6 +97,13 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
+def exact_arguments(p) -> None:
+    p.add_argument("h1")
+    p.add_argument("h2")
+    p.add_argument("max_n", type=int)
+    p.set_defaults(run=cmd_exact)
+
+
 def cmd_exact(args) -> int:
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
@@ -115,6 +122,13 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def search_arguments(p) -> None:
+    p.add_argument("coloring")
+    p.add_argument("h1")
+    p.add_argument("h2")
+    p.set_defaults(run=cmd_search)
+
+
 def cmd_search(args) -> int:
     coloring = _load(args.coloring, ColoredCompleteGraph, "an .okc coloring")
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
@@ -126,6 +140,12 @@ def cmd_search(args) -> int:
         return EXIT_OK
     _say(args, "search exhausted: " + "; ".join(result.trace[-1:]))
     return EXIT_EXHAUSTED
+
+
+def embed_arguments(p) -> None:
+    p.add_argument("host")
+    p.add_argument("pattern")
+    p.set_defaults(run=cmd_embed)
 
 
 def cmd_embed(args) -> int:
@@ -141,6 +161,14 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def skeleton_arguments(p) -> None:
+    p.add_argument("host")
+    p.add_argument("--a", type=int, required=True, help="spine length")
+    p.add_argument("--window", type=int, default=None, help="clique size (default 4a+1)")
+    p.add_argument("--d", type=_fraction_arg, default=Fraction(1), help="block target factor")
+    p.set_defaults(run=cmd_skeleton)
+
+
 def cmd_skeleton(args) -> int:
     host = _load(args.host, OrderedGraph, "an .og host")
     n = args.window if args.window is not None else 4 * args.a + 1
@@ -152,6 +180,21 @@ def cmd_skeleton(args) -> int:
     _emit(certificate_dict(skel))
     _say(args, f"({skel.a}, {skel.b})-skeleton with spine {list(skel.spine)}")
     return EXIT_OK
+
+
+def sparse_set_arguments(p) -> None:
+    p.add_argument("coloring")
+    p.add_argument("h1")
+    p.add_argument("h2")
+    p.add_argument("--c", type=_fraction_arg, required=True, help="density target in (0, 1/8)")
+    p.add_argument(
+        "--alpha", type=float, default=None,
+        help="per-level shrink factor in (0, 1); the default is the lemma's value, 1e-16 or "
+        "less, at which the recursion stops at its root with a one-vertex set (try 0.75)",
+    )
+    p.add_argument("--window", type=int, default=None, help="sampling window override")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.set_defaults(run=cmd_sparse_set)
 
 
 def cmd_sparse_set(args) -> int:
@@ -184,6 +227,28 @@ def cmd_sparse_set(args) -> int:
     return EXIT_EXHAUSTED
 
 
+def construct_arguments(p) -> None:
+    what = p.add_subparsers(dest="what", required=True, parser_class=_Command)
+    what.add_parser(
+        "sn", help="subdivided star digraph (.dg plus triple sidecar)",
+        arguments=construct_sn_arguments,
+    )
+    what.add_parser(
+        "blowup", help="substitute inner for every outer vertex",
+        arguments=construct_blowup_arguments,
+    )
+    what.add_parser(
+        "lowerbound", help="iterated blowup avoiding the subdivided star",
+        arguments=construct_lowerbound_arguments,
+    )
+
+
+def construct_sn_arguments(p) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_construct_sn)
+
+
 def cmd_construct_sn(args) -> int:
     sub = build_subdivision_S(args.n)
     out = args.out or f"sn_{args.n}.dg"
@@ -204,6 +269,13 @@ def cmd_construct_sn(args) -> int:
     return EXIT_OK
 
 
+def construct_blowup_arguments(p) -> None:
+    p.add_argument("outer")
+    p.add_argument("inner")
+    p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_construct_blowup)
+
+
 def cmd_construct_blowup(args) -> int:
     outer = _load(args.outer, Tournament, "a .trn tournament")
     inner = _load(args.inner, Tournament, "a .trn tournament")
@@ -222,6 +294,12 @@ def cmd_construct_blowup(args) -> int:
     return EXIT_OK
 
 
+def construct_lowerbound_arguments(p) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_construct_lowerbound)
+
+
 def cmd_construct_lowerbound(args) -> int:
     T = iterated_lower_bound_tournament(args.n, args.seed)
     out = args.out or f"lowerbound_{args.n}_{args.seed}.trn"
@@ -237,6 +315,13 @@ def cmd_construct_lowerbound(args) -> int:
     })
     _say(args, f"{T.N} vertices -> {out}")
     return EXIT_OK
+
+
+def verify_arguments(p) -> None:
+    p.add_argument("certificate")
+    p.add_argument("host")
+    p.add_argument("--pattern", default=None, help=".og pattern for embedding kinds")
+    p.set_defaults(run=cmd_verify)
 
 
 def cmd_verify(args) -> int:
@@ -267,6 +352,27 @@ def cmd_verify(args) -> int:
     return EXIT_EXHAUSTED
 
 
+class _Command:
+    """A command's parser before argparse picks that command.
+
+    Passed to `add_subparsers` as its parser class, so each `add_parser` call
+    makes one of these from the parser's keyword arguments (its `prog` among
+    them) and `arguments`, the function that adds the command's arguments.
+    argparse calls `parse_known_args` only on the command it picks; that
+    builds the real parser, so a call never builds the parsers of the
+    commands it does not run, for `--help` and argv errors too.
+    """
+
+    def __init__(self, arguments, **kwargs):
+        self.arguments = arguments
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        self.arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ordramsey",
@@ -289,68 +395,28 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: {DEFAULT_NODE_BUDGET})",
     )
     top.add_argument("-q", "--quiet", action="store_true", help="suppress stderr summaries")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="least N forcing a red H1 or blue H2")
-    p.add_argument("h1")
-    p.add_argument("h2")
-    p.add_argument("max_n", type=int)
-    p.set_defaults(run=cmd_exact)
-
-    p = sub.add_parser("search", help="exact search for a monochromatic copy in a coloring")
-    p.add_argument("coloring")
-    p.add_argument("h1")
-    p.add_argument("h2")
-    p.set_defaults(run=cmd_search)
-
-    p = sub.add_parser("embed", help="order-preserving embedding of pattern in host")
-    p.add_argument("host")
-    p.add_argument("pattern")
-    p.set_defaults(run=cmd_embed)
-
-    p = sub.add_parser("skeleton", help="clique-tuple skeleton in a host graph")
-    p.add_argument("host")
-    p.add_argument("--a", type=int, required=True, help="spine length")
-    p.add_argument("--window", type=int, default=None, help="clique size (default 4a+1)")
-    p.add_argument("--d", type=_fraction_arg, default=Fraction(1), help="block target factor")
-    p.set_defaults(run=cmd_skeleton)
-
-    p = sub.add_parser("sparse-set", help="low-density set in one color, or a copy")
-    p.add_argument("coloring")
-    p.add_argument("h1")
-    p.add_argument("h2")
-    p.add_argument("--c", type=_fraction_arg, required=True, help="density target in (0, 1/8)")
-    p.add_argument(
-        "--alpha", type=float, default=None,
-        help="per-level shrink factor in (0, 1); the default is the lemma's value, 1e-16 or "
-        "less, at which the recursion stops at its root with a one-vertex set (try 0.75)",
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub.add_parser("exact", help="least N forcing a red H1 or blue H2", arguments=exact_arguments)
+    sub.add_parser(
+        "search", help="exact search for a monochromatic copy in a coloring",
+        arguments=search_arguments,
     )
-    p.add_argument("--window", type=int, default=None, help="sampling window override")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.set_defaults(run=cmd_sparse_set)
-
-    p = sub.add_parser("construct", help="emit a named construction to disk")
-    what = p.add_subparsers(dest="what", required=True)
-    q = what.add_parser("sn", help="subdivided star digraph (.dg plus triple sidecar)")
-    q.add_argument("n", type=int)
-    q.add_argument("--out", default=None)
-    q.set_defaults(run=cmd_construct_sn)
-    q = what.add_parser("blowup", help="substitute inner for every outer vertex")
-    q.add_argument("outer")
-    q.add_argument("inner")
-    q.add_argument("--out", default=None)
-    q.set_defaults(run=cmd_construct_blowup)
-    q = what.add_parser("lowerbound", help="iterated blowup avoiding the subdivided star")
-    q.add_argument("n", type=int)
-    q.add_argument("--out", default=None)
-    q.set_defaults(run=cmd_construct_lowerbound)
-
-    p = sub.add_parser("verify", help="re-check a certificate against its host")
-    p.add_argument("certificate")
-    p.add_argument("host")
-    p.add_argument("--pattern", default=None, help=".og pattern for embedding kinds")
-    p.set_defaults(run=cmd_verify)
-
+    sub.add_parser(
+        "embed", help="order-preserving embedding of pattern in host", arguments=embed_arguments
+    )
+    sub.add_parser(
+        "skeleton", help="clique-tuple skeleton in a host graph", arguments=skeleton_arguments
+    )
+    sub.add_parser(
+        "sparse-set", help="low-density set in one color, or a copy",
+        arguments=sparse_set_arguments,
+    )
+    sub.add_parser(
+        "construct", help="emit a named construction to disk", arguments=construct_arguments
+    )
+    sub.add_parser(
+        "verify", help="re-check a certificate against its host", arguments=verify_arguments
+    )
     return top
 
 

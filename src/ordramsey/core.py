@@ -258,8 +258,14 @@ class OrderedGraph:
         ]
 
     def induced(self, members: Iterable[int]) -> tuple["OrderedGraph", tuple[int, ...]]:
-        """Induced subgraph relabeled to 1..k plus the new->old vertex map (index 0 unused)."""
+        """Induced subgraph relabeled to 1..k plus the new->old vertex map (index 0 unused).
+
+        All of 1..n gives back this graph itself, which is safe to share
+        because records are frozen.
+        """
         keep = vertex_tuple(members, self.n, "induced subgraph")
+        if len(keep) == self.n:
+            return self, (0,) + keep
         return OrderedGraph.from_rows(len(keep), _relabel_rows(self.adj, keep)), (0,) + keep
 
 
@@ -334,6 +340,8 @@ class ColoredCompleteGraph:
 
     def induced(self, members: Iterable[int]) -> tuple["ColoredCompleteGraph", tuple[int, ...]]:
         keep = vertex_tuple(members, self.N, "induced coloring")
+        if len(keep) == self.N:
+            return self, (0,) + keep
         rows = tuple(_relabel_rows(self.red_rows, keep))
         return ColoredCompleteGraph(len(keep), rows), (0,) + keep
 
@@ -403,6 +411,8 @@ class Tournament:
 
     def induced(self, members: Iterable[int]) -> tuple["Tournament", tuple[int, ...]]:
         keep = vertex_tuple(members, self.N, "induced tournament")
+        if len(keep) == self.N:
+            return self, (0,) + keep
         return Tournament(len(keep), tuple(_relabel_rows(self.beats, keep))), (0,) + keep
 
 

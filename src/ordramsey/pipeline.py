@@ -454,7 +454,7 @@ def exact_ordered_ramsey(
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")
     if max_n < 1:
-        raise ParameterError("maxN must be positive")
+        raise ParameterError("max_n must be positive")
     budget = None if node_budget is None else kernels.DecisionBudget(node_budget)
     edges1, edges2 = pat1.sorted_edges(), pat2.sorted_edges()
     witness_bits = None

@@ -487,10 +487,9 @@ def sample_color_cliques(
     found: dict[Color, list[tuple[int, ...]]] = {Color.RED: [], Color.BLUE: []}
     seen: dict[Color, set] = {Color.RED: set(), Color.BLUE: set()}
     for _ in range(rounds):
-        if window < coloring.N:
-            sub, back = coloring.induced(sorted(rng.sample(universe, window)))
-        else:
-            sub, back = coloring, range(coloring.N + 1)
+        # a full window needs no draw; induced hands back the coloring itself
+        members = rng.sample(universe, window) if window < coloring.N else universe
+        sub, back = coloring.induced(members)
         if density_gate is not None and gate_color is not None and sub.N >= 2:
             if class_density(sub, gate_color) > density_gate:
                 continue

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, JSON output, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -102,6 +103,10 @@ class TestExact:
         assert rec["kind"] == "exhausted"
         assert rec["trace"][-1].startswith("node budget exhausted at N = ")
         assert rec["trace"][-1].endswith(" after 50 decisions")
+
+    def test_nonpositive_max_n_is_an_input_error(self, capsys, files):
+        code, out, err = run(capsys, ["exact", files["k3"], files["k3"], "0"])
+        assert (code, out, err) == (2, "", "error: max_n must be positive\n")
 
 
 class TestSearch:
@@ -483,6 +488,87 @@ class TestVerifyRule:
         assert json.loads(out) == {
             "kind": "verify", "certificate_kind": "skeleton", "valid": False, "reason": reason
         }
+
+
+TOP_USAGE = (
+    "usage: ordramsey [-h] [--seed SEED] [--tuple-cap TUPLE_CAP]\n"
+    "                 [--node-budget NODE_BUDGET] [-q]\n"
+    "                 {exact,search,embed,skeleton,sparse-set,construct,verify} ...\n"
+)
+
+
+class TestParser:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every ArgumentParser built, in order."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        return progs
+
+    def test_only_the_chosen_command_gets_a_parser(self, capsys, files, tmp_path, built):
+        assert run(capsys, ["-q", "embed", files["k11"], files["path4"]])[0] == 0
+        assert built == ["ordramsey", "ordramsey embed"]
+        built.clear()
+        assert run(capsys, ["construct", "sn", "3", "--out", str(tmp_path / "s.dg")])[0] == 0
+        assert built == ["ordramsey", "ordramsey construct", "ordramsey construct sn"]
+
+    def test_top_help_builds_only_the_top_parser(self, capsys, built):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert built == ["ordramsey"]
+        assert "{exact,search,embed,skeleton,sparse-set,construct,verify}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            ([], 2, "", TOP_USAGE + "ordramsey: error: the following arguments are required: command\n"),
+            (
+                ["bogus"], 2, "",
+                TOP_USAGE + "ordramsey: error: argument command: invalid choice: 'bogus' (choose from "
+                "'exact', 'search', 'embed', 'skeleton', 'sparse-set', 'construct', 'verify')\n",
+            ),
+            (
+                ["construct"], 2, "",
+                "usage: ordramsey construct [-h] {sn,blowup,lowerbound} ...\n"
+                "ordramsey construct: error: the following arguments are required: what\n",
+            ),
+            (
+                ["exact", "--bogus", "k3", "k3", "1"], 2, "",
+                TOP_USAGE + "ordramsey: error: unrecognized arguments: --bogus\n",
+            ),
+            (
+                ["exact", "--help"], 0,
+                "usage: ordramsey exact [-h] h1 h2 max_n\n\npositional arguments:\n"
+                "  h1\n  h2\n  max_n\n\noptions:\n  -h, --help  show this help message and exit\n",
+                "",
+            ),
+            (
+                ["construct", "lowerbound", "--help"], 0,
+                "usage: ordramsey construct lowerbound [-h] [--out OUT] n\n\n"
+                "positional arguments:\n  n\n\noptions:\n"
+                "  -h, --help  show this help message and exit\n  --out OUT\n",
+                "",
+            ),
+        ],
+        ids=["no-command", "unknown-command", "no-construction", "unknown-option", "exact-help",
+             "lowerbound-help"],
+    )
+    def test_usage_and_errors(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == code
+        # Python 3.10 heads the options section "optional arguments:"
+        assert captured.out.replace("optional arguments:", "options:") == out
+        assert captured.err == err
 
 
 class TestErrorExitCodes:

@@ -474,6 +474,17 @@ class TestRowsRepresentation:
             for i, j in combinations(range(1, len(members) + 1), 2)
         }
 
+    def test_induced_on_every_vertex_is_the_record_itself(self):
+        red = [(1, 2), (2, 4), (1, 3)]
+        blue = [(1, 4), (2, 3), (3, 4)]
+        for rec in (
+            OrderedGraph(4, red),
+            ColoredCompleteGraph.from_red_edges(4, red),
+            Tournament.from_arcs(4, red + [(j, i) for i, j in blue]),
+        ):
+            sub, back = rec.induced([4, 2, 3, 1])
+            assert sub is rec and back == (0, 1, 2, 3, 4)
+
     @settings(max_examples=150, deadline=None)
     @given(drawn_pairs(max_n=14))
     def test_color_class_is_the_checked_graph_on_the_same_rows(self, drawn):

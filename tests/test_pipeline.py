@@ -190,6 +190,16 @@ class TestRecursiveSparseSet:
         assert res.h1 == math.ceil(math.log2(20))
         assert res.h2 == res.h1
 
+    def test_root_works_on_the_coloring_itself(self, monkeypatch):
+        # the root's X is all of 1..N: induced hands back the frozen coloring
+        # instead of copying it and checking its 120 rows again
+        col = ColoredCompleteGraph.from_random(120, 1)
+        sizes = []
+        check = core._check_rows
+        monkeypatch.setattr(core, "_check_rows", lambda *a: sizes.append(a[0]) or check(*a))
+        recursive_sparse_set(col, k_pattern(5), k_pattern(5), Fraction(1, 10), alpha=0.75, seed=3)
+        assert 120 not in sizes
+
     def test_seeded_outputs_verify(self):
         for seed in range(25):
             col = ColoredCompleteGraph.from_random(30, seed)
