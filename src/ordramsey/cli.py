@@ -93,7 +93,9 @@ def _load(path: str, want: type, label: str):
 def _fraction_arg(text: str) -> Fraction:
     try:
         return parse_rational(text) if "/" in text else Fraction(text)
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:  # its text already names the rational
+        raise argparse.ArgumentTypeError(str(exc))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 

@@ -27,9 +27,6 @@ class Embedding:
 
     mapping: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.mapping)
-
 
 @record
 class SparsePair:
@@ -85,13 +82,17 @@ class SlotSystem:
         return [0] + [mask_of(s) for s in self.slots]
 
 
+def check_pattern(pattern: OrderedGraph, name: str = "pattern") -> None:
+    """Raise ParameterError unless the pattern has an edge and no isolated vertex."""
+    if pattern.m < 1:
+        raise ParameterError(f"{name} must have at least one edge")
+    if not all(pattern.adj[1:]):
+        raise ParameterError(f"{name} has isolated vertices; strip them with remove_isolated")
+
+
 def _pre_lists(pattern: OrderedGraph) -> list[list[int]]:
-    pre: list[list[int]] = [[] for _ in range(pattern.n + 1)]
-    for i, j in pattern.edges:
-        pre[j].append(i)
-    for row in pre:
-        row.sort()
-    return pre
+    """pre[j] lists the pattern neighbors of j below j, ascending."""
+    return [list(bits_of(row & ((1 << j) - 1))) for j, row in enumerate(pattern.adj)]
 
 
 def _coerce_slots(slots, host_n: int) -> SlotSystem | None:
@@ -125,7 +126,7 @@ def verify_embedding(
         for t, v in enumerate(mapping, start=1):
             if v not in slot_sys.slots[t - 1]:
                 return False, f"pattern vertex {t} mapped outside its slot"
-    for i, j in sorted(pattern.edges):
+    for i, j in pattern.sorted_edges():
         if not host.has_edge(mapping[i - 1], mapping[j - 1]):
             return (
                 False,
@@ -187,11 +188,8 @@ def greedy_embed_or_sparse_pair(
         return Embedding(())
 
     adj = host.adj
-    later: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, j in pattern.edges:
-        later[i].append(j)
-    for row in later:
-        row.sort()
+    # later[t] lists the pattern neighbors of t above t, ascending
+    later = [list(bits_of(row >> (t + 1) << (t + 1))) for t, row in enumerate(pattern.adj)]
     delta = pattern.max_degree()
 
     cand = slot_sys.masks()
@@ -200,22 +198,15 @@ def greedy_embed_or_sparse_pair(
     mapping = [0] * (n + 1)
     cn, cd = c.numerator, c.denominator
 
+    def keeps(w: int, i: int) -> bool:
+        """Whether placing w leaves pattern vertex i at least a c-fraction of U_i."""
+        return (adj[w] & cand[i]).bit_count() * cd >= cn * cand[i].bit_count()
+
     for t in range(1, n + 1):
         u_t = cand[t]
         if not u_t:
             raise InternalContractError(f"candidate set for pattern vertex {t} emptied")
-        chosen = 0
-        for w in bits_of(u_t):
-            ok = True
-            for i in later[t]:
-                size_i = cand[i].bit_count()
-                kept = (adj[w] & cand[i]).bit_count()
-                if kept * cd < cn * size_i:
-                    ok = False
-                    break
-            if ok:
-                chosen = w
-                break
+        chosen = next((w for w in bits_of(u_t) if all(keeps(w, i) for i in later[t])), 0)
         if chosen:
             mapping[t] = chosen
             for i in later[t]:
@@ -227,12 +218,7 @@ def greedy_embed_or_sparse_pair(
         # dichotomy: every candidate w fails for some later neighbor
         u_size = u_t.bit_count()
         for i in later[t]:
-            size_i = cand[i].bit_count()
-            low = [
-                w
-                for w in bits_of(u_t)
-                if (adj[w] & cand[i]).bit_count() * cd < cn * size_i
-            ]
+            low = [w for w in bits_of(u_t) if not keeps(w, i)]
             if len(low) * delta >= u_size:
                 upper = tuple(bits_of(cand[i]))
                 sp = SparsePair(tuple(low), upper, c, density_between(host, low, upper))
@@ -273,12 +259,9 @@ def skeleton_embed_or_sparse_pair(
     ok, reason = verify_skeleton(host, skel)
     if not ok:
         raise DomainError(f"invalid skeleton: {reason}")
+    check_pattern(pattern)
     m = pattern.m
     n = pattern.n
-    if m < 1:
-        raise ParameterError("pattern must have at least one edge")
-    if any(not pattern.adj[v] for v in range(1, n + 1)):
-        raise ParameterError("pattern must have no isolated vertices")
     a = skel.a
     if enforce_size_precondition:
         b_needed = 2.0 * m * m * float(c) ** (-2.0 * m / a)
@@ -287,25 +270,16 @@ def skeleton_embed_or_sparse_pair(
                 f"block size b={skel.b} below the required 2 m^2 c^(-2m/a) = {b_needed:.6g}"
             )
 
-    if a >= n:
-        # the whole pattern fits on the spine clique
-        mapping = tuple(skel.spine[:n])
-        emb = Embedding(mapping)
-        ok, reason = verify_embedding(host, pattern, emb)
-        if not ok:
-            raise InternalContractError(f"spine embedding failed verification: {reason}")
-        return emb
-
     degrees = [(pattern.adj[v].bit_count(), v) for v in range(1, n + 1)]
     by_size = sorted(degrees, key=lambda dv: (-dv[0], dv[1]))
     spine_pattern = sorted(v for _, v in by_size[:a])
     rest = [v for v in range(1, n + 1) if v not in set(spine_pattern)]
     sub_pattern, rest_of = pattern.induced(rest)
 
-    # segment j holds the pattern vertices strictly between spine indices
+    # segment j holds the pattern vertices strictly between spine indices (none if a >= n)
     bounds = [0] + spine_pattern + [n + 1]
     slot_list: list[tuple[int, ...]] = []
-    for j in range(a + 1):
+    for j in range(len(bounds) - 1):
         count = bounds[j + 1] - bounds[j] - 1
         if count == 0:
             continue

@@ -30,6 +30,7 @@ from .core import (
 )
 from .embed import (
     Embedding,
+    check_pattern,
     find_ordered_embedding,
     skeleton_embed_or_sparse_pair,
     verify_embedding,
@@ -180,13 +181,8 @@ def verify_sparse_set(
 
 
 def _gate_patterns(pat1: OrderedGraph, pat2: OrderedGraph) -> None:
-    for name, pat in (("first", pat1), ("second", pat2)):
-        if pat.m < 1:
-            raise ParameterError(f"{name} pattern must have at least one edge")
-        if any(not pat.adj[v] for v in range(1, pat.n + 1)):
-            raise ParameterError(
-                f"{name} pattern has isolated vertices; strip them with remove_isolated"
-            )
+    check_pattern(pat1, "first pattern")
+    check_pattern(pat2, "second pattern")
 
 
 def _size_target(alpha: float, levels: int, size: int) -> int:

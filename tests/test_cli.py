@@ -221,6 +221,51 @@ class TestSparseSetCommand:
         code, out, err = run(capsys, ["verify", cert, hz])
         assert code == 0 and json.loads(out)["valid"] is True
 
+    def test_copy_branch(self, capsys, tmp_path, monkeypatch):
+        # an all-red K_40 gives a red skeleton whose dichotomy embeds K2
+        monkeypatch.delenv("ORDRAMSEY_SEED", raising=False)
+        red = write(tmp_path / "red40.okc", formats.write_okc(all_red(40)))
+        k2 = write(tmp_path / "k2.og", "2 1\n1 2\n")
+        code, out, err = run(
+            capsys, ["sparse-set", red, k2, k2, "--c", "1/10", "--alpha", "0.75"]
+        )
+        assert (code, out) == (0, '{"color":"red","kind":"embedding","map":[22,23]}\n')
+        assert "stumbled on a red copy instead" in err
+        cert = write(tmp_path / "copy.json", out)
+        code, out, err = run(capsys, ["verify", cert, red, "--pattern", k2])
+        assert code == 0 and json.loads(out)["valid"] is True
+
+    def test_exhausted_branch(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("ORDRAMSEY_SEED", raising=False)
+        col = write(tmp_path / "r20.okc", formats.write_okc(ColoredCompleteGraph.from_random(20, 3)))
+        k5 = write(tmp_path / "k5.og", formats.write_og(complete_graph(5)))
+        code, out, err = run(
+            capsys, ["sparse-set", col, k5, k5, "--c", "1/10", "--alpha", "0.75"]
+        )
+        assert (code, out) == (
+            4, '{"kind":"exhausted","trace":["no monochromatic cliques sampled on 20 vertices"]}\n'
+        )
+
+
+class TestPatternGate:
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("search", [], "first pattern must have at least one edge"),
+            ("sparse-set", ["--c", "1/10"], "first pattern must have at least one edge"),
+            ("exact", ["5"], "patterns must each have at least one edge"),
+        ],
+    )
+    def test_edgeless_first_pattern(self, capsys, files, tmp_path, command, extra, message):
+        edgeless = write(tmp_path / "e2.og", "2 0\n")
+        host = [] if command == "exact" else [files["allred"]]
+        code, out, err = run(capsys, [command, *host, edgeless, files["k3"], *extra])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_nonpositive_tuple_cap(self, capsys, files):
+        code, out, err = run(capsys, ["--tuple-cap", "0", "exact", files["k3"], files["k3"], "5"])
+        assert (code, out, err) == (2, "", "error: caps must be positive\n")
+
 
 class TestConstruct:
     def test_sn_with_sidecar(self, capsys, files, tmp_path):
@@ -383,12 +428,41 @@ WRONG_HOST = [
     (OUTSIDE_HOST["sparse_set"], ".og"),
 ]
 
-# one skeleton certificate (a = 1) failing each condition on a 4-vertex host
-# that lacks the edge (2, 3)
+# skeleton certificates (a = 1 unless given), each failing one condition on a
+# 4-vertex host that lacks the edge (2, 3)
 SKELETON_FAILURES = [
     ({"b": 1, "spine": [2], "blocks": [[3], [4]]}, "condition (a) fails at (3, 2)"),
     ({"b": 2, "spine": [2], "blocks": [[1], [3, 4]]}, "condition (b) fails at (0, 1)"),
     ({"b": 1, "spine": [2], "blocks": [[1], [3]]}, "condition (c) fails at (2, 3)"),
+    # the other failures of condition (a)
+    ({"b": 1, "spine": [9], "blocks": [[1], [3]]}, "condition (a) fails at (9,)"),
+    ({"b": 1, "spine": [3], "blocks": [[2, 1], [4]]}, "condition (a) fails at (2, 1)"),
+    ({"b": 1, "spine": [4], "blocks": [[1], [2]]}, "condition (a) fails at (4, 2)"),
+    ({"a": 2, "b": 1, "spine": [3, 1], "blocks": [[], [4], [2]]}, "condition (a) fails at (3, 1)"),
+]
+
+
+# mutated certificates, each failing one check of its kind's checker
+CHECKER_REJECTIONS = [
+    (
+        {"kind": "sparse_pair", "A": [3], "B": [2], "c": "1/2", "density": "0/1"}, ".og",
+        "lower side must precede upper side",
+    ),
+    (
+        {"kind": "sparse_pair", "A": [1], "B": [2], "c": "1/2", "density": "0/1"}, ".og",
+        "recomputed density 1 differs from claimed 0",
+    ),
+    (
+        {"kind": "sparse_pair", "A": [1], "B": [2], "c": "1/2", "density": "1/1"}, ".og",
+        "density 1 is not below c = 1/2",
+    ),
+    (
+        {
+            "kind": "sparse_set", "color": "red", "members": [1, 2], "density": "1/1",
+            "bound": "1/2", "size_target": 1, "met_size_target": True,
+        },
+        ".okc", "density 1 exceeds the bound 1/2",
+    ),
 ]
 
 
@@ -479,7 +553,19 @@ class TestVerifyRule:
         assert (code, out) == (2, "")
         assert err == "error: embedding certificates need --pattern\n"
 
-    @pytest.mark.parametrize("fields, reason", SKELETON_FAILURES, ids=["a", "b", "c"])
+    @pytest.mark.parametrize("rec, host, reason", CHECKER_REJECTIONS)
+    def test_checker_rejection_reasons(self, capsys, hosts, tmp_path, rec, host, reason):
+        code, out, _ = self.verify(capsys, hosts, tmp_path, rec, host)
+        assert code == 4
+        assert json.loads(out) == {
+            "kind": "verify", "certificate_kind": rec["kind"], "valid": False, "reason": reason
+        }
+
+    @pytest.mark.parametrize(
+        "fields, reason", SKELETON_FAILURES,
+        ids=["a", "b", "c", "a-spine-outside", "a-unsorted-block", "a-spine-above-next-block",
+             "a-spine-decreasing"],
+    )
     def test_skeleton_reason_names_the_failed_condition(self, capsys, tmp_path, fields, reason):
         host = write(tmp_path / "gap4.og", "4 5\n1 2\n1 3\n1 4\n2 4\n3 4\n")
         cert = write(tmp_path / "skel.json", json.dumps({"kind": "skeleton", "a": 1, **fields}))
@@ -569,6 +655,30 @@ class TestParser:
         # Python 3.10 heads the options section "optional arguments:"
         assert captured.out.replace("optional arguments:", "options:") == out
         assert captured.err == err
+
+
+class TestRationalArguments:
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("skeleton", "1/x", "bad rational '1/x': invalid literal for int() with base 10: 'x'"),
+            ("skeleton", "x", "bad rational 'x': Invalid literal for Fraction: 'x'"),
+            ("sparse-set", "1/0", "bad rational '1/0': Fraction(1, 0)"),
+            ("skeleton", "1/2/3", "expected a p/q rational string, got '1/2/3'"),
+        ],
+    )
+    def test_names_the_rational_once(self, capsys, files, command, text, message):
+        if command == "skeleton":
+            argv, flag = ["skeleton", files["k3"], "--a", "1", "--d", text], "--d"
+        else:
+            argv, flag = ["sparse-set", files["allred"], files["k3"], files["k3"], "--c", text], "--c"
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"ordramsey {command}: error: argument {flag}: {message}"
+        )
 
 
 class TestErrorExitCodes:

@@ -241,6 +241,19 @@ class TestSkeletonEmbed:
         assert isinstance(out, Embedding)
         assert verify_embedding(host, pattern, out)[0]
 
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_short_pattern_lies_on_the_spine(self, a):
+        # n <= a: the spine takes every pattern vertex and no block is used
+        host = complete_graph(4 * a + 3)
+        spine = tuple(range(4, 4 * a + 1, 4))
+        blocks = tuple(tuple(range(j - 3, j)) for j in (*spine, 4 * a + 4))
+        skel = Skeleton(spine, blocks, a, 3)
+        pattern = OrderedGraph(2, [(1, 2)])
+        out = skeleton_embed_or_sparse_pair(
+            host, skel, pattern, Fraction(1, 2), enforce_size_precondition=False
+        )
+        assert out == Embedding(skel.spine[:2])
+
     def test_complete_host_embeds(self):
         host = complete_graph(11)
         skel = Skeleton((4, 8), ((1, 2, 3), (5, 6, 7), (9, 10, 11)), 2, 3)
@@ -279,7 +292,7 @@ class TestSkeletonEmbed:
     def test_isolated_pattern_vertex_rejected(self):
         host, skel = planted_skeleton_host()
         pattern = OrderedGraph(3, [(1, 2)])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^pattern has isolated vertices; strip them"):
             skeleton_embed_or_sparse_pair(
                 host, skel, pattern, Fraction(1, 2), enforce_size_precondition=False
             )
