@@ -12,6 +12,7 @@ import time
 from itertools import combinations
 
 from ordramsey import kernels
+from ordramsey.constructions import build_subdivision_S
 from ordramsey.core import ColoredCompleteGraph
 from ordramsey.io import parse_okc, write_okc
 
@@ -78,19 +79,14 @@ def workloads():
 
     yield "transitive_chain", w_chain
 
-    star_arcs = []
-    idx = 6
-    for t in combinations(range(1, 6), 3):
-        i, j, k = t
-        star_arcs += [(i, idx), (idx, j), (idx, k)]
-        idx += 1
+    star = build_subdivision_S(5).digraph
 
     def w_inject():
         out = []
         for s in range(40, 46):
             rows = random_tournament_rows(24, random.Random(s))
             budget = kernels.DecisionBudget(50_000)
-            out.append(kernels.digraph_injection(24, rows, idx - 1, star_arcs, budget))
+            out.append(kernels.digraph_injection(24, rows, star.n, star.out, budget))
         return out
 
     yield "digraph_injection", w_inject

@@ -83,11 +83,12 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _load(path: str, want: type, label: str):
-    """Parse a file by its extension and insist on the expected value type."""
-    value = _file_op("read", path, lambda: formats.load_path(path))
-    if not isinstance(value, want):
-        raise ParseError(f"{path} holds a {type(value).__name__}, expected {label}")
-    return value
+    """Parse a file by its extension; an extension that names another value
+    type is refused before the file is read."""
+    got = formats.value_type(path)
+    if got is not want:
+        raise ParseError(f"{path} holds a {got.__name__}, expected {label}")
+    return _file_op("read", path, lambda: formats.load_path(path))
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -258,16 +259,17 @@ def cmd_construct_sn(args) -> int:
     sidecar = str(Path(out).with_suffix(".triples.json"))
     triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
     _write_out(sidecar, json_line(triples))
+    arcs = len(sub.digraph.arcs())
     _emit({
         "kind": "construct",
         "what": "sn",
         "n": args.n,
         "vertices": sub.digraph.n,
-        "arcs": len(sub.digraph.arcs),
+        "arcs": arcs,
         "out": out,
         "sidecar": sidecar,
     })
-    _say(args, f"{sub.digraph.n} vertices, {len(sub.digraph.arcs)} arcs -> {out}")
+    _say(args, f"{sub.digraph.n} vertices, {arcs} arcs -> {out}")
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ class Subdivision:
 
     n: int
     digraph: Digraph
-    base: tuple[int, ...]
     triple_index: dict[tuple[int, int, int], int]
 
 
@@ -41,7 +40,7 @@ def build_subdivision_S(n: int) -> Subdivision:
         arcs.append((t, j))
         arcs.append((t, k))
     d = Digraph(n + len(triples), arcs)
-    return Subdivision(n, d, tuple(range(1, n + 1)), index)
+    return Subdivision(n, d, index)
 
 
 def find_transitive_subtournament(T: Tournament, k: int) -> tuple[int, ...] | None:
@@ -183,7 +182,7 @@ def verify_subdivision_copy(
         if h in seen:
             return False, f"image {h} repeats"
         seen.add(h)
-    for u, v in sorted(S.digraph.arcs):
+    for u, v in S.digraph.arcs():
         if not T.has_arc(mapping[u - 1], mapping[v - 1]):
             return False, f"arc ({u}, {v}) maps to a reversed pair"
     return True, None
@@ -206,7 +205,7 @@ def contains_subdivision(
     spent = kernels.DecisionBudget(budget)
     try:
         mapping, nodes = kernels.digraph_injection(
-            T.N, list(T.beats), S.digraph.n, sorted(S.digraph.arcs), spent
+            T.N, list(T.beats), S.digraph.n, S.digraph.out, spent
         )
     except BudgetExhausted:
         return InjectionResult(None, spent.used, True)

@@ -384,14 +384,6 @@ class Tournament:
         return cls(N, tuple(rows))
 
     @classmethod
-    def transitive(cls, N: int) -> "Tournament":
-        rows = [0] * (N + 1)
-        for u in range(1, N + 1):
-            for v in range(u + 1, N + 1):
-                rows[u] |= 1 << v
-        return cls(N, tuple(rows))
-
-    @classmethod
     def from_random(cls, N: int, rng: random.Random) -> "Tournament":
         """Uniform tournament; one rng bit per pair (i, j), i < j, in colex order."""
         rows = [0] * (N + 1)
@@ -407,7 +399,7 @@ class Tournament:
         return bool(self.beats[u] & (1 << v))
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(1, self.N + 1) for v in bits_of(self.beats[u])]
+        return _arc_list(self.beats)
 
     def induced(self, members: Iterable[int]) -> tuple["Tournament", tuple[int, ...]]:
         keep = vertex_tuple(members, self.N, "induced tournament")
@@ -418,85 +410,71 @@ class Tournament:
 
 @record
 class Digraph:
-    """A digraph on 1..n with arc set of ordered pairs (u, v), u != v."""
+    """A digraph on 1..n; out[u] is the bitmask of vertices u has an arc into.
+
+    out (index 0 empty) is the digraph's only state besides n, as adj is an
+    ordered graph's; the arc list is a view computed from it.
+    """
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    out: tuple[int, ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise DomainError(f"vertex count {n} is negative")
-        norm = set()
+        rows = [0] * (n + 1)
         for a in arcs:
             u, v = a
             if u == v or not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"arc {a!r} out of range for 1..{n}")
-            norm.add((u, v))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", frozenset(norm))
-
-    @cached_property
-    def out_adj(self) -> tuple[int, ...]:
-        rows = [0] * (self.n + 1)
-        for u, v in self.arcs:
             rows[u] |= 1 << v
-        return tuple(rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "out", tuple(rows))
+
+    def arcs(self) -> list[tuple[int, int]]:
+        return _arc_list(self.out)
 
     def underlying_graph(self) -> OrderedGraph:
-        return OrderedGraph(self.n, ((min(u, v), max(u, v)) for u, v in self.arcs))
+        into = transpose_masks(self.out, self.n)
+        return OrderedGraph._of_checked_rows(self.n, tuple(map(int.__or__, self.out, into)))
 
     def topological_order(self) -> tuple[int, ...]:
-        """Lexicographically least topological order; DomainError with a cycle witness otherwise."""
+        """Lexicographically least topological order; DomainError with a cycle witness otherwise.
+
+        Every vertex that Kahn's loop leaves unordered keeps an unordered
+        in-neighbour, so a walk from one of them along least such
+        in-neighbours repeats a vertex; the loop it closes, reversed, is a
+        directed cycle.
+        """
         import heapq
 
-        indeg = [0] * (self.n + 1)
-        for _, v in self.arcs:
-            indeg[v] += 1
-        ready = [v for v in range(1, self.n + 1) if indeg[v] == 0]
-        heapq.heapify(ready)
+        into = transpose_masks(self.out, self.n)
+        indeg = [r.bit_count() for r in into]
+        ready = [v for v in range(1, self.n + 1) if not indeg[v]]  # ascending, so a heap
         order = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in bits_of(self.out_adj[v]):
+            for w in bits_of(self.out[v]):
                 indeg[w] -= 1
-                if indeg[w] == 0:
+                if not indeg[w]:
                     heapq.heappush(ready, w)
         if len(order) < self.n:
-            raise DomainError(f"digraph is not acyclic; a cycle exists: {self.find_cycle()}")
+            left = ((1 << (self.n + 1)) - 2) & ~mask_of(order)
+            step: dict[int, int] = {}  # walk vertex -> its position in the walk
+            v = (left & -left).bit_length() - 1
+            while v not in step:
+                step[v] = len(step)
+                back = into[v] & left
+                v = (back & -back).bit_length() - 1
+            cycle = tuple(reversed(list(step)[step[v] :]))
+            raise DomainError(f"digraph is not acyclic; a cycle exists: {cycle}")
         return tuple(order)
 
-    def find_cycle(self) -> tuple[int, ...] | None:
-        """Some directed cycle as a vertex tuple, or None if acyclic."""
-        state = [0] * (self.n + 1)  # 0 new, 1 on stack, 2 done
-        parent: dict[int, int] = {}
-        for root in range(1, self.n + 1):
-            if state[root]:
-                continue
-            stack = [(root, iter(sorted(bits_of(self.out_adj[root]))))]
-            state[root] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if state[w] == 0:
-                        state[w] = 1
-                        parent[w] = v
-                        stack.append((w, iter(sorted(bits_of(self.out_adj[w])))))
-                        advanced = True
-                        break
-                    if state[w] == 1:
-                        cyc = [w, v]
-                        x = v
-                        while x != w:
-                            x = parent[x]
-                            cyc.append(x)
-                        cyc.pop()
-                        return tuple(reversed(cyc))
-                if not advanced:
-                    state[v] = 2
-                    stack.pop()
-        return None
+
+def _arc_list(out) -> list[tuple[int, int]]:
+    """The arcs (u, v) of out-rows with index 0 empty, in lexicographic order."""
+    return [(u, v) for u, row in enumerate(out) for v in bits_of(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +570,7 @@ def ordered_pair_from_digraph(d: Digraph) -> tuple[OrderedGraph, OrderedGraph]:
     n = d.n
     fwd = []
     rev = []
-    for u, v in d.arcs:
+    for u, v in d.arcs():
         pu, pv = pos[u], pos[v]
         fwd.append((min(pu, pv), max(pu, pv)))
         qu, qv = n + 1 - pu, n + 1 - pv

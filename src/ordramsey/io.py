@@ -141,8 +141,9 @@ def parse_dg(text: str) -> Digraph:
 
 
 def write_dg(d: Digraph) -> str:
-    out = [f"{d.n} {len(d.arcs)}"]
-    out.extend(f"{u} {v}" for u, v in sorted(d.arcs))
+    arcs = d.arcs()
+    out = [f"{d.n} {len(arcs)}"]
+    out.extend(f"{u} {v}" for u, v in arcs)
     return "\n".join(out) + "\n"
 
 
@@ -200,15 +201,31 @@ def write_trn(t: Tournament) -> str:
     return "\n".join(out) + "\n"
 
 
-_PARSERS = {".og": parse_og, ".okc": parse_okc, ".dg": parse_dg, ".trn": parse_trn}
+_FORMATS = {
+    ".og": (OrderedGraph, parse_og),
+    ".okc": (ColoredCompleteGraph, parse_okc),
+    ".dg": (Digraph, parse_dg),
+    ".trn": (Tournament, parse_trn),
+}
+
+
+def _format(path) -> tuple[type, object]:
+    from pathlib import Path
+
+    p = Path(path)
+    fmt = _FORMATS.get(p.suffix)
+    if fmt is None:
+        raise ParseError(f"unknown file extension {p.suffix!r} for {p}")
+    return fmt
+
+
+def value_type(path) -> type:
+    """The type a file of this extension parses to, without reading the file."""
+    return _format(path)[0]
 
 
 def load_path(path):
     """Parse a file by its extension."""
     from pathlib import Path
 
-    p = Path(path)
-    parser = _PARSERS.get(p.suffix)
-    if parser is None:
-        raise ParseError(f"unknown file extension {p.suffix!r} for {p}")
-    return parser(p.read_text())
+    return _format(path)[1](Path(path).read_text())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import bits_of
+from .core import bits_of, transpose_masks
 from .errors import BudgetExhausted
 
 # The benchmark records this in every result and refuses to compare runs
@@ -428,69 +428,53 @@ def digraph_injection(
     host_n: int,
     beats: list[int],
     pat_n: int,
-    pat_arcs: list[tuple[int, int]],
+    pat_out: list[int],
     budget: DecisionBudget,
 ) -> tuple[list[int] | None, int]:
     """Arc-preserving injection of a digraph pattern into a tournament host.
 
-    Assigns pattern vertices 1..pat_n in order with forward checking.  Each
-    attempted assignment spends a node of budget; the attempt past its limit
-    raises BudgetExhausted.  Returns (mapping with element i-1 the host of
-    pattern vertex i, or None; nodes this call spent).
+    pat_out[p] is the bitmask of pattern vertices p has an arc into (index 0
+    empty).  Assigns pattern vertices 1..pat_n in order with forward
+    checking: each level hands the next the candidate masks of the later
+    pattern vertices as a new list, and an attempt fails at the first later
+    vertex it leaves with no candidate.  Each attempted assignment spends a
+    node of budget; the attempt past its limit raises BudgetExhausted.
+    Returns (mapping with element i-1 the host of pattern vertex i, or None;
+    nodes this call spent).
     """
     full = _full_mask(host_n)
-    beaten = [0] * (host_n + 1)
-    for h in range(1, host_n + 1):
-        beaten[h] = full & ~beats[h] & ~(1 << h)
-
-    out_pat = [0] * (pat_n + 1)
-    in_pat = [0] * (pat_n + 1)
-    for u, v in pat_arcs:
-        out_pat[u] |= 1 << v
-        in_pat[v] |= 1 << u
-
-    cand = [full] * (pat_n + 1)
+    beaten = [full & ~beats[h] & ~(1 << h) for h in range(host_n + 1)]
+    pat_in = transpose_masks(pat_out, pat_n)
     mapping = [0] * (pat_n + 1)
-    trail: list[tuple[int, int]] = []
-    later = [list(range(p + 1, pat_n + 1)) for p in range(pat_n + 1)]
     start = budget.used
 
-    def assign(p: int, h: int, upcoming: list[int]) -> bool:
-        for q in upcoming:
-            old = cand[q]
-            new = old & ~(1 << h)
-            if out_pat[p] & (1 << q):
-                new &= beats[h]
-            if in_pat[p] & (1 << q):
-                new &= beaten[h]
-            if new != old:
-                trail.append((q, old))
-                cand[q] = new
-                if not new:
-                    return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            q, old = trail.pop()
-            cand[q] = old
-
-    def rec(p: int) -> bool:
+    def rec(p: int, cands: list[int]) -> bool:
+        # cands[i] is the candidate mask of pattern vertex p + i
         if p > pat_n:
             return True
-        upcoming = later[p]
-        for h in bits_of(cand[p]):
+        out_p, in_p = pat_out[p], pat_in[p]
+        for h in bits_of(cands[0]):
             if budget.used == budget.limit:
                 raise BudgetExhausted(f"node budget of {budget.limit} exhausted")
             budget.used += 1
             mapping[p] = h
-            mark = len(trail)
-            if assign(p, h, upcoming) and rec(p + 1):
-                return True
-            undo(mark)
+            free = ~(1 << h)
+            nxt = []
+            for q in range(p + 1, pat_n + 1):
+                c = cands[q - p] & free
+                if out_p >> q & 1:
+                    c &= beats[h]
+                if in_p >> q & 1:
+                    c &= beaten[h]
+                if not c:
+                    break
+                nxt.append(c)
+            else:
+                if rec(p + 1, nxt):
+                    return True
         return False
 
-    found = rec(1)
+    found = rec(1, [full] * pat_n)
     return (mapping[1:] if found else None), budget.used - start
 
 

@@ -256,7 +256,7 @@ def test_criterion_6_subdivision_counts():
         s = build_subdivision_S(n)
         triples = math.comb(n, 3)
         assert s.digraph.n == n + triples
-        assert len(s.digraph.arcs) == 3 * triples
+        assert len(s.digraph.arcs()) == 3 * triples
         assert len(s.digraph.topological_order()) == s.digraph.n
         deg = degeneracy(s.digraph.underlying_graph())
         if n >= 4:

@@ -157,6 +157,18 @@ class TestEmbed:
         assert code == 4
         assert json.loads(out)["kind"] == "exhausted"
 
+    def test_wrong_type_refused_before_the_file_is_read(self, capsys, files):
+        # parsed, this header would ask for 10**12 + 1 adjacency rows
+        host = write(files["dir"] / "huge.dg", f"{10**12} 0\n")
+        code, out, err = run(capsys, ["embed", host, files["path4"]])
+        expected = f"error: {host} holds a Digraph, expected an .og host\n"
+        assert (code, out, err) == (2, "", expected)
+
+    def test_unknown_extension(self, capsys, files):
+        host = str(files["dir"] / "host.txt")
+        code, out, err = run(capsys, ["embed", host, files["path4"]])
+        assert (code, out, err) == (2, "", f"error: unknown file extension '.txt' for {host}\n")
+
 
 class TestSkeletonCommand:
     def test_found_in_complete_host(self, capsys, files):

@@ -23,7 +23,7 @@ from ordramsey.constructions import (
     verify_bucket_claims,
     verify_subdivision_copy,
 )
-from ordramsey.core import Tournament, degeneracy
+from ordramsey.core import Digraph, Tournament, degeneracy
 from ordramsey.errors import BudgetExhausted, DomainError, GenerationError, ParameterError
 from ordramsey.io import write_trn
 
@@ -44,7 +44,7 @@ def brute_force_transitive(T, k):
 
 def brute_force_subdivision(T, n):
     S = build_subdivision_S(n)
-    arcs = sorted(S.digraph.arcs)
+    arcs = S.digraph.arcs()
     for tup in permutations(range(1, T.N + 1), S.digraph.n):
         if all(T.has_arc(tup[u - 1], tup[v - 1]) for u, v in arcs):
             return tup
@@ -55,29 +55,28 @@ class TestBuildSubdivision:
     def test_smallest_star(self):
         s = build_subdivision_S(3)
         assert s.digraph.n == 4
-        assert len(s.digraph.arcs) == 3
-        assert s.base == (1, 2, 3)
+        assert len(s.digraph.arcs()) == 3
         assert s.triple_index == {(1, 2, 3): 4}
-        assert set(s.digraph.arcs) == {(1, 4), (4, 2), (4, 3)}
+        assert set(s.digraph.arcs()) == {(1, 4), (4, 2), (4, 3)}
 
     def test_four_base_vertices(self):
         s = build_subdivision_S(4)
         assert s.digraph.n == 8
-        assert len(s.digraph.arcs) == 12
+        assert len(s.digraph.arcs()) == 12
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_counts_and_shape(self, n):
         s = build_subdivision_S(n)
         triples = math.comb(n, 3)
         assert s.digraph.n == n + triples
-        assert len(s.digraph.arcs) == 3 * triples
+        assert len(s.digraph.arcs()) == 3 * triples
         # triple vertices follow the base in lexicographic triple order
         assert sorted(s.triple_index.values()) == list(range(n + 1, n + triples + 1))
         assert list(s.triple_index) == sorted(s.triple_index)
         # every middle vertex has in-degree 1 and out-degree 2
         indeg = {}
         outdeg = {}
-        for u, v in s.digraph.arcs:
+        for u, v in s.digraph.arcs():
             outdeg[u] = outdeg.get(u, 0) + 1
             indeg[v] = indeg.get(v, 0) + 1
         for t in s.triple_index.values():
@@ -407,7 +406,7 @@ class TestSubdivisionNodeBudget:
     def test_kernel_spends_the_shared_budget(self):
         T, res = self.found_run()
         S = build_subdivision_S(4)
-        args = (T.N, list(T.beats), S.digraph.n, sorted(S.digraph.arcs))
+        args = (T.N, list(T.beats), S.digraph.n, S.digraph.out)
         budget = kernels.DecisionBudget(2 * res.nodes)
         for _ in range(2):
             assert kernels.digraph_injection(*args, budget) == (list(res.mapping), res.nodes)
@@ -415,6 +414,42 @@ class TestSubdivisionNodeBudget:
         with pytest.raises(BudgetExhausted):
             kernels.digraph_injection(*args, budget)
         assert budget.used == budget.limit
+
+
+class TestDigraphInjection:
+    def test_least_injection_and_every_shorter_budget(self):
+        # permutations come in lexicographic order, so the first
+        # arc-preserving one is the least injection
+        rng = random.Random(24)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            T = Tournament.from_random(rng.randint(0, 7), rng)
+            k = rng.randint(0, 5)
+            p = rng.random() * 0.5
+            D = Digraph(k, [pair for pair in permutations(range(1, k + 1), 2) if rng.random() < p])
+            least = next(
+                (
+                    tup
+                    for tup in permutations(range(1, T.N + 1), k)
+                    if all(T.has_arc(tup[u - 1], tup[v - 1]) for u, v in D.arcs())
+                ),
+                None,
+            )
+            args = (T.N, list(T.beats), k, D.out)
+            mapping, nodes = kernels.digraph_injection(*args, kernels.DecisionBudget(10**9))
+            assert (None if mapping is None else tuple(mapping)) == least
+            outcomes[least is None] += 1
+            for limit in range(nodes):
+                short = kernels.DecisionBudget(limit)
+                with pytest.raises(BudgetExhausted):
+                    kernels.digraph_injection(*args, short)
+                assert short.used == limit
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_s4_search_in_the_lower_bound_tournament(self):
+        T = iterated_lower_bound_tournament(50, 0)
+        expected = InjectionResult((1, 5, 6, 9, 2, 13, 14, 8), 713, False)
+        assert contains_subdivision(T, 4) == expected
 
 
 class TestVerifySubdivisionCopy:

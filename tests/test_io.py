@@ -127,7 +127,7 @@ class TestDg:
         d = Digraph(4, [(2, 1), (1, 3), (3, 4)])
         back = parse_dg(write_dg(d))
         assert back.n == d.n
-        assert back.arcs == d.arcs
+        assert back.arcs() == d.arcs()
 
     def test_duplicate_arc_rejected(self):
         with pytest.raises(ParseError):
