@@ -61,13 +61,20 @@ EXIT_GENERATION = 5
 SEED_ENV = "ORDRAMSEY_SEED"
 
 
-def _say(args, message: str) -> None:
+def _report(args, cert: dict, summary: str) -> int:
+    """Print cert as the run's one JSON line and, unless -q, summary on stderr.
+
+    The exit code is read off the certificate: 4 when it is exhausted or
+    invalid, 3 when a ramsey_exact certificate has no n_star, 0 otherwise.
+    """
+    sys.stdout.write(json_line(cert))
     if not args.quiet:
-        print(message, file=sys.stderr)
-
-
-def _emit(obj: dict) -> None:
-    sys.stdout.write(json_line(obj))
+        print(summary, file=sys.stderr)
+    if cert["kind"] == "exhausted" or cert.get("valid") is False:
+        return EXIT_EXHAUSTED
+    if cert["kind"] == "ramsey_exact" and cert["n_star"] is None:
+        return EXIT_BOUND
+    return EXIT_OK
 
 
 def _file_op(verb: str, path: str, op):
@@ -112,17 +119,17 @@ def cmd_exact(args) -> int:
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
     result = exact_ordered_ramsey(pat1, pat2, args.max_n, args.node_budget)
     if isinstance(result, Exhausted):
-        _emit(certificate_dict(result))
-        _say(args, "exact search exhausted: " + result.trace[-1])
-        return EXIT_EXHAUSTED
+        summary = "exact search exhausted: " + result.trace[-1]
+        return _report(args, certificate_dict(result), summary)
     if result is None:
-        _emit({"kind": "ramsey_exact", "max_n": args.max_n, "n_star": None})
-        _say(args, f"ordered ramsey number exceeds max_n = {args.max_n}")
-        return EXIT_BOUND
+        cert = {"kind": "ramsey_exact", "max_n": args.max_n, "n_star": None}
+        return _report(args, cert, f"ordered ramsey number exceeds max_n = {args.max_n}")
     n_star, witness = result
-    _emit(certificate_dict((n_star, formats.write_okc(witness))))
-    _say(args, f"n_star = {n_star} with a witness coloring on {witness.N} vertices")
-    return EXIT_OK
+    return _report(
+        args,
+        certificate_dict((n_star, formats.write_okc(witness))),
+        f"n_star = {n_star} with a witness coloring on {witness.N} vertices",
+    )
 
 
 def search_arguments(p) -> None:
@@ -137,12 +144,11 @@ def cmd_search(args) -> int:
     pat1 = _load(args.h1, OrderedGraph, "an .og pattern")
     pat2 = _load(args.h2, OrderedGraph, "an .og pattern")
     result = find_mono_copy(coloring, pat1, pat2)
-    _emit(certificate_dict(result))
     if isinstance(result, MonoCopy):
-        _say(args, f"found a {result.color.value} copy on {len(result.mapping)} vertices")
-        return EXIT_OK
-    _say(args, "search exhausted: " + "; ".join(result.trace[-1:]))
-    return EXIT_EXHAUSTED
+        summary = f"found a {result.color.value} copy on {len(result.mapping)} vertices"
+    else:
+        summary = "search exhausted: " + "; ".join(result.trace[-1:])
+    return _report(args, certificate_dict(result), summary)
 
 
 def embed_arguments(p) -> None:
@@ -156,12 +162,9 @@ def cmd_embed(args) -> int:
     pattern = _load(args.pattern, OrderedGraph, "an .og pattern")
     emb = find_ordered_embedding(host, pattern)
     if emb is None:
-        _emit(certificate_dict(Exhausted(("no order-preserving embedding",))))
-        _say(args, "no order-preserving embedding")
-        return EXIT_EXHAUSTED
-    _emit(certificate_dict(emb))
-    _say(args, f"embedding found: {list(emb.mapping)}")
-    return EXIT_OK
+        cert = certificate_dict(Exhausted(("no order-preserving embedding",)))
+        return _report(args, cert, "no order-preserving embedding")
+    return _report(args, certificate_dict(emb), f"embedding found: {list(emb.mapping)}")
 
 
 def skeleton_arguments(p) -> None:
@@ -177,12 +180,10 @@ def cmd_skeleton(args) -> int:
     n = args.window if args.window is not None else 4 * args.a + 1
     skel = find_skeleton_from_cliques(host, n, args.a, args.d, args.tuple_cap)
     if skel is None:
-        _emit(certificate_dict(Exhausted((f"no ({args.a}, b)-skeleton at d = {args.d}",))))
-        _say(args, "no skeleton met the block-size target")
-        return EXIT_EXHAUSTED
-    _emit(certificate_dict(skel))
-    _say(args, f"({skel.a}, {skel.b})-skeleton with spine {list(skel.spine)}")
-    return EXIT_OK
+        cert = certificate_dict(Exhausted((f"no ({args.a}, b)-skeleton at d = {args.d}",)))
+        return _report(args, cert, "no skeleton met the block-size target")
+    summary = f"({skel.a}, {skel.b})-skeleton with spine {list(skel.spine)}"
+    return _report(args, certificate_dict(skel), summary)
 
 
 def sparse_set_arguments(p) -> None:
@@ -215,19 +216,16 @@ def cmd_sparse_set(args) -> int:
         tuple_cap=args.tuple_cap,
         seed=args.seed,
     )
-    _emit(certificate_dict(result))
     if isinstance(result, SparseSet):
-        _say(
-            args,
+        summary = (
             f"{result.color.value} set of {len(result.members)} vertices, "
-            f"density {rational_str(result.density)} <= {rational_str(result.bound)}",
+            f"density {rational_str(result.density)} <= {rational_str(result.bound)}"
         )
-        return EXIT_OK
-    if isinstance(result, MonoCopy):
-        _say(args, f"stumbled on a {result.color.value} copy instead")
-        return EXIT_OK
-    _say(args, "recursion exhausted: " + "; ".join(result.trace[-1:]))
-    return EXIT_EXHAUSTED
+    elif isinstance(result, MonoCopy):
+        summary = f"stumbled on a {result.color.value} copy instead"
+    else:
+        summary = "recursion exhausted: " + "; ".join(result.trace[-1:])
+    return _report(args, certificate_dict(result), summary)
 
 
 def construct_arguments(p) -> None:
@@ -260,7 +258,7 @@ def cmd_construct_sn(args) -> int:
     triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
     _write_out(sidecar, json_line(triples))
     arcs = len(sub.digraph.arcs())
-    _emit({
+    cert = {
         "kind": "construct",
         "what": "sn",
         "n": args.n,
@@ -268,9 +266,8 @@ def cmd_construct_sn(args) -> int:
         "arcs": arcs,
         "out": out,
         "sidecar": sidecar,
-    })
-    _say(args, f"{sub.digraph.n} vertices, {arcs} arcs -> {out}")
-    return EXIT_OK
+    }
+    return _report(args, cert, f"{sub.digraph.n} vertices, {arcs} arcs -> {out}")
 
 
 def construct_blowup_arguments(p) -> None:
@@ -286,16 +283,15 @@ def cmd_construct_blowup(args) -> int:
     B = blowup(outer, inner)
     out = args.out or f"blowup_{outer.N}x{inner.N}.trn"
     _write_out(out, formats.write_trn(B.tournament))
-    _emit({
+    cert = {
         "kind": "construct",
         "what": "blowup",
         "vertices": B.tournament.N,
         "arcs": B.tournament.N * (B.tournament.N - 1) // 2,
         "blocks": len(B.blocks),
         "out": out,
-    })
-    _say(args, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
-    return EXIT_OK
+    }
+    return _report(args, cert, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
 
 
 def construct_lowerbound_arguments(p) -> None:
@@ -308,7 +304,7 @@ def cmd_construct_lowerbound(args) -> int:
     T = iterated_lower_bound_tournament(args.n, args.seed)
     out = args.out or f"lowerbound_{args.n}_{args.seed}.trn"
     _write_out(out, formats.write_trn(T))
-    _emit({
+    cert = {
         "kind": "construct",
         "what": "lowerbound",
         "n": args.n,
@@ -316,9 +312,8 @@ def cmd_construct_lowerbound(args) -> int:
         "vertices": T.N,
         "arcs": T.N * (T.N - 1) // 2,
         "out": out,
-    })
-    _say(args, f"{T.N} vertices -> {out}")
-    return EXIT_OK
+    }
+    return _report(args, cert, f"{T.N} vertices -> {out}")
 
 
 def verify_arguments(p) -> None:
@@ -332,28 +327,13 @@ def cmd_verify(args) -> int:
     text = _file_op("read", args.certificate, Path(args.certificate).read_text)
     kind, payload = decode_certificate(text)
     require_verifiable(kind, bool(args.pattern))
-    suffix = Path(args.host).suffix
-    if suffix == ".og":
-        host = _load(args.host, OrderedGraph, "an .og host")
-    elif suffix == ".okc":
-        host = _load(args.host, ColoredCompleteGraph, "an .okc host")
-    else:
-        raise ParseError(f"{args.host}: hosts are .og or .okc files")
+    # any extension loads; verify_certificate says which host type the claim needs
+    host = _file_op("read", args.host, lambda: formats.load_path(args.host))
     pattern = _load(args.pattern, OrderedGraph, "an .og pattern") if args.pattern else None
     valid, reason = verify_certificate(kind, payload, host, pattern)
-    _emit(
-        {
-            "kind": "verify",
-            "certificate_kind": kind,
-            "valid": bool(valid),
-            "reason": reason,
-        }
-    )
-    if valid:
-        _say(args, f"{kind} certificate is valid")
-        return EXIT_OK
-    _say(args, f"{kind} certificate is invalid: {reason}")
-    return EXIT_EXHAUSTED
+    cert = {"kind": "verify", "certificate_kind": kind, "valid": bool(valid), "reason": reason}
+    verdict = "valid" if valid else f"invalid: {reason}"
+    return _report(args, cert, f"{kind} certificate is {verdict}")
 
 
 class _Command:

@@ -287,13 +287,7 @@ class ColoredCompleteGraph:
 
     @classmethod
     def from_red_edges(cls, N: int, red_edges: Iterable[tuple[int, int]]) -> "ColoredCompleteGraph":
-        rows = [0] * (N + 1)
-        for i, j in red_edges:
-            if not (1 <= i < j <= N):
-                raise DomainError(f"red edge ({i}, {j}) out of range")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(N, tuple(rows))
+        return cls(N, OrderedGraph(N, red_edges).adj)
 
     @classmethod
     def from_function(cls, N: int, is_red) -> "ColoredCompleteGraph":
@@ -376,12 +370,7 @@ class Tournament:
 
     @classmethod
     def from_arcs(cls, N: int, arcs: Iterable[tuple[int, int]]) -> "Tournament":
-        rows = [0] * (N + 1)
-        for u, v in arcs:
-            if u == v or not (1 <= u <= N and 1 <= v <= N):
-                raise DomainError(f"arc ({u}, {v}) out of range")
-            rows[u] |= 1 << v
-        return cls(N, tuple(rows))
+        return cls(N, Digraph(N, arcs).out)
 
     @classmethod
     def from_random(cls, N: int, rng: random.Random) -> "Tournament":

@@ -8,10 +8,13 @@ and tournaments (.trn).
 .trn  line 1 "N"; then one line per pair (i, j), i < j, in colex order, holding
       '>' for the arc i->j or '<' for the arc j->i.
 
-Parsers reject duplicate edges/arcs and any trailing garbage.
+Parsers reject duplicate edges/arcs, any trailing garbage and a vertex count
+above MAX_VERTICES.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from .core import (
     ColoredCompleteGraph,
@@ -22,6 +25,9 @@ from .core import (
     transpose_masks,
 )
 from .errors import ParseError
+
+# the most vertices a file may declare: its header alone sizes the rows built
+MAX_VERTICES = 1 << 20
 
 
 def _lines(text: str) -> list[str]:
@@ -41,30 +47,50 @@ def _ints(line: str, count: int, lineno: int) -> list[int]:
         raise ParseError(f"non-integer token in {line!r}", lineno) from None
 
 
-def parse_og(text: str) -> OrderedGraph:
-    lines = _lines(text)
+def _header(lines: list[str], names: tuple[str, ...]) -> list[int]:
+    """The header integers of line 1, named by names, the vertex count first.
+
+    They must be nonnegative, and the vertex count at most MAX_VERTICES.
+    """
     if not lines:
         raise ParseError("empty input", 1)
-    n, m = _ints(lines[0], 2, 1)
-    if n < 0 or m < 0:
-        raise ParseError("n and m must be nonnegative", 1)
+    values = _ints(lines[0], len(names), 1)
+    if min(values) < 0:
+        raise ParseError(f"{' and '.join(names)} must be nonnegative", 1)
+    if values[0] > MAX_VERTICES:
+        raise ParseError(f"vertex count {values[0]} is above the limit of {MAX_VERTICES}", 1)
+    return values
+
+
+def _pair_lines(lines: list[str], n: int, edges: bool) -> list[tuple[int, int]]:
+    """The pairs on lines 2 onward, each line read and checked before the next.
+
+    Edges are pairs 1 <= i < j <= n in ascending order, arcs pairs u != v
+    of 1..n; neither may repeat.
+    """
+    pairs: list[tuple[int, int]] = []
+    seen = set()
+    for lineno in range(2, len(lines) + 1):
+        u, v = pair = tuple(_ints(lines[lineno - 1], 2, lineno))
+        if edges and not 1 <= u < v <= n:
+            raise ParseError(f"edge {pair} is not 1 <= i < j <= {n}", lineno)
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"arc {pair} out of range for 1..{n}", lineno)
+        if edges and pairs and pair < pairs[-1]:
+            raise ParseError(f"edge {pair} out of ascending order", lineno)
+        if pair in seen:
+            raise ParseError(f"duplicate {'edge' if edges else 'arc'} {pair}", lineno)
+        seen.add(pair)
+        pairs.append(pair)
+    return pairs
+
+
+def parse_og(text: str) -> OrderedGraph:
+    lines = _lines(text)
+    n, m = _header(lines, ("n", "m"))
     if len(lines) != 1 + m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", len(lines))
-    edges = []
-    prev = None
-    for k in range(m):
-        lineno = 2 + k
-        i, j = _ints(lines[1 + k], 2, lineno)
-        if not (1 <= i < j <= n):
-            raise ParseError(f"edge ({i}, {j}) is not 1 <= i < j <= {n}", lineno)
-        if prev is not None:
-            if (i, j) == prev:
-                raise ParseError(f"duplicate edge ({i}, {j})", lineno)
-            if (i, j) < prev:
-                raise ParseError(f"edge ({i}, {j}) out of ascending order", lineno)
-        prev = (i, j)
-        edges.append((i, j))
-    return OrderedGraph(n, edges)
+    return OrderedGraph(n, _pair_lines(lines, n, edges=True))
 
 
 def write_og(g: OrderedGraph) -> str:
@@ -87,11 +113,7 @@ def parse_okc(text: str) -> ColoredCompleteGraph:
     name its first bad character.
     """
     lines = _lines(text)
-    if not lines:
-        raise ParseError("empty input", 1)
-    (n_val,) = _ints(lines[0], 1, 1)
-    if n_val < 0:
-        raise ParseError("N must be nonnegative", 1)
+    (n_val,) = _header(lines, ("N",))
     expected = max(0, n_val - 1)
     if len(lines) != 1 + expected:
         raise ParseError(f"expected {expected} row lines, found {len(lines) - 1}", len(lines))
@@ -119,25 +141,10 @@ def write_okc(c: ColoredCompleteGraph) -> str:
 
 def parse_dg(text: str) -> Digraph:
     lines = _lines(text)
-    if not lines:
-        raise ParseError("empty input", 1)
-    n, m = _ints(lines[0], 2, 1)
-    if n < 0 or m < 0:
-        raise ParseError("n and m must be nonnegative", 1)
+    n, m = _header(lines, ("n", "m"))
     if len(lines) != 1 + m:
         raise ParseError(f"expected {m} arc lines, found {len(lines) - 1}", len(lines))
-    arcs = []
-    seen = set()
-    for k in range(m):
-        lineno = 2 + k
-        u, v = _ints(lines[1 + k], 2, lineno)
-        if u == v or not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"arc ({u}, {v}) out of range for 1..{n}", lineno)
-        if (u, v) in seen:
-            raise ParseError(f"duplicate arc ({u}, {v})", lineno)
-        seen.add((u, v))
-        arcs.append((u, v))
-    return Digraph(n, arcs)
+    return Digraph(n, _pair_lines(lines, n, edges=False))
 
 
 def write_dg(d: Digraph) -> str:
@@ -162,11 +169,7 @@ def parse_trn(text: str) -> Tournament:
     line by line, to name its first bad line.
     """
     lines = _lines(text)
-    if not lines:
-        raise ParseError("empty input", 1)
-    (n_val,) = _ints(lines[0], 1, 1)
-    if n_val < 0:
-        raise ParseError("N must be nonnegative", 1)
+    (n_val,) = _header(lines, ("N",))
     expected = n_val * (n_val - 1) // 2
     if len(lines) != 1 + expected:
         raise ParseError(f"expected {expected} pair lines, found {len(lines) - 1}", len(lines))
@@ -201,31 +204,24 @@ def write_trn(t: Tournament) -> str:
     return "\n".join(out) + "\n"
 
 
-_FORMATS = {
-    ".og": (OrderedGraph, parse_og),
-    ".okc": (ColoredCompleteGraph, parse_okc),
-    ".dg": (Digraph, parse_dg),
-    ".trn": (Tournament, parse_trn),
-}
+# keyed by file extension; load_path looks its parser up here at each call, so a
+# wrapper put in this table (a tracer's, a test's spy) sees every file it reads
+_TYPES = {".og": OrderedGraph, ".okc": ColoredCompleteGraph, ".dg": Digraph, ".trn": Tournament}
+_PARSERS = {".og": parse_og, ".okc": parse_okc, ".dg": parse_dg, ".trn": parse_trn}
 
 
-def _format(path) -> tuple[type, object]:
-    from pathlib import Path
-
-    p = Path(path)
-    fmt = _FORMATS.get(p.suffix)
-    if fmt is None:
-        raise ParseError(f"unknown file extension {p.suffix!r} for {p}")
-    return fmt
+def _suffix(path) -> str:
+    suffix = Path(path).suffix
+    if suffix not in _TYPES:
+        raise ParseError(f"unknown file extension {suffix!r} for {Path(path)}")
+    return suffix
 
 
 def value_type(path) -> type:
     """The type a file of this extension parses to, without reading the file."""
-    return _format(path)[0]
+    return _TYPES[_suffix(path)]
 
 
 def load_path(path):
     """Parse a file by its extension."""
-    from pathlib import Path
-
-    return _format(path)[1](Path(path).read_text())
+    return _PARSERS[_suffix(path)](Path(path).read_text())

@@ -72,19 +72,14 @@ class TestExact:
 
     def test_bound_exceeded(self, capsys, files):
         code, out, err = run(capsys, ["exact", files["k3"], files["k3"], "5"])
-        assert code == 3
-        rec = json.loads(out)
-        assert rec["n_star"] is None and rec["max_n"] == 5
+        assert out == '{"kind":"ramsey_exact","max_n":5,"n_star":null}\n'
+        assert err == "ordered ramsey number exceeds max_n = 5\n"
 
     def test_bad_input_file(self, capsys, files, tmp_path):
         bad = write(tmp_path / "bad.og", "not a graph\n")
         code, out, err = run(capsys, ["exact", bad, files["k3"], "4"])
         assert code == 2 and out == ""
         assert "error:" in err
-
-    def test_wrong_extension(self, capsys, files):
-        code, out, err = run(capsys, ["exact", files["allred"], files["k3"], "4"])
-        assert code == 2
 
     def test_default_node_budget_keeps_the_certificate(self, capsys, files):
         # the certificate the counter-propagation search printed
@@ -119,13 +114,6 @@ class TestSearch:
         assert rec["kind"] == "embedding" and rec["color"] == "red"
         assert len(rec["map"]) == 4
 
-    def test_exhausted(self, capsys, files):
-        code, out, err = run(
-            capsys, ["search", files["pentagon"], files["k3"], files["k3"]]
-        )
-        assert code == 4
-        assert json.loads(out)["kind"] == "exhausted"
-
     def test_copy_free_paley17_exhausts_after_complete_search(self, capsys, tmp_path):
         col = write(tmp_path / "paley17.okc", formats.write_okc(paley(17)))
         k4 = write(tmp_path / "k4.og", formats.write_og(complete_graph(4)))
@@ -152,11 +140,6 @@ class TestEmbed:
         assert code == 0
         assert json.loads(out)["map"] == [1, 2, 3, 4]
 
-    def test_not_found(self, capsys, files):
-        code, out, err = run(capsys, ["embed", files["empty6"], files["k3"]])
-        assert code == 4
-        assert json.loads(out)["kind"] == "exhausted"
-
     def test_wrong_type_refused_before_the_file_is_read(self, capsys, files):
         # parsed, this header would ask for 10**12 + 1 adjacency rows
         host = write(files["dir"] / "huge.dg", f"{10**12} 0\n")
@@ -169,6 +152,23 @@ class TestEmbed:
         code, out, err = run(capsys, ["embed", host, files["path4"]])
         assert (code, out, err) == (2, "", f"error: unknown file extension '.txt' for {host}\n")
 
+    def test_host_above_the_vertex_limit(self, capsys, files):
+        # rows for 10**12 vertices would not fit in memory; the header is refused
+        host = write(files["dir"] / "huge.og", f"{10**12} 0\n")
+        code, out, err = run(capsys, ["embed", host, files["path4"]])
+        limit = f"vertex count {10**12} is above the limit of {formats.MAX_VERTICES}"
+        assert (code, out, err) == (2, "", f"error: line 1: {limit}\n")
+
+    def test_files_load_through_the_parser_table(self, capsys, files, monkeypatch):
+        # a tracer that replaces the table's parser sees every file read
+        texts = []
+        parse_og = formats._PARSERS[".og"]
+        monkeypatch.setitem(
+            formats._PARSERS, ".og", lambda text: texts.append(text) or parse_og(text)
+        )
+        assert run(capsys, ["-q", "embed", files["k11"], files["path4"]])[0] == 0
+        assert len(texts) == 2
+
 
 class TestSkeletonCommand:
     def test_found_in_complete_host(self, capsys, files):
@@ -180,7 +180,8 @@ class TestSkeletonCommand:
 
     def test_no_cliques(self, capsys, files):
         code, out, err = run(capsys, ["skeleton", files["empty6"], "--a", "1"])
-        assert code == 4
+        assert out == '{"kind":"exhausted","trace":["no (1, b)-skeleton at d = 1"]}\n'
+        assert err == "no skeleton met the block-size target\n"
 
 
 class TestSparseSetCommand:
@@ -334,30 +335,6 @@ class TestVerify:
         rec = json.loads(out)
         assert rec["valid"] is True and rec["certificate_kind"] == "embedding"
 
-    def test_tampered_embedding(self, capsys, files, tmp_path):
-        cert_path = tmp_path / "tampered.json"
-        rec = {"kind": "embedding", "map": [1, 2, 4, 3]}
-        cert_path.write_text(json.dumps(rec))
-        code, out, err = run(
-            capsys,
-            ["verify", str(cert_path), files["k11"], "--pattern", files["path4"]],
-        )
-        assert code == 4
-        out_rec = json.loads(out)
-        assert out_rec["valid"] is False and out_rec["reason"]
-
-    def test_embedding_needs_pattern(self, capsys, files, tmp_path):
-        cert = self.make_embedding_cert(capsys, files, tmp_path)
-        code, out, err = run(capsys, ["verify", cert, files["k11"]])
-        assert code == 2
-
-    def test_unverifiable_kind(self, capsys, files, tmp_path):
-        cert = write(
-            tmp_path / "ex.json", '{"kind":"exhausted","trace":["nothing"]}\n'
-        )
-        code, out, err = run(capsys, ["verify", cert, files["k11"]])
-        assert code == 2
-
     def test_sparse_set_against_coloring(self, capsys, files, tmp_path):
         code, out, _ = run(
             capsys,
@@ -401,12 +378,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
-    def test_host_extension_gate(self, capsys, files, tmp_path):
+    @pytest.mark.parametrize(
+        "host, message",
+        [
+            ("t3.trn", "this embedding certificate verifies against an .og host"),
+            ("s3.dg", "this embedding certificate verifies against an .og host"),
+            ("host.txt", "unknown file extension '.txt' for {host}"),
+        ],
+    )
+    def test_host_extension_gate(self, capsys, files, tmp_path, host, message):
+        # any extension loads; the certificate decides which host type it needs
         cert = self.make_embedding_cert(capsys, files, tmp_path)
-        code, out, err = run(
-            capsys, ["verify", cert, files["t3"], "--pattern", files["path4"]]
-        )
-        assert code == 2
+        write(tmp_path / "s3.dg", "4 3\n1 4\n4 2\n4 3\n")
+        host = str(tmp_path / host)
+        code, out, err = run(capsys, ["verify", cert, host, "--pattern", files["path4"]])
+        assert (code, out, err) == (2, "", "error: " + message.format(host=host) + "\n")
 
 
 # hand-made certificates on 4-vertex hosts: .og for embedding, sparse_pair
@@ -586,6 +572,70 @@ class TestVerifyRule:
         assert json.loads(out) == {
             "kind": "verify", "certificate_kind": "skeleton", "valid": False, "reason": reason
         }
+
+
+# one argv per outcome of every command, "{name}" standing for the path of
+# the outcomes fixture's file name, with the exit code and the kind of the
+# JSON line printed (None: nothing printed)
+OUTCOMES = {
+    "exact-found": (["exact", "{k3}", "{k3}", "6"], 0, "ramsey_exact"),
+    "exact-above-max-n": (["exact", "{k3}", "{k3}", "5"], 3, "ramsey_exact"),
+    "exact-budget": (["--node-budget", "50", "exact", "{c4x}", "{k3}", "12"], 4, "exhausted"),
+    "exact-wrong-extension": (["exact", "{allred}", "{k3}", "4"], 2, None),
+    "search-copy": (["search", "{allred}", "{path4}", "{path4}"], 0, "embedding"),
+    "search-exhausted": (["search", "{pentagon}", "{k3}", "{k3}"], 4, "exhausted"),
+    "embed-found": (["embed", "{k11}", "{path4}"], 0, "embedding"),
+    "embed-not-found": (["embed", "{empty6}", "{k3}"], 4, "exhausted"),
+    "skeleton-found": (["skeleton", "{k11}", "--a", "1"], 0, "skeleton"),
+    "skeleton-none": (["skeleton", "{empty6}", "--a", "1"], 4, "exhausted"),
+    "sparse-set-set": (
+        ["sparse-set", "{allblue30}", "{k9}", "{k9}", "--c", "1/10"], 0, "sparse_set"
+    ),
+    "sparse-set-copy": (
+        ["sparse-set", "{red40}", "{k2}", "{k2}", "--c", "1/10", "--alpha", "0.75"], 0, "embedding"
+    ),
+    "sparse-set-exhausted": (
+        ["sparse-set", "{r20}", "{k5}", "{k5}", "--c", "1/10", "--alpha", "0.75"], 4, "exhausted"
+    ),
+    "construct-sn": (["construct", "sn", "3", "--out", "{dir}/s3.dg"], 0, "construct"),
+    "construct-blowup": (
+        ["construct", "blowup", "{t3}", "{t3}", "--out", "{dir}/b.trn"], 0, "construct"
+    ),
+    "construct-lowerbound": (
+        ["construct", "lowerbound", "3", "--out", "{dir}/lb.trn"], 0, "construct"
+    ),
+    "verify-valid": (["verify", "{skeleton}", "{k11}"], 0, "verify"),
+    "verify-invalid": (["verify", "{tampered}", "{k11}", "--pattern", "{path4}"], 4, "verify"),
+    "verify-no-pattern": (["verify", "{tampered}", "{k11}"], 2, None),
+    "verify-unverifiable": (["verify", "{exhausted}", "{k11}"], 2, None),
+}
+
+
+class TestOutcomes:
+    @pytest.fixture
+    def outcomes(self, files, tmp_path, monkeypatch):
+        monkeypatch.delenv("ORDRAMSEY_SEED", raising=False)
+        r20 = ColoredCompleteGraph.from_random(20, 3)
+        return {
+            **files,
+            "k2": write(tmp_path / "k2.og", "2 1\n1 2\n"),
+            "k5": write(tmp_path / "k5.og", formats.write_og(complete_graph(5))),
+            "red40": write(tmp_path / "red40.okc", formats.write_okc(all_red(40))),
+            "r20": write(tmp_path / "r20.okc", formats.write_okc(r20)),
+            "skeleton": write(
+                tmp_path / "skel.json",
+                '{"kind":"skeleton","a":1,"b":1,"spine":[2],"blocks":[[1],[3]]}',
+            ),
+            "tampered": write(tmp_path / "tampered.json", '{"kind":"embedding","map":[1,2,4,3]}'),
+            "exhausted": write(tmp_path / "ex.json", '{"kind":"exhausted","trace":["nothing"]}'),
+        }
+
+    @pytest.mark.parametrize("argv, code, kind", OUTCOMES.values(), ids=OUTCOMES)
+    def test_exit_code_and_printed_kind(self, capsys, outcomes, argv, code, kind):
+        got, out, err = run(capsys, [a.format(**outcomes) for a in argv])
+        assert (got, json.loads(out)["kind"] if out else None) == (code, kind)
+        if kind == "verify":
+            assert json.loads(out)["valid"] is (code == 0)
 
 
 TOP_USAGE = (

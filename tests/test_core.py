@@ -351,10 +351,6 @@ class TestTournament:
         with pytest.raises(DomainError):
             Tournament.from_arcs(3, [(1, 2)])
 
-    def test_from_arcs_rejects_both_directions(self):
-        with pytest.raises(DomainError):
-            Tournament.from_arcs(2, [(1, 2), (2, 1)])
-
     def test_from_random_deterministic(self):
         a = Tournament.from_random(12, random.Random(9))
         b = Tournament.from_random(12, random.Random(9))
@@ -369,6 +365,35 @@ class TestTournament:
         sub, back = t.induced([2, 5, 8])
         for i, j in permutations(range(1, 4), 2):
             assert sub.has_arc(i, j) == t.has_arc(back[i], back[j])
+
+
+# on 3 vertices, each pair list holds one fault: a vertex outside 1..3, a
+# reversed pair (for a tournament, both arcs of one pair) or a loop
+@pytest.mark.parametrize(
+    "build, pairs, message",
+    [
+        (ColoredCompleteGraph.from_red_edges, [(1, 2), (1, 4)], r"edge \(1, 4\) is not a pair"),
+        (ColoredCompleteGraph.from_red_edges, [(1, 2), (3, 2)], r"edge \(3, 2\) is not a pair"),
+        (ColoredCompleteGraph.from_red_edges, [(2, 2)], r"edge \(2, 2\) is not a pair"),
+        (Tournament.from_arcs, [(1, 2), (1, 3), (2, 4)], r"arc \(2, 4\) out of range for 1\.\.3"),
+        (
+            Tournament.from_arcs, [(1, 2), (2, 1), (1, 3), (2, 3)],
+            r"pair \(1, 2\) must have exactly one arc",
+        ),
+        (Tournament.from_arcs, [(1, 2), (3, 3), (2, 3)], r"arc \(3, 3\) out of range for 1\.\.3"),
+    ],
+    ids=["red-outside", "red-reversed", "red-loop", "arc-outside", "arc-reversed", "arc-loop"],
+)
+def test_pair_constructors_reject_a_bad_pair(build, pairs, message):
+    with pytest.raises(DomainError, match=message):
+        build(3, pairs)
+
+
+def test_pair_constructors_collapse_duplicates():
+    red = ColoredCompleteGraph.from_red_edges(3, [(1, 2), (1, 2)])
+    assert red == ColoredCompleteGraph.from_red_edges(3, [(1, 2)])
+    arcs = [(1, 2), (2, 3), (1, 3)]
+    assert Tournament.from_arcs(3, arcs + arcs[:1]) == Tournament.from_arcs(3, arcs)
 
 
 def first_bad_pair(N, rows):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ordramsey.core import ColoredCompleteGraph, Digraph, OrderedGraph, Tournament
 from ordramsey.errors import ParseError
 from ordramsey.io import (
+    MAX_VERTICES,
     load_path,
     parse_dg,
     parse_og,
@@ -86,6 +87,45 @@ class TestOgRejects:
     def test_non_integer(self):
         with pytest.raises(ParseError):
             parse_og("2 1\n1 x\n")
+
+
+# (parser, text, line, message): one fault per text, except where a text has
+# two and the first must be named
+PAIR_LINE_ERRORS = [
+    (parse_og, "", 1, "empty input"),
+    (parse_og, "3 -1\n", 1, "n and m must be nonnegative"),
+    (parse_og, "3 1\n1 2\n1 3\n", 3, "expected 1 edge lines, found 2"),
+    (parse_og, "3 1\n1 2 3\n", 2, "expected 2 integers, got '1 2 3'"),
+    (parse_og, "3 1\n2 1\n", 2, "edge (2, 1) is not 1 <= i < j <= 3"),
+    (parse_og, "3 2\n1 2\n1 2\n", 3, "duplicate edge (1, 2)"),
+    (parse_og, "4 3\n1 2\n2 3\n1 2\n", 4, "edge (1, 2) out of ascending order"),
+    (parse_og, "4 2\n1 5\n1 x\n", 2, "edge (1, 5) is not 1 <= i < j <= 4"),
+    (parse_og, "4 2\n2 3\n1 x\n3 4\n", 4, "expected 2 edge lines, found 3"),
+    (parse_dg, "3 -2\n", 1, "n and m must be nonnegative"),
+    (parse_dg, "3 2\n2 2\n", 2, "expected 2 arc lines, found 1"),
+    (parse_dg, "3 2\n3 1\n2 2\n", 3, "arc (2, 2) out of range for 1..3"),
+    (parse_dg, "3 3\n3 1\n1 2\n3 1\n", 4, "duplicate arc (3, 1)"),
+    (parse_dg, "3 2\n0 1\n1 x\n", 2, "arc (0, 1) out of range for 1..3"),
+    (parse_okc, "-1\n", 1, "N must be nonnegative"),
+    (parse_trn, "2 2\n", 1, "expected 1 integers, got '2 2'"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("parse, text, line, message", PAIR_LINE_ERRORS)
+    def test_text_and_first_bad_line(self, parse, text, line, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.line, str(e.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("parse", [parse_og, parse_dg, parse_okc, parse_trn])
+    def test_vertex_count_above_the_limit(self, parse):
+        # one header integer for .okc and .trn, two for .og and .dg
+        header = f"{MAX_VERTICES + 1}" + (" 0" if parse in (parse_og, parse_dg) else "")
+        with pytest.raises(ParseError) as e:
+            parse(header + "\n")
+        message = f"vertex count {MAX_VERTICES + 1} is above the limit of {MAX_VERTICES}"
+        assert (e.value.line, str(e.value)) == (1, f"line 1: {message}")
 
 
 class TestOkc:
