@@ -127,12 +127,16 @@ def workloads():
     c4x = [(1, 3), (1, 4), (2, 3), (2, 4)]
     p4 = [(1, 2), (2, 3), (3, 4)]
 
-    def w_refute(n, pat1, pat2):
-        return lambda: kernels.search_good_coloring(n, *pat1, *pat2)
+    def w_refute(n, pat1, pat2, restarts):
+        return lambda: kernels.search_good_coloring(n, *pat1, *pat2, restarts=restarts)
 
-    yield "search_good_coloring C4x,K3", w_refute(9, (4, c4x), (3, k3))
-    yield "search_good_coloring K3,K4", w_refute(9, (3, k3), (4, k4))
-    yield "search_good_coloring P4,P4", w_refute(10, (4, p4), (4, p4))
+    for name, n, pat1, pat2 in (
+        ("C4x,K3", 9, (4, c4x), (3, k3)),
+        ("K3,K4", 9, (3, k3), (4, k4)),
+        ("P4,P4", 10, (4, p4), (4, p4)),
+    ):
+        yield f"search_good_coloring {name}", w_refute(n, pat1, pat2, False)
+        yield f"search_good_coloring {name} restarts", w_refute(n, pat1, pat2, True)
 
     c120 = ColoredCompleteGraph.from_random(120, 120)
     okc120 = write_okc(c120)

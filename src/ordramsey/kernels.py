@@ -6,6 +6,7 @@ plain ints.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .core import bits_of, transpose_masks
@@ -105,18 +106,26 @@ def count_embeddings(
 # visiting watches; limits from 4 to 12 all did worse than 8 there.
 LEARNED_WATCH_LIMIT = 8
 
+# With restarts, the search restarts after 1, 1, 2, 1, 1, 2, 4, ... (the
+# Luby sequence) times this many conflicts, and after each conflict every
+# activity decays by this factor.  See CHANGES.md for how they were chosen.
+LUBY_UNIT = 50
+ACTIVITY_DECAY = 0.99
+
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class DecisionBudget:
-    """Steps allowed to a run of searches (limit) and taken so far (used): the
-    decisions of search_good_coloring, the attempts of digraph_injection."""
+    """Steps allowed to a run of searches (limit, None for no bound) and taken
+    so far (used): the decisions of search_good_coloring, the attempts of
+    digraph_injection.  restarts counts the restarts of search_good_coloring."""
 
-    __slots__ = ("limit", "used")
+    __slots__ = ("limit", "used", "restarts")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int | None):
         self.limit = limit
         self.used = 0
+        self.restarts = 0
 
 
 def _copy_clauses(
@@ -152,10 +161,12 @@ def search_good_coloring(
     pat2_n: int,
     pat2_edges: list[tuple[int, int]],
     budget: DecisionBudget | None = None,
+    *,
+    restarts: bool = False,
 ) -> list[int] | None:
     """Find a coloring of ordered K_N with no Red copy of pattern 1 and no Blue
-    copy of pattern 2: the lexicographically least one over the pairs in colex
-    order, Red before Blue.
+    copy of pattern 2: without restarts, the lexicographically least one over
+    the pairs in colex order, Red before Blue.
 
     Every k-subset of K_N hosts exactly one copy of a k-vertex pattern, so the
     forbidden copies are C(N, k1) + C(N, k2) clauses over the C(N, 2) pair
@@ -164,15 +175,24 @@ def search_good_coloring(
     the other color.  The search is conflict-driven clause learning: two
     watched literals per clause drive unit propagation, and a conflict learns
     its first-UIP clause, backjumps to the second-highest level in it and
-    asserts the UIP pair's other color.  It always decides the lowest
-    unassigned pair Red, with no restarts.  A learned clause follows from
-    the copy clauses, so it removes no good coloring.  Were a decision ever to
-    disagree with the least good coloring, the search could only end on a
-    smaller good coloring, which does not exist; so it ends on that one.
+    asserts the UIP pair's other color.  It decides the lowest unassigned
+    pair Red.  A learned clause follows from the copy clauses, so it removes
+    no good coloring.  Were a decision ever to disagree with the least good
+    coloring, the search could only end on a smaller good coloring, which
+    does not exist; so it ends on that one.
+
+    With restarts, the search is the same until its first restart, after
+    LUBY_UNIT conflicts, and then restarts on the Luby sequence, keeping its
+    learned clauses, as MiniSat does.  After the first restart it decides the
+    unassigned pair of highest activity (lowest on a tie) in its saved phase:
+    every pair met in conflict analysis gains activity, the gain grows by
+    1 / ACTIVITY_DECAY per conflict, and an unassigned pair keeps its last
+    color as its phase.  The answer to whether a good coloring exists is the
+    same, but one found after a restart need not be the least.
 
     budget, when given, bounds the decisions of a run of searches: a search
     that would make the run's decision budget.limit + 1 raises
-    BudgetExhausted instead.
+    BudgetExhausted instead.  Each restart adds 1 to budget.restarts.
 
     Returns per-pair colors in colex order (0 Red, 1 Blue), or None when every
     coloring contains a forbidden copy.
@@ -201,6 +221,9 @@ def search_good_coloring(
     level = [0] * nvars
     reason: list[list[int] | None] = [None] * nvars
     seen_var = [False] * nvars
+    activity = [0.0] * nvars
+    bump = 1.0
+    phase = list(range(0, 2 * nvars, 2))  # phase[v]: the literal v was last given
     trail: list[int] = []
     starts: list[int] = []  # starts[d - 1]: trail length before decision level d
     for lit in units:
@@ -212,7 +235,12 @@ def search_good_coloring(
             trail.append(lit)
     head = 0  # trail[:head] have been propagated
     depth = 0
-    k = 0  # every pair below k is assigned
+    k = 0  # before the first restart, every pair below k is assigned
+    by_activity = False
+    conflicts = 0  # since the last restart
+    # (u, luby) steps through the Luby sequence by Knuth's reluctant doubling
+    u = luby = 1
+    restart_at = LUBY_UNIT if restarts else math.inf
     while True:
         conflict = None
         while head < len(trail):
@@ -262,6 +290,7 @@ def search_good_coloring(
         if conflict is not None:
             if not depth:
                 return None
+            conflicts += 1
             # first UIP: resolve with the reasons of this level's pairs,
             # latest first, until one pair of this level is left
             learnt = [0]
@@ -276,6 +305,7 @@ def search_good_coloring(
                     v = lit >> 1
                     if not seen_var[v] and level[v]:
                         seen_var[v] = True
+                        activity[v] += bump
                         if level[v] == depth:
                             open_here += 1
                         else:
@@ -296,51 +326,85 @@ def search_good_coloring(
             learnt[0] = uip ^ 1
             for lit in learnt:
                 seen_var[lit >> 1] = False
-
-            # backjump to level back; the lowest unassigned pair is then
-            # the decision of level back + 1
-            cut = starts[back]
-            k = trail[cut] >> 1
-            for lit in trail[cut:]:
-                lval[lit] = 0
-                lval[lit ^ 1] = 0
-            del trail[cut:]
-            del starts[back:]
-            head = cut
-            depth = back
-            if len(learnt) > 1:
-                # watch a literal of level back beside the asserted one
-                for t in range(1, len(learnt)):
-                    if level[learnt[t] >> 1] == back:
-                        learnt[1], learnt[t] = learnt[t], learnt[1]
-                        break
-                if len(learnt) <= LEARNED_WATCH_LIMIT:
-                    watches[learnt[0]].append(learnt)
-                    watches[learnt[1]].append(learnt)
-            lit = learnt[0]
+            bump /= ACTIVITY_DECAY
+            if bump > 1e100:
+                activity = [a * 1e-100 for a in activity]
+                bump *= 1e-100
+        elif conflicts >= restart_at:
+            by_activity = True
+            if budget is not None:
+                budget.restarts += 1
+            conflicts = 0
+            if u & -u == luby:
+                u += 1
+                luby = 1
+            else:
+                luby *= 2
+            restart_at = luby * LUBY_UNIT
+            if not depth:
+                continue
+            back = 0
+        else:
+            if by_activity:
+                k = -1
+                best = -1.0
+                for v, a in enumerate(activity):
+                    if a > best and not lval[2 * v]:
+                        best = a
+                        k = v
+                if k < 0:
+                    break
+                lit = phase[k]
+            else:
+                while k < nvars and lval[2 * k]:
+                    k += 1
+                if k == nvars:
+                    break
+                lit = 2 * k
+            if budget is not None:
+                if budget.used == budget.limit:
+                    raise BudgetExhausted(f"decision budget of {budget.limit} exhausted")
+                budget.used += 1
+            depth += 1
+            starts.append(len(trail))
             lval[lit] = 1
             lval[lit ^ 1] = -1
-            v = lit >> 1
-            level[v] = depth
-            reason[v] = learnt
+            level[k] = depth
+            reason[k] = None
             trail.append(lit)
             continue
 
-        while k < nvars and lval[2 * k]:
-            k += 1
-        if k == nvars:
-            return [1 if lval[2 * v + 1] > 0 else 0 for v in range(nvars)]
-        if budget is not None:
-            if budget.used == budget.limit:
-                raise BudgetExhausted(f"decision budget of {budget.limit} exhausted")
-            budget.used += 1
-        depth += 1
-        starts.append(len(trail))
-        lval[2 * k] = 1
-        lval[2 * k + 1] = -1
-        level[k] = depth
-        reason[k] = None
-        trail.append(2 * k)
+        # backjump to level back; before the first restart, the lowest
+        # unassigned pair is then the decision of level back + 1
+        cut = starts[back]
+        k = trail[cut] >> 1
+        for lit in trail[cut:]:
+            lval[lit] = 0
+            lval[lit ^ 1] = 0
+            phase[lit >> 1] = lit
+        del trail[cut:]
+        del starts[back:]
+        head = cut
+        depth = back
+        if conflict is None:
+            continue
+        if len(learnt) > 1:
+            # watch a literal of level back beside the asserted one
+            for t in range(1, len(learnt)):
+                if level[learnt[t] >> 1] == back:
+                    learnt[1], learnt[t] = learnt[t], learnt[1]
+                    break
+            if len(learnt) <= LEARNED_WATCH_LIMIT:
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
+        lit = learnt[0]
+        lval[lit] = 1
+        lval[lit ^ 1] = -1
+        v = lit >> 1
+        level[v] = depth
+        reason[v] = learnt
+        trail.append(lit)
+    return [1 if lval[2 * v + 1] > 0 else 0 for v in range(nvars)]
 
 
 def cyclic_triangle_packing(

@@ -440,32 +440,47 @@ def exact_ordered_ramsey(
 ) -> tuple[int, ColoredCompleteGraph] | Exhausted | None:
     """Least N <= max_n forcing a red pat1 or blue pat2, with a witness.
 
-    The witness is a good coloring on N* - 1 vertices containing neither
-    pattern in its color.  Returns None when N* exceeds max_n.  Each N runs
-    the search of find_good_coloring, which holds C(N, k1) + C(N, k2)
-    clauses in memory; only the last good coloring becomes a graph.
-    node_budget, when given, bounds the search decisions summed over every
-    N; when they run out the result is Exhausted, naming that N and the count.
+    The witness is the least good coloring on N* - 1 vertices, as
+    find_good_coloring returns it.  Returns None when N* exceeds max_n.
+    Each N runs the search of find_good_coloring with restarts, which holds
+    C(N, k1) + C(N, k2) clauses in memory.  A coloring found before the
+    first restart is the least one; when the one kept at N* - 1 came after
+    a restart, the search without restarts runs again at N* - 1.  Only the
+    witness becomes a graph.  node_budget, when given, bounds the search
+    decisions summed over every search; when they run out the result is
+    Exhausted, naming that search's N and the count.
     """
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")
     if max_n < 1:
         raise ParameterError("max_n must be positive")
-    budget = None if node_budget is None else kernels.DecisionBudget(node_budget)
+    budget = kernels.DecisionBudget(node_budget)
     edges1, edges2 = pat1.sorted_edges(), pat2.sorted_edges()
     witness_bits = None
-    for big_n in range(1, max_n + 1):
-        try:
-            bits = kernels.search_good_coloring(big_n, pat1.n, edges1, pat2.n, edges2, budget)
-        except BudgetExhausted:
-            return Exhausted(
-                (f"node budget exhausted at N = {big_n} after {budget.used} decisions",)
+    least = True
+    try:
+        for big_n in range(1, max_n + 1):
+            restarts = budget.restarts
+            bits = kernels.search_good_coloring(
+                big_n, pat1.n, edges1, pat2.n, edges2, budget, restarts=True
             )
-        if bits is None:
-            assert witness_bits is not None  # K_1 contains no pattern with an edge
-            return big_n, ColoredCompleteGraph.from_colex_bits(big_n - 1, witness_bits)
-        witness_bits = bits
-    return None
+            if bits is None:
+                break
+            witness_bits, least = bits, budget.restarts == restarts
+        else:
+            return None
+        n_star = big_n
+        if not least:
+            big_n -= 1
+            witness_bits = kernels.search_good_coloring(
+                big_n, pat1.n, edges1, pat2.n, edges2, budget
+            )
+    except BudgetExhausted:
+        return Exhausted(
+            (f"node budget exhausted at N = {big_n} after {budget.used} decisions",)
+        )
+    assert witness_bits is not None  # K_1 contains no pattern with an edge
+    return n_star, ColoredCompleteGraph.from_colex_bits(n_star - 1, witness_bits)
 
 
 def find_mono_copy(coloring: ColoredCompleteGraph, pat1: OrderedGraph, pat2: OrderedGraph):

@@ -14,6 +14,7 @@ from ordramsey.certificates import decode_certificate, encode_certificate, verif
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, rows_density
 from ordramsey.embed import find_ordered_embedding
 from ordramsey.errors import DomainError, ParameterError
+from ordramsey.io import write_okc
 from ordramsey.pipeline import (
     Exhausted,
     MonoCopy,
@@ -397,26 +398,49 @@ class TestExactOrderedRamsey:
 
 
 class TestNodeBudget:
-    def decisions_of_full_run(self):
-        budget = kernels.DecisionBudget(10**9)
-        for big_n in range(1, 10):
-            find_good_coloring(crossing_four_cycle(), k_pattern(3), big_n, budget)
-        return budget.used
+    def spend_of_full_run(self, monkeypatch):
+        """The result of exact on C4x,K3, the decisions it spends and the N of
+        the search that makes its last decision, read off its own budget."""
+        used_after = []
+        search = kernels.search_good_coloring
 
-    def test_budget_covers_every_n(self):
-        used = self.decisions_of_full_run()
-        res = exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12, node_budget=used)
-        assert res == exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)
+        def recording(N, *args, **kwargs):
+            bits = search(N, *args, **kwargs)
+            used_after.append((N, args[4].used))
+            return bits
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "search_good_coloring", recording)
+            res = exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)
+        used = used_after[-1][1]
+        last_n = next(N for N, after in used_after if after == used)
+        return res, used, last_n
+
+    def test_budget_covers_every_n(self, monkeypatch):
+        res, used, _ = self.spend_of_full_run(monkeypatch)
         assert res[0] == 9
+        assert exact_ordered_ramsey(
+            crossing_four_cycle(), k_pattern(3), 12, node_budget=used
+        ) == res
 
-    def test_one_decision_short_exhausts_at_the_last_n(self):
-        used = self.decisions_of_full_run()
+    def check_one_decision_short(self, monkeypatch, last_n):
+        _, used, ran_out_at = self.spend_of_full_run(monkeypatch)
+        assert ran_out_at == last_n
         res = exact_ordered_ramsey(
             crossing_four_cycle(), k_pattern(3), 12, node_budget=used - 1
         )
         assert res == Exhausted(
-            (f"node budget exhausted at N = 9 after {used - 1} decisions",)
+            (f"node budget exhausted at N = {last_n} after {used - 1} decisions",)
         )
+
+    def test_one_decision_short_exhausts_at_the_last_n(self, monkeypatch):
+        self.check_one_decision_short(monkeypatch, 9)
+
+    def test_one_decision_short_exhausts_in_the_search_again(self, monkeypatch):
+        # with a unit of 1 the coloring kept at N = 8 comes after a restart,
+        # so the last decisions are those of the least search at N = 8
+        monkeypatch.setattr(kernels, "LUBY_UNIT", 1)
+        self.check_one_decision_short(monkeypatch, 8)
 
 
 @st.composite
@@ -599,3 +623,83 @@ class TestSearchGoodColoringAgainstCounterPropagation:
                 assert got == want, (pat1, pat2, N)
                 if want is None:
                     break
+
+
+def holds_copy(N, bits, pattern, color):
+    """Whether the coloring of K_N given by its colex bits holds a copy of
+    pattern in color (0 Red, 1 Blue), by a scan of every vertex subset."""
+    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
+    color_of = dict(zip(pairs, bits))
+    pn, pedges = pattern
+    return any(
+        all(color_of[sub[a - 1], sub[b - 1]] == color for a, b in pedges)
+        for sub in combinations(range(1, N + 1), pn)
+    )
+
+
+class TestSearchWithRestarts:
+    """The search with restarts against the least search and a subset scan.
+
+    A Luby unit of 1 restarts the search at its first conflict, so every case
+    with a conflict ends in activity order; the default unit is checked too.
+    """
+
+    @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
+    @pytest.mark.parametrize("partner, max_n", [("K3", 8), ("P4", 9)])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_refutes_where_the_least_search_does(self, monkeypatch, unit, partner, max_n, side):
+        monkeypatch.setattr(kernels, "LUBY_UNIT", unit)
+        other = (3, [(1, 2), (1, 3), (2, 3)]) if partner == "K3" else (4, [(1, 2), (2, 3), (3, 4)])
+        budget = kernels.DecisionBudget(None)
+        for pat in patterns_up_to_four():
+            pat1, pat2 = (pat, other) if side == "first" else (other, pat)
+            for N in range(1, max_n + 1):
+                least = kernels.search_good_coloring(N, *pat1, *pat2)
+                restarts = budget.restarts
+                got = kernels.search_good_coloring(N, *pat1, *pat2, budget, restarts=True)
+                assert (got is None) == (least is None), (pat1, pat2, N)
+                if got is None:
+                    break
+                assert not holds_copy(N, got, pat1, 0), (pat1, pat2, N)
+                assert not holds_copy(N, got, pat2, 1), (pat1, pat2, N)
+                if budget.restarts == restarts:
+                    assert got == least, (pat1, pat2, N)
+        assert budget.restarts > 0
+
+    @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
+    @pytest.mark.parametrize(
+        "pat1, pat2, n_star, witness",
+        [
+            (k_pattern(2), k_pattern(2), 2, "1\n"),
+            (k_pattern(3), k_pattern(3), 6, "5\nRRBB\nBRB\nBR\nR\n"),
+            (monotone_path(3), monotone_path(3), 5, "4\nRBR\nBB\nR\n"),
+            (crossing_four_cycle(), k_pattern(3), 9,
+             "8\nRRRRBBB\nRBBRRB\nRBBRB\nRBBR\nRBR\nRR\nR\n"),
+        ],
+        ids=["K2,K2", "K3,K3", "P3,P3", "C4x,K3"],
+    )
+    def test_exact_keeps_the_pinned_least_witness(
+        self, monkeypatch, unit, pat1, pat2, n_star, witness
+    ):
+        monkeypatch.setattr(kernels, "LUBY_UNIT", unit)
+        got_n, got = exact_ordered_ramsey(pat1, pat2, 12)
+        assert (got_n, write_okc(got)) == (n_star, witness)
+
+    def test_a_coloring_found_after_a_restart_is_searched_again(self, monkeypatch):
+        monkeypatch.setattr(kernels, "LUBY_UNIT", 1)
+        c4x, k3 = crossing_four_cycle().sorted_edges(), k_pattern(3).sorted_edges()
+        # at N = 8 a restart leads to a good coloring that is not the least
+        other = kernels.search_good_coloring(8, 4, c4x, 3, k3, restarts=True)
+        least = kernels.search_good_coloring(8, 4, c4x, 3, k3)
+        assert other != least
+        calls = []
+        search = kernels.search_good_coloring
+
+        def recording(N, *args, restarts=False):
+            calls.append((N, restarts))
+            return search(N, *args, restarts=restarts)
+
+        monkeypatch.setattr(kernels, "search_good_coloring", recording)
+        n_star, witness = exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)
+        assert calls == [(N, True) for N in range(1, 10)] + [(8, False)]
+        assert (n_star, witness) == (9, ColoredCompleteGraph.from_colex_bits(8, least))
