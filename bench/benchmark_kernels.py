@@ -2,18 +2,21 @@
 """Time the search kernels on deterministic workloads and print a table.
 
 It also times the .okc reader and writer on an N=120 coloring, the size of
-the perfbench sparse-set inputs.  Every time is the best of --repeat runs.
+the perfbench sparse-set inputs, and the clique-harvest skeleton layer on
+the all-blue N=50 coloring of the perfbench dense-skeleton workload.  Every time is the best of --repeat runs.
 Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
 import argparse
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from ordramsey import kernels
 from ordramsey.constructions import build_subdivision_S
-from ordramsey.core import ColoredCompleteGraph
+from ordramsey.core import Color, ColoredCompleteGraph
+from ordramsey.skeleton import _index_from_cliques, find_skeleton_in_dense
 from ordramsey.io import parse_okc, write_okc
 
 
@@ -142,6 +145,15 @@ def workloads():
     okc120 = write_okc(c120)
     yield "parse_okc N=120", lambda: parse_okc(okc120)
     yield "write_okc N=120", lambda: write_okc(c120)
+
+    # the perfbench dense-skeleton anchor job, and its clique-harvest index
+    # alone: one 50-clique at k = 5 (a = 1), 1,081 spine keys
+    blue50 = ColoredCompleteGraph.from_function(50, lambda i, j: False)
+    yield "find_skeleton_in_dense blue N=50", lambda: find_skeleton_in_dense(
+        blue50, Color.RED, 1, Fraction(10), seed=0
+    )
+    clique50 = [tuple(range(1, 51))]
+    yield "_index_from_cliques 50-clique k=5", lambda: _index_from_cliques(clique50, 5, 10**7)
 
 
 def best_time(fn, repeat):

@@ -12,6 +12,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter, itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
@@ -76,9 +77,10 @@ def symmetric_rows(grid: str, n: int) -> tuple[int, ...]:
 def vertex_tuple(members: Iterable[int], n: int, what: str = "vertex set") -> tuple[int, ...]:
     """Normalize an iterable of vertices to a sorted tuple, validating range and duplicates."""
     out = tuple(sorted(members))
-    for v in out:
-        if not isinstance(v, int) or not 1 <= v <= n:
-            raise DomainError(f"{what}: vertex {v!r} out of range 1..{n}")
+    if out and not (all(map(isinstance, out, repeat(int))) and 1 <= out[0] and out[-1] <= n):
+        for v in out:  # name the first bad vertex
+            if not isinstance(v, int) or not 1 <= v <= n:
+                raise DomainError(f"{what}: vertex {v!r} out of range 1..{n}")
     if len(set(out)) != len(out):
         raise DomainError(f"{what}: duplicate vertices")
     return out
@@ -475,7 +477,7 @@ def rows_density(rows, members: Sequence[int]) -> Fraction:
     if len(members) < 2:
         return Fraction(0)
     m = mask_of(members)
-    e = sum((rows[v] & m).bit_count() for v in members) // 2
+    e = sum(map(int.bit_count, map(m.__and__, map(rows.__getitem__, members)))) // 2
     return Fraction(e, _pair_count(len(members)))
 
 
@@ -511,9 +513,16 @@ def color_class(c: ColoredCompleteGraph, color: Color) -> OrderedGraph:
 
 
 def class_density(c: ColoredCompleteGraph, color: Color, members: Iterable[int] | None = None) -> Fraction:
-    if members is None:
-        members = range(1, c.N + 1)
-    return rows_density(color_class(c, color).adj, vertex_tuple(members, c.N, "density_within"))
+    """Density of one color class inside members, by default all of 1..N; 0
+    below two members.  The whole coloring is read off the red rows'
+    popcounts, with no class built."""
+    if members is not None:
+        return rows_density(color_class(c, color).adj, vertex_tuple(members, c.N, "density_within"))
+    if c.N < 2:
+        return Fraction(0)
+    pairs = _pair_count(c.N)
+    red = sum(map(int.bit_count, c.red_rows)) // 2
+    return Fraction(red if color is Color.RED else pairs - red, pairs)
 
 
 def sparser_color(c: ColoredCompleteGraph, members: Iterable[int] | None = None) -> tuple[Color, Fraction]:

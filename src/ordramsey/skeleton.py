@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, compress, count, islice
+from operator import itemgetter, or_, sub, xor
 from typing import Iterable
 
 from . import kernels
@@ -152,10 +153,12 @@ def _by_population(buckets: dict):
     if not buckets:
         return
 
+    counts = list(map(itemgetter(0), buckets.values()))
+    yield min(compress(buckets, map(max(counts).__eq__, counts)))
+
     def rank(key):
         return -buckets[key][0], key
 
-    yield min(buckets, key=rank)
     yield from sorted(buckets, key=rank)[1:]
 
 
@@ -233,28 +236,26 @@ def find_skeleton_from_cliques(
 
 def _es_chains(adj, theta: Fraction) -> tuple[list[int], list[int]]:
     """Two-chain greedy on the graph with adjacency rows adj: grow an
-    independent set while the minimum degree stays below theta * (|S| - 1),
-    otherwise grow a clique through a maximum-degree vertex.  Returns (clique
-    chain, independent chain)."""
+    independent set while the minimum degree is at most theta * (|S| - 1),
+    otherwise grow a clique through a maximum-degree vertex; ties go to the
+    least vertex.  Returns (clique chain, independent chain)."""
+    num, den = theta.numerator, theta.denominator
     alive = mask_of(range(1, len(adj)))
     clique: list[int] = []
     indep: list[int] = []
     while alive:
-        size = alive.bit_count()
-        if size == 1:
-            v = alive.bit_length() - 1
+        # alive's vertices, ascending: its binary digits read from bit 0
+        members = list(compress(count(), map("1".__eq__, bin(alive)[:1:-1])))
+        degs = list(map(int.bit_count, map(alive.__and__, map(adj.__getitem__, members))))
+        dmin = min(degs)
+        if dmin * den <= num * (len(members) - 1):
+            v = members[degs.index(dmin)]
             indep.append(v)
-            break
-        degs = [((adj[v] & alive).bit_count(), v) for v in bits_of(alive)]
-        dmin, vmin = min(degs)
-        if Fraction(dmin) <= theta * (size - 1):
-            indep.append(vmin)
-            alive &= ~(1 << vmin)
-            alive &= ~adj[vmin]
+            alive &= ~(1 << v) & ~adj[v]
         else:
-            dmax, vmax = max(degs, key=lambda dv: (dv[0], -dv[1]))
-            clique.append(vmax)
-            alive &= adj[vmax]
+            v = members[degs.index(max(degs))]
+            clique.append(v)
+            alive &= adj[v]
     return clique, indep
 
 
@@ -326,14 +327,7 @@ def expand_clique_tuples(
     The clique-harvest index calls it on gap positions rather than on
     vertices, so each tuple it returns there is one spine key.
     """
-    if len(clique) < k or budget <= 0:
-        return []
-    out = []
-    for tup in combinations(sorted(clique), k):
-        out.append(tup)
-        if len(out) >= budget:
-            break
-    return out
+    return list(islice(combinations(sorted(clique), k), max(budget, 0)))
 
 
 def _box_union_size(boxes: list) -> int:
@@ -391,29 +385,29 @@ def _index_from_cliques(
         verts = sorted(clique)
         if len(verts) < k:
             continue
-        prefix = [0]
-        for v in verts:
-            prefix.append(prefix[-1] | 1 << v)
+        prefix = list(accumulate(map((1).__lshift__, verts), or_, initial=0))
         span = len(verts) - r - tail
         keys = expand_clique_tuples(range(1, span + 1), r, budget)
-        # gap i of key q is q-space lo[i] <= x < hi[i], clique positions x + i;
-        # its mask is gap[i][lo[i]][hi[i]], so keys share their mask objects
-        gap = [
-            [[prefix[h + i] ^ prefix[l + i] for h in range(span + 2)] for l in range(span + 1)]
-            for i in range(r + tail)
-        ]
-        lifted = [verts[j:] for j in range(r)]
-        top = (span + 1,) if tail else ()
-        for q in keys:
-            lo, hi = (0, *q), q + top
-            masks = list(map(list.__getitem__, map(list.__getitem__, gap, lo), hi))
-            key = tuple(map(list.__getitem__, lifted, q))
-            ent = buckets.get(key)
-            if ent is None:
-                buckets[key] = [math.prod(map(int.__sub__, hi, lo)), masks]
-            else:
-                shared.setdefault(key, [ent[1]]).append(masks)
-                ent[1] = list(map(int.__or__, ent[1], masks))
+        # the keys as columns: gap i of key q is q-space lo[i] <= x < hi[i],
+        # with lo = (0, *q) and hi = (*q, span + 1); it holds clique positions
+        # x + i, so its mask is prefix[hi[i] + i] ^ prefix[lo[i] + i]
+        cols = list(zip(*keys)) or [()] * r
+        los = [[0] * len(keys), *cols]
+        his = [*cols, [span + 1] * len(keys)][: r + tail]
+        sizes, masks = [], []
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            at = prefix[i:].__getitem__
+            sizes.append(map(sub, hi, lo))
+            masks.append(map(xor, map(at, hi), map(at, lo)))
+        # key vertex j of q is verts[q[j] + j]
+        lifted = [map(verts[j:].__getitem__, col) for j, col in enumerate(cols)]
+        entries = map(list, zip(map(math.prod, zip(*sizes)), map(list, zip(*masks))))
+        fresh = dict(zip(zip(*lifted) if r else [()] * len(keys), entries))
+        for key in fresh.keys() & buckets.keys():
+            ent, box = buckets[key], fresh.pop(key)[1]
+            shared.setdefault(key, [ent[1]]).append(box)
+            ent[1] = list(map(or_, ent[1], box))
+        buckets.update(fresh)
         budget -= len(keys)
         if budget <= 0:
             truncated = len(keys) < math.comb(span, r) or any(
@@ -422,7 +416,7 @@ def _index_from_cliques(
             break
     for key, boxes in shared.items():
         buckets[key][0] = _box_union_size(boxes)
-    total = sum(ent[0] for ent in buckets.values())
+    total = sum(map(itemgetter(0), buckets.values()))
     return CliqueTupleIndex(k, total, truncated, buckets)
 
 

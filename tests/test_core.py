@@ -35,6 +35,7 @@ from ordramsey.pipeline import RecursionParams
 from ordramsey.skeleton import CliqueTupleIndex, Skeleton
 
 from conftest import (
+    all_blue,
     all_red,
     complete_graph,
     naive_density_between,
@@ -556,6 +557,16 @@ class TestRowsRepresentation:
 
     @settings(max_examples=150, deadline=None)
     @given(drawn_pairs())
+    def test_whole_coloring_density_equals_the_member_form(self, drawn):
+        n, red, _ = drawn
+        everyone = range(1, n + 1)
+        for c in (ColoredCompleteGraph.from_red_edges(n, red), all_red(n), all_blue(n)):
+            for color in (Color.RED, Color.BLUE):
+                assert class_density(c, color) == class_density(c, color, everyone)
+            assert sparser_color(c) == sparser_color(c, everyone)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_pairs())
     def test_densities_match_the_pair_list(self, drawn):
         n, red, members = drawn
         blue = sorted(set(combinations(range(1, n + 1), 2)) - set(red))
@@ -659,6 +670,26 @@ class TestMaskHelpers:
             vertex_tuple([0, 2], 5)
         with pytest.raises(DomainError):
             vertex_tuple([1, 1], 5)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([0, 2, 9], "vertex 0 out of range"),
+            ([2, 9, 7], "vertex 7 out of range"),
+            ([3, 2.0, 1], "vertex 2.0 out of range"),
+            ([1, 2.5, 4], "vertex 2.5 out of range"),
+            ([1, True, 3], "duplicate vertices"),
+            ([6, 6, 1], "vertex 6 out of range"),
+            ([4, 4, 1], "duplicate vertices"),
+        ],
+    )
+    def test_vertex_tuple_names_the_first_bad_vertex_in_sorted_order(self, members, message):
+        with pytest.raises(DomainError, match=f"^set: {message}"):
+            vertex_tuple(members, 5, "set")
+
+    def test_vertex_tuple_accepts_the_range_ends(self):
+        assert vertex_tuple(range(5, 0, -1), 5) == (1, 2, 3, 4, 5)
+        assert vertex_tuple([], 0) == ()
 
 
 # Each repr is the text @dataclass(frozen=True) printed for the same record.

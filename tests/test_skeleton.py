@@ -11,16 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordramsey import kernels
-from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, mask_of
+from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, bits_of, color_class, mask_of
 from ordramsey.errors import DomainError, InternalContractError, ParameterError, TupleCapError
 from ordramsey.skeleton import (
     DEFAULT_TUPLE_CAP,
     Skeleton,
     _by_population,
+    _es_chains,
     _index_from_cliques,
     build_clique_tuple_index,
     es_bound,
     es_clique_or_independent,
+    expand_clique_tuples,
     find_skeleton_from_cliques,
     find_skeleton_in_dense,
     sample_color_cliques,
@@ -272,6 +274,24 @@ class TestIndexFromCliques:
         assert idx.total == 0 and not idx.truncated and not idx.buckets
 
 
+class TestExpandCliqueTuples:
+    def test_budget_zero_or_negative_lists_nothing(self):
+        assert expand_clique_tuples((1, 2, 3), 2, 0) == []
+        assert expand_clique_tuples((1, 2, 3), 2, -4) == []
+
+    def test_budget_above_the_count_lists_every_tuple(self):
+        clique = (7, 2, 5, 9, 4)
+        assert expand_clique_tuples(clique, 3, math.comb(5, 3) + 1) == list(
+            combinations(sorted(clique), 3)
+        )
+
+    def test_budget_keeps_the_first_tuples_in_order(self):
+        assert expand_clique_tuples(range(1, 6), 2, 3) == [(1, 2), (1, 3), (1, 4)]
+
+    def test_clique_shorter_than_k_lists_nothing(self):
+        assert expand_clique_tuples((1, 2), 3, 10) == []
+
+
 class TestBucketOrder:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -352,6 +372,73 @@ class TestFindSkeletonFromCliques:
     def test_returned_b_matches_min_block(self):
         skel = find_skeleton_from_cliques(complete_graph(25), 5, 1)
         assert skel.b == min(len(blk) for blk in skel.blocks)
+
+
+def reference_es_chains(adj, theta: Fraction):
+    """The two-chain greedy one vertex at a time, with a Fraction per test."""
+    alive = mask_of(range(1, len(adj)))
+    clique: list[int] = []
+    indep: list[int] = []
+    while alive:
+        size = alive.bit_count()
+        if size == 1:
+            v = alive.bit_length() - 1
+            indep.append(v)
+            break
+        degs = [((adj[v] & alive).bit_count(), v) for v in bits_of(alive)]
+        dmin, vmin = min(degs)
+        if Fraction(dmin) <= theta * (size - 1):
+            indep.append(vmin)
+            alive &= ~(1 << vmin)
+            alive &= ~adj[vmin]
+        else:
+            dmax, vmax = max(degs, key=lambda dv: (dv[0], -dv[1]))
+            clique.append(vmax)
+            alive &= adj[vmax]
+    return clique, indep
+
+
+def cycle(n: int) -> OrderedGraph:
+    return OrderedGraph(n, [(i, i % n + 1) if i < n else (1, n) for i in range(1, n + 1)])
+
+
+@st.composite
+def es_inputs(draw):
+    """A random graph on up to 30 vertices and a theta in (0, 1/2)."""
+    n = draw(st.integers(0, 30))
+    p = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7, 1.0)))
+    g = random_ordered_graph(n, p, draw(st.integers(0, 1 << 16)))
+    den = draw(st.integers(3, 40))
+    return g.adj, Fraction(draw(st.integers(1, (den - 1) // 2)), den)
+
+
+class TestEsChains:
+    @settings(max_examples=300, deadline=None)
+    @given(es_inputs())
+    def test_matches_the_per_vertex_greedy(self, drawn):
+        adj, theta = drawn
+        assert _es_chains(adj, theta) == reference_es_chains(adj, theta)
+
+    @pytest.mark.parametrize("n", [6, 9, 13, 21])
+    def test_minimum_degree_at_the_threshold_grows_the_independent_set(self, n):
+        # every vertex of a cycle has degree 2, so theta = 2 / (n - 1) puts
+        # the first minimum degree exactly on theta * (|S| - 1), a tie of
+        # every vertex broken to vertex 1
+        adj, theta = cycle(n).adj, Fraction(2, n - 1)
+        chains = _es_chains(adj, theta)
+        assert chains == reference_es_chains(adj, theta)
+        assert chains[1][0] == 1
+        assert _es_chains(adj, theta - Fraction(1, 10**6))[0][0] == 1
+
+    @pytest.mark.parametrize("parts", [(3, 3), (2, 4, 4), (5, 1, 5)])
+    def test_degree_ties_in_multipartite_graphs(self, parts):
+        # complete multipartite: ties at the maximum degree go to the least vertex
+        side = [p for p, size in enumerate(parts) for _ in range(size)]
+        n = len(side)
+        g = OrderedGraph(n, [(i, j) for i, j in combinations(range(1, n + 1), 2)
+                             if side[i - 1] != side[j - 1]])
+        for theta in (Fraction(1, 100), Fraction(1, 4), Fraction(49, 100)):
+            assert _es_chains(g.adj, theta) == reference_es_chains(g.adj, theta)
 
 
 class TestEsCliqueOrIndependent:
