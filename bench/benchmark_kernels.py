@@ -124,6 +124,15 @@ def workloads():
 
     yield "transitive_chain T160", w_chain_160
 
+    # the outer draw of lowerbound 2000 (N = 200, k = 31), and a draw with no
+    # 12-chain whose low half holds its 7-chain, so the full DFS runs after
+    # the low-half search (seed 71 is the slowest against the DFS without
+    # the half split among seeds 0-79 at N = 42, k = 12)
+    t200 = random_tournament_rows(200, random.Random(2000))
+    yield "transitive_chain T200 k=31", lambda: kernels.transitive_chain(200, t200, 31)
+    t42 = random_tournament_rows(42, random.Random(71))
+    yield "transitive_chain T42 k=12", lambda: kernels.transitive_chain(42, t42, 12)
+
     # refutations at N*, which take most of the perfbench exact workload
     k3 = list(combinations(range(1, 4), 2))
     k4 = list(combinations(range(1, 5), 2))

@@ -79,7 +79,6 @@ from .skeleton import (
 )
 from .constructions import (
     BlowupTournament,
-    BucketReport,
     InjectionResult,
     Subdivision,
     blowup,
@@ -89,7 +88,6 @@ from .constructions import (
     iterated_lower_bound_tournament,
     lower_bound_parameters,
     random_tournament_avoiding,
-    verify_bucket_claims,
     verify_subdivision_copy,
 )
 from .certificates import decode_certificate, encode_certificate, verify_certificate

@@ -122,12 +122,7 @@ def lower_bound_parameters(n: int) -> tuple[int, int, int]:
         raise ParameterError(f"n = {n} is handled by the fixed base tournament")
     m = max(1, n // 10)
     k = math.ceil(4.0 * math.log(n))
-    return m, k, _recursive_size(n)
-
-
-def _recursive_size(n: int) -> int:
-    """The recursive size n' = max(3, floor(n / (40 ln n))); 3 for n <= 1."""
-    return max(3, math.floor(n / (40.0 * math.log(n)))) if n > 1 else 3
+    return m, k, max(3, math.floor(n / (40.0 * math.log(n))))
 
 
 def _base_tournament() -> Tournament:
@@ -211,44 +206,3 @@ def contains_subdivision(
         return InjectionResult(None, spent.used, True)
     return InjectionResult(None if mapping is None else tuple(mapping), nodes, False)
 
-
-@record
-class BucketReport:
-    """Block-by-block accounting of where a copy's base vertices landed.
-
-    Claims mirror the counting argument: every bucket stays below n', and
-    fewer than 4 ln n buckets hold two or more base vertices.  Small n can
-    break either claim, so both are reported rather than assumed.
-    """
-
-    bucket_sizes: tuple[int, ...]
-    n_prime: int
-    multi_threshold: float
-    multi_buckets: int
-    claim_all_small: bool
-    claim_few_multi: bool
-    sum_matches: bool
-
-
-def verify_bucket_claims(
-    B: BlowupTournament, mapping: Sequence[int], n: int
-) -> BucketReport:
-    """Bucket the base images of a verified copy by blowup block and test the claims."""
-    ok, reason = verify_subdivision_copy(B.tournament, n, mapping)
-    if not ok:
-        raise DomainError(f"mapping is not a subdivided-star copy: {reason}")
-    sizes = [0] * B.outer.N
-    for base_vertex in range(1, n + 1):
-        sizes[B.block_of(mapping[base_vertex - 1]) - 1] += 1
-    n_prime = _recursive_size(n)
-    threshold = 4.0 * math.log(n)
-    multi = sum(1 for s in sizes if s >= 2)
-    return BucketReport(
-        bucket_sizes=tuple(sizes),
-        n_prime=n_prime,
-        multi_threshold=threshold,
-        multi_buckets=multi,
-        claim_all_small=all(s < n_prime for s in sizes),
-        claim_few_multi=multi < threshold,
-        sum_matches=sum(sizes) == n,
-    )

@@ -453,15 +453,19 @@ def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
     the chain is rejected in the parent loop, before any call: when it has
     fewer candidates than the chain still needs, or when its s candidates
     hold t vertex-disjoint cyclic triangles with s - t short of that need (a
-    transitive set keeps at most two vertices of a cyclic triangle).  Both
-    tests remove only subtrees holding no chain, so the first chain found is
-    the one of the plain DFS.
+    transitive set keeps at most two vertices of a cyclic triangle).  Before
+    the DFS, the same search runs on the low index half {1..floor(N/2)} for
+    a transitive ka-set, ka = ceil((k+1)/2), and then on the high half for
+    a (k+1-ka)-set: a k-chain meets the halves in transitive sets, so when
+    both searches fail there is no k-chain.  All three tests remove only
+    subtrees holding no chain, so the first chain found is the one of the
+    plain DFS.
     """
     if k <= 0:
         return []
     chain = [0] * k
 
-    def rec(depth: int, cands: int) -> bool:
+    def rec(depth: int, cands: int, k: int) -> bool:
         need = k - depth - 1
         rest = cands
         while rest:
@@ -480,12 +484,16 @@ def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
                 cyclic_triangle_packing(beats, nxt, slack + 1)
             ) > slack:
                 continue
-            if rec(depth + 1, nxt):
+            if rec(depth + 1, nxt, k):
                 return True
         return False
 
     full = _full_mask(N)
-    return chain[:] if rec(0, full) else None
+    half = _full_mask(N // 2)
+    ka = k // 2 + 1
+    if not rec(0, half, ka) and not rec(0, full ^ half, k + 1 - ka):
+        return None
+    return chain[:] if rec(0, full, k) else None
 
 
 def digraph_injection(

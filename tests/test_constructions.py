@@ -20,7 +20,6 @@ from ordramsey.constructions import (
     iterated_lower_bound_tournament,
     lower_bound_parameters,
     random_tournament_avoiding,
-    verify_bucket_claims,
     verify_subdivision_copy,
 )
 from ordramsey.core import Digraph, Tournament, degeneracy
@@ -154,8 +153,9 @@ class TestTransitiveChainDifferential:
             assert kernels.transitive_chain(T.N, list(T.beats), k) == expected, k
 
 
-def plain_transitive_chain(N, beats, k):
-    """The DFS without the triangle-packing bound: only the candidate count prunes."""
+def plain_transitive_chain(N, beats, k, within=None):
+    """The DFS without the triangle-packing bound or the half split: only the
+    candidate count prunes.  within restricts the chain to a vertex mask."""
     if k <= 0:
         return []
     chain = [0] * k
@@ -174,7 +174,7 @@ def plain_transitive_chain(N, beats, k):
         return False
 
     full = ((1 << (N + 1)) - 1) & ~1
-    return chain[:] if rec(0, full) else None
+    return chain[:] if rec(0, full if within is None else within) else None
 
 
 @st.composite
@@ -232,6 +232,82 @@ class TestTriangleBound:
         assert all(mask >> v & 1 for v in used)
         for w, x, y in found:
             assert T.has_arc(w, x) and T.has_arc(x, y) and T.has_arc(y, w)
+
+
+def largest_chain(T):
+    k = 0
+    while plain_transitive_chain(T.N, list(T.beats), k + 1) is not None:
+        k += 1
+    return k
+
+
+def quadratic_residue_7(offset=0):
+    """Arcs of the 7-vertex tournament where i beats i+1, i+2 and i+4 (mod 7),
+    on vertices offset+1..offset+7; its largest transitive set has 3 vertices."""
+    return [(offset + i + 1, offset + (i + d) % 7 + 1) for i in range(7) for d in (1, 2, 4)]
+
+
+class TestHalfSplit:
+    """The root test of transitive_chain: the low index half 1..N//2 must hold
+    a transitive ka-set or the high half a (k+1-ka)-set, ka = k//2 + 1."""
+
+    @staticmethod
+    def halves(N):
+        low = ((1 << (N // 2 + 1)) - 1) & ~1
+        return low, (((1 << (N + 1)) - 1) & ~1) ^ low
+
+    def test_both_halves_refute(self):
+        # two copies of the 7-vertex residue tournament, the low one beating
+        # the high one: the largest chain has 3 + 3 vertices, and for k = 7
+        # neither half holds its part (ka = 4, and 4 for the high half)
+        arcs = quadratic_residue_7() + quadratic_residue_7(7)
+        arcs += [(u, v) for u in range(1, 8) for v in range(8, 15)]
+        T = Tournament.from_arcs(14, arcs)
+        beats = list(T.beats)
+        low, high = self.halves(14)
+        assert plain_transitive_chain(14, beats, 4, low) is None
+        assert plain_transitive_chain(14, beats, 4, high) is None
+        assert kernels.transitive_chain(14, beats, 7) is None
+        assert plain_transitive_chain(14, beats, 7) is None
+        assert kernels.transitive_chain(14, beats, 6) == [1, 2, 3, 8, 9, 10]
+        assert plain_transitive_chain(14, beats, 6) == [1, 2, 3, 8, 9, 10]
+
+    def test_low_half_holds_its_part_but_no_chain(self):
+        # in the residue tournament 1 -> 2 -> 3 and 1 -> 3, so the low half
+        # {1, 2, 3} is a transitive ka-set for k = 4, yet no 4-chain exists
+        T = Tournament.from_arcs(7, quadratic_residue_7())
+        beats = list(T.beats)
+        low, _ = self.halves(7)
+        assert plain_transitive_chain(7, beats, 3, low) == [1, 2, 3]
+        assert kernels.transitive_chain(7, beats, 4) is None
+        assert plain_transitive_chain(7, beats, 4) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_chain_across_the_halves(self, seed):
+        # an 11-chain planted in dominance order over a uniform 20-vertex
+        # draw, whose own chains have 8 or 9 vertices; 6 of its vertices lie
+        # in the high half, its part of an 11-chain, so the full DFS must run
+        planted = [14, 3, 18, 7, 11, 2, 16, 9, 5, 20, 12]
+        rows = list(Tournament.from_random(20, random.Random(seed)).beats)
+        for a, u in enumerate(planted):
+            for v in planted[a + 1 :]:
+                rows[u] |= 1 << v
+                rows[v] &= ~(1 << u)
+        for k in (9, 10, 11, 12):
+            assert kernels.transitive_chain(20, rows, k) == plain_transitive_chain(20, rows, k), k
+        assert kernels.transitive_chain(20, rows, 11) == planted
+        assert kernels.transitive_chain(20, rows, 12) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 24), st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 2**32 - 1))
+    def test_equals_plain_dfs_near_the_largest_chain(self, n, flip, seed):
+        rng = random.Random(seed)
+        arcs = [(j, i) if rng.random() < flip else (i, j) for i, j in combinations(range(1, n + 1), 2)]
+        T = Tournament.from_arcs(n, arcs)
+        beats = list(T.beats)
+        top = largest_chain(T)
+        for k in range(max(0, top - 2), top + 3):
+            assert kernels.transitive_chain(n, beats, k) == plain_transitive_chain(n, beats, k), k
 
 
 class TestRandomTournamentAvoiding:
@@ -334,11 +410,20 @@ class TestIteratedLowerBound:
             (1, "58cc59f18a82727c77a24fb1d6fa10887e731673e54fb95772c082f7ee20d9a0"),
             (2, "102bd45139ae80bf484da0b34172e2a08af566c7745b14e9f2f704d83631c065"),
             (3, "c123fdd319ba02ca59a02760d088fe14e3062341b5a869b492d8cd7fd4e89940"),
+            (9001, "7964209ba818def34393b80b66a7dac422fb1a93c7067af9a9b4a419af381e57"),
         ],
     )
     def test_golden_n1600(self, seed, digest):
-        # digests of the per-pair DFS, blowup and writer this code replaced
+        # digests of the per-pair DFS, blowup and writer this code replaced;
+        # seed 9001's is that of the chain search without the half split
         text = write_trn(iterated_lower_bound_tournament(1600, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_golden_n2000(self):
+        # the 200-vertex outer draw must avoid a transitive 31-set; digest of
+        # the chain search without the half split
+        text = write_trn(iterated_lower_bound_tournament(2000, 3))
+        digest = "944c9b18505334b0c9ab86b3d7b9e6643ca95d58f9d59bed6161b642d9e344c6"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_too_small_rejected(self):
@@ -471,19 +556,3 @@ class TestVerifySubdivisionCopy:
         ok, why = verify_subdivision_copy(T, 3, (4, 5, 6, 1))
         assert not ok and "reversed" in why
 
-
-class TestVerifyBucketClaims:
-    def test_valid_copy_reports(self):
-        B = blowup(transitive_tournament(3), transitive_tournament(4))
-        res = contains_subdivision(B.tournament, 3)
-        assert res.found
-        report = verify_bucket_claims(B, res.mapping, 3)
-        assert report.sum_matches
-        assert len(report.bucket_sizes) == 3
-        assert sum(report.bucket_sizes) == 3
-        assert report.multi_buckets == sum(1 for s in report.bucket_sizes if s >= 2)
-
-    def test_invalid_mapping_rejected(self):
-        B = blowup(transitive_tournament(3), transitive_tournament(4))
-        with pytest.raises(DomainError):
-            verify_bucket_claims(B, (1, 1, 1, 1), 3)

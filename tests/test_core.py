@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordramsey.constructions import BucketReport
+from ordramsey.constructions import InjectionResult
 from ordramsey.core import (
     Color,
     ColoredCompleteGraph,
@@ -700,12 +700,8 @@ RECORDS = [
         id="own-init",
     ),
     pytest.param(
-        lambda: BucketReport(
-            bucket_sizes=(2, 1), n_prime=3, multi_threshold=4.5, multi_buckets=1,
-            claim_all_small=True, claim_few_multi=True, sum_matches=True,
-        ),
-        "BucketReport(bucket_sizes=(2, 1), n_prime=3, multi_threshold=4.5, multi_buckets=1, "
-        "claim_all_small=True, claim_few_multi=True, sum_matches=True)",
+        lambda: InjectionResult(mapping=(2, 1), nodes=3, exhausted=False),
+        "InjectionResult(mapping=(2, 1), nodes=3, exhausted=False)",
         id="keywords",
     ),
     pytest.param(
