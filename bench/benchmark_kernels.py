@@ -67,14 +67,6 @@ def workloads():
 
     yield "find_embedding", w_find
 
-    kn = adj_rows(22, list(combinations(range(1, 23), 2)))
-    pre_path = pre_lists(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-
-    def w_count():
-        return kernels.count_embeddings(22, kn, 5, pre_path, 10**9)
-
-    yield "count_embeddings", w_count
-
     t_rows = random_tournament_rows(44, random.Random(5))
 
     def w_chain():

@@ -1,4 +1,11 @@
-"""JSON certificates for every checkable outcome the library produces.
+"""Claim records, their checks, and JSON certificates for every outcome.
+
+Every structure the library returns as a claim (an embedding, a sparse pair,
+a skeleton, a monochromatic copy, a sparse set, a digraph copy) has its
+record and its check here.  The check re-derives the claim from the host
+alone, and this module imports only core and errors, so no check runs the
+search code it checks; the search modules import their records and
+self-checks from here.
 
 Each certificate is a flat JSON object with a "kind" discriminator; rationals
 travel as exact "p/q" strings so nothing is lost to floating point.
@@ -8,12 +15,267 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, Sequence
 
-from .core import Color, ColoredCompleteGraph, OrderedGraph, color_class
-from .embed import Embedding, SparsePair, verify_embedding, verify_sparse_pair
+from .core import (
+    Color,
+    ColoredCompleteGraph,
+    Digraph,
+    OrderedGraph,
+    Tournament,
+    class_density,
+    color_class,
+    density_between,
+    mask_of,
+    record,
+)
 from .errors import DomainError, ParseError
-from .pipeline import Exhausted, MonoCopy, SparseSet, verify_sparse_set
-from .skeleton import Skeleton, verify_skeleton
+
+
+@record
+class Embedding:
+    """mapping[i - 1] is the host vertex carrying pattern vertex i."""
+
+    mapping: tuple[int, ...]
+
+
+@record
+class SparsePair:
+    """Vertex sets lower < upper with cross density at most c."""
+
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    c: Fraction
+    density: Fraction
+
+
+@record
+class SlotSystem:
+    """Nonempty pairwise-disjoint vertex sets with max(V_i) < min(V_{i+1})."""
+
+    slots: tuple[tuple[int, ...], ...]
+
+    def __init__(self, slots: Iterable[Iterable[int]], host_n: int | None = None):
+        norm = tuple(tuple(sorted(s)) for s in slots)
+        prev_max = 0
+        for idx, s in enumerate(norm, start=1):
+            if not s:
+                raise DomainError(f"slot {idx} is empty")
+            if len(set(s)) != len(s):
+                raise DomainError(f"slot {idx} has duplicate vertices")
+            if host_n is not None and (s[0] < 1 or s[-1] > host_n):
+                raise DomainError(f"slot {idx} leaves the host vertex range")
+            if s[0] <= prev_max:
+                raise DomainError(f"slot {idx} does not lie strictly above slot {idx - 1}")
+            prev_max = s[-1]
+        object.__setattr__(self, "slots", norm)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def masks(self) -> list[int]:
+        return [0] + [mask_of(s) for s in self.slots]
+
+
+@record
+class Skeleton:
+    """Spine vertices plus a + 1 blocks; b is the claimed minimum block size."""
+
+    spine: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
+    a: int
+    b: int
+
+    def __init__(self, spine: Iterable[int], blocks: Iterable[Iterable[int]], a: int, b: int):
+        spine_t = tuple(spine)
+        blocks_t = tuple(tuple(blk) for blk in blocks)
+        if a < 1 or b < 1:
+            raise DomainError("skeleton parameters a and b must be positive")
+        if len(spine_t) != a:
+            raise DomainError(f"spine has {len(spine_t)} vertices, expected a = {a}")
+        if len(blocks_t) != a + 1:
+            raise DomainError(f"skeleton needs a + 1 = {a + 1} blocks, got {len(blocks_t)}")
+        object.__setattr__(self, "spine", spine_t)
+        object.__setattr__(self, "blocks", blocks_t)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+
+@record
+class MonoCopy:
+    """mapping[i - 1] hosts vertex i of the pattern assigned to color."""
+
+    color: Color
+    mapping: tuple[int, ...]
+
+
+@record
+class SparseSet:
+    """A vertex set together with its certified density bound in one color."""
+
+    color: Color
+    members: tuple[int, ...]
+    density: Fraction
+    bound: Fraction
+    size_target: int
+    met_size_target: bool
+    alpha: float
+    h1: int
+    h2: int
+
+
+@record
+class Exhausted:
+    """A search that stopped without an answer; trace says where and why."""
+
+    trace: tuple[str, ...]
+
+
+def _coerce_slots(slots, host_n: int) -> SlotSystem | None:
+    if slots is None:
+        return None
+    if isinstance(slots, SlotSystem):
+        return slots
+    return SlotSystem(slots, host_n)
+
+
+def verify_embedding(
+    host: OrderedGraph,
+    pattern: OrderedGraph,
+    emb: Embedding | Sequence[int],
+    slots=None,
+) -> tuple[bool, str | None]:
+    """Check an embedding claim; returns (ok, reason for the first violation)."""
+    mapping = tuple(emb.mapping if isinstance(emb, Embedding) else emb)
+    if len(mapping) != pattern.n:
+        return False, f"map length {len(mapping)} != pattern order {pattern.n}"
+    for v in mapping:
+        if not 1 <= v <= host.n:
+            return False, f"host vertex {v} out of range 1..{host.n}"
+    for t in range(1, len(mapping)):
+        if mapping[t - 1] >= mapping[t]:
+            return False, f"map not increasing at pattern vertices {t}, {t + 1}"
+    slot_sys = _coerce_slots(slots, host.n)
+    if slot_sys is not None:
+        if len(slot_sys) != pattern.n:
+            return False, f"slot count {len(slot_sys)} != pattern order {pattern.n}"
+        for t, v in enumerate(mapping, start=1):
+            if v not in slot_sys.slots[t - 1]:
+                return False, f"pattern vertex {t} mapped outside its slot"
+    for i, j in pattern.sorted_edges():
+        if not host.has_edge(mapping[i - 1], mapping[j - 1]):
+            return (
+                False,
+                f"edge ({i}, {j}) not preserved at hosts ({mapping[i - 1]}, {mapping[j - 1]})",
+            )
+    return True, None
+
+
+def verify_sparse_pair(host: OrderedGraph, sp: SparsePair) -> tuple[bool, str | None]:
+    """Check a sparse-pair claim; returns (ok, reason for the first violation).
+
+    A vertex outside the host, a repeated vertex or an empty side raises
+    DomainError (from density_between) rather than returning a verdict.
+    """
+    dens = density_between(host, sp.lower, sp.upper)
+    if max(sp.lower) >= min(sp.upper):
+        return False, "lower side must precede upper side"
+    if dens != sp.density:
+        return False, f"recomputed density {dens} differs from claimed {sp.density}"
+    if dens >= sp.c:
+        return False, f"density {dens} is not below c = {sp.c}"
+    return True, None
+
+
+def _fails(condition: str, *witness: int) -> tuple[bool, str]:
+    return False, f"condition ({condition}) fails at {witness}"
+
+
+def verify_skeleton(host: OrderedGraph, s: Skeleton) -> tuple[bool, str | None]:
+    """Check the three skeleton conditions; returns (valid, reason), the
+    reason naming the first violated condition ("a" interleaving, "b" block
+    size, "c" adjacency) and a witness."""
+    seen: set[int] = set()
+    for v in s.spine:
+        if not 1 <= v <= host.n:
+            return _fails("a", v)
+        seen.add(v)
+    for blk in s.blocks:
+        for v in blk:
+            if not 1 <= v <= host.n or v in seen:
+                return _fails("a", v)
+            seen.add(v)
+        if tuple(sorted(blk)) != blk:
+            return _fails("a", *blk)
+    # interleaving: V_0 < v_1 < V_1 < ... < v_a < V_a
+    for j in range(s.a):
+        left = s.blocks[j]
+        if left and left[-1] >= s.spine[j]:
+            return _fails("a", left[-1], s.spine[j])
+        right = s.blocks[j + 1]
+        if right and s.spine[j] >= right[0]:
+            return _fails("a", s.spine[j], right[0])
+        if j + 1 < s.a and s.spine[j] >= s.spine[j + 1]:
+            return _fails("a", s.spine[j], s.spine[j + 1])
+    for j, blk in enumerate(s.blocks):
+        if len(blk) < s.b:
+            return _fails("b", j, len(blk))
+    for x, y in combinations(s.spine, 2):
+        if not host.has_edge(x, y):
+            return _fails("c", x, y)
+    for v in s.spine:
+        for blk in s.blocks:
+            for w in blk:
+                if not host.has_edge(v, w):
+                    return _fails("c", v, w)
+    return True, None
+
+
+def verify_mono_copy(
+    coloring: ColoredCompleteGraph,
+    pat1: OrderedGraph,
+    pat2: OrderedGraph,
+    mc: MonoCopy,
+) -> tuple[bool, str | None]:
+    pattern = pat1 if mc.color is Color.RED else pat2
+    return verify_embedding(color_class(coloring, mc.color), pattern, mc.mapping)
+
+
+def verify_sparse_set(
+    coloring: ColoredCompleteGraph, ss: SparseSet
+) -> tuple[bool, str | None]:
+    dens = class_density(coloring, ss.color, ss.members)
+    if dens != ss.density:
+        return False, f"recomputed density {dens} differs from claimed {ss.density}"
+    if dens > ss.bound:
+        return False, f"density {dens} exceeds the bound {ss.bound}"
+    if ss.met_size_target != (len(ss.members) >= ss.size_target):
+        return False, (
+            f"met_size_target is {str(ss.met_size_target).lower()} for "
+            f"{len(ss.members)} members and a size target of {ss.size_target}"
+        )
+    return True, None
+
+
+def verify_digraph_copy(
+    host: Tournament, pattern: Digraph, mapping: Sequence[int]
+) -> tuple[bool, str | None]:
+    """Check that mapping is an injective arc-preserving copy of pattern in host."""
+    if len(mapping) != pattern.n:
+        return False, f"mapping has {len(mapping)} entries, need {pattern.n}"
+    seen = set()
+    for h in mapping:
+        if not 1 <= h <= host.N:
+            return False, f"image {h} outside 1..{host.N}"
+        if h in seen:
+            return False, f"image {h} repeats"
+        seen.add(h)
+    for u, v in pattern.arcs():
+        if not host.has_arc(mapping[u - 1], mapping[v - 1]):
+            return False, f"arc ({u}, {v}) maps to a reversed pair"
+    return True, None
+
 
 VERIFIABLE_KINDS = ("embedding", "sparse_pair", "skeleton", "sparse_set")
 KINDS = VERIFIABLE_KINDS + ("exhausted", "ramsey_exact")
@@ -118,6 +380,13 @@ def _optional(d: dict, key: str, types: tuple, default, kind: str):
     return value
 
 
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"{where} is out of the float range") from None
+
+
 def decode_certificate(text: str):
     """Parse certificate JSON back into library objects.
 
@@ -127,7 +396,8 @@ def decode_certificate(text: str):
     """
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: an integer past the interpreter's digit limit; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"certificate is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ParseError("certificate must be a JSON object")
@@ -168,7 +438,7 @@ def decode_certificate(text: str):
             bound=parse_rational(_require(d, "bound", kind)),
             size_target=_optional(d, "size_target", (int,), 1, kind),
             met_size_target=_optional(d, "met_size_target", (bool,), True, kind),
-            alpha=float(_optional(d, "alpha", (int, float), 1.0, kind)),
+            alpha=_float(_optional(d, "alpha", (int, float), 1.0, kind), "sparse_set alpha"),
             h1=_optional(d, "h1", (int,), 0, kind),
             h2=_optional(d, "h2", (int,), 0, kind),
         )

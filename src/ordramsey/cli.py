@@ -78,11 +78,15 @@ def _report(args, cert: dict, summary: str) -> int:
 
 
 def _file_op(verb: str, path: str, op):
-    """op(), with an OSError on path reported as a ParseError, an input error."""
+    """op(), with an OSError on path, or bytes that do not decode, reported
+    as a ParseError, an input error."""
     try:
         return op()
     except OSError as exc:
         raise ParseError(f"cannot {verb} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        reason = f"byte {exc.start} is not {exc.encoding} text"
+        raise ParseError(f"cannot {verb} {path}: {reason}") from None
 
 
 def _write_out(path: str, text: str) -> None:

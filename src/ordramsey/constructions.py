@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Sequence
 
 from . import kernels
 from .core import Digraph, Tournament, record
@@ -160,27 +159,6 @@ class InjectionResult:
     @property
     def found(self) -> bool:
         return self.mapping is not None
-
-
-def verify_subdivision_copy(
-    T: Tournament, n: int, mapping: Sequence[int]
-) -> tuple[bool, str | None]:
-    """Check that mapping is an injective arc-preserving copy of the subdivided star."""
-    S = build_subdivision_S(n)
-    total = S.digraph.n
-    if len(mapping) != total:
-        return False, f"mapping has {len(mapping)} entries, need {total}"
-    seen = set()
-    for h in mapping:
-        if not 1 <= h <= T.N:
-            return False, f"image {h} outside 1..{T.N}"
-        if h in seen:
-            return False, f"image {h} repeats"
-        seen.add(h)
-    for u, v in S.digraph.arcs():
-        if not T.has_arc(mapping[u - 1], mapping[v - 1]):
-            return False, f"arc ({u}, {v}) maps to a reversed pair"
-    return True, None
 
 
 def contains_subdivision(

@@ -11,75 +11,20 @@ cross density at most c instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import kernels
-from .core import OrderedGraph, bits_of, density_between, mask_of, record
+from .certificates import (
+    Embedding,
+    Skeleton,
+    SlotSystem,
+    SparsePair,
+    _coerce_slots,
+    verify_embedding,
+    verify_skeleton,
+    verify_sparse_pair,
+)
+from .core import OrderedGraph, bits_of, density_between
 from .errors import DomainError, InternalContractError, ParameterError
-from .skeleton import Skeleton, verify_skeleton
-
-DEFAULT_COUNT_CAP = 10_000_000
-
-
-@record
-class Embedding:
-    """mapping[i - 1] is the host vertex carrying pattern vertex i."""
-
-    mapping: tuple[int, ...]
-
-
-@record
-class SparsePair:
-    """Vertex sets lower < upper with cross density at most c."""
-
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    c: Fraction
-    density: Fraction
-
-
-def verify_sparse_pair(host: OrderedGraph, sp: SparsePair) -> tuple[bool, str | None]:
-    """Check a sparse-pair claim; returns (ok, reason for the first violation).
-
-    A vertex outside the host, a repeated vertex or an empty side raises
-    DomainError (from density_between) rather than returning a verdict.
-    """
-    dens = density_between(host, sp.lower, sp.upper)
-    if max(sp.lower) >= min(sp.upper):
-        return False, "lower side must precede upper side"
-    if dens != sp.density:
-        return False, f"recomputed density {dens} differs from claimed {sp.density}"
-    if dens >= sp.c:
-        return False, f"density {dens} is not below c = {sp.c}"
-    return True, None
-
-
-@record
-class SlotSystem:
-    """Nonempty pairwise-disjoint vertex sets with max(V_i) < min(V_{i+1})."""
-
-    slots: tuple[tuple[int, ...], ...]
-
-    def __init__(self, slots: Iterable[Iterable[int]], host_n: int | None = None):
-        norm = tuple(tuple(sorted(s)) for s in slots)
-        prev_max = 0
-        for idx, s in enumerate(norm, start=1):
-            if not s:
-                raise DomainError(f"slot {idx} is empty")
-            if len(set(s)) != len(s):
-                raise DomainError(f"slot {idx} has duplicate vertices")
-            if host_n is not None and (s[0] < 1 or s[-1] > host_n):
-                raise DomainError(f"slot {idx} leaves the host vertex range")
-            if s[0] <= prev_max:
-                raise DomainError(f"slot {idx} does not lie strictly above slot {idx - 1}")
-            prev_max = s[-1]
-        object.__setattr__(self, "slots", norm)
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def masks(self) -> list[int]:
-        return [0] + [mask_of(s) for s in self.slots]
 
 
 def check_pattern(pattern: OrderedGraph, name: str = "pattern") -> None:
@@ -95,46 +40,6 @@ def _pre_lists(pattern: OrderedGraph) -> list[list[int]]:
     return [list(bits_of(row & ((1 << j) - 1))) for j, row in enumerate(pattern.adj)]
 
 
-def _coerce_slots(slots, host_n: int) -> SlotSystem | None:
-    if slots is None:
-        return None
-    if isinstance(slots, SlotSystem):
-        return slots
-    return SlotSystem(slots, host_n)
-
-
-def verify_embedding(
-    host: OrderedGraph,
-    pattern: OrderedGraph,
-    emb: Embedding | Sequence[int],
-    slots=None,
-) -> tuple[bool, str | None]:
-    """Check an embedding claim; returns (ok, reason for the first violation)."""
-    mapping = tuple(emb.mapping if isinstance(emb, Embedding) else emb)
-    if len(mapping) != pattern.n:
-        return False, f"map length {len(mapping)} != pattern order {pattern.n}"
-    for v in mapping:
-        if not 1 <= v <= host.n:
-            return False, f"host vertex {v} out of range 1..{host.n}"
-    for t in range(1, len(mapping)):
-        if mapping[t - 1] >= mapping[t]:
-            return False, f"map not increasing at pattern vertices {t}, {t + 1}"
-    slot_sys = _coerce_slots(slots, host.n)
-    if slot_sys is not None:
-        if len(slot_sys) != pattern.n:
-            return False, f"slot count {len(slot_sys)} != pattern order {pattern.n}"
-        for t, v in enumerate(mapping, start=1):
-            if v not in slot_sys.slots[t - 1]:
-                return False, f"pattern vertex {t} mapped outside its slot"
-    for i, j in pattern.sorted_edges():
-        if not host.has_edge(mapping[i - 1], mapping[j - 1]):
-            return (
-                False,
-                f"edge ({i}, {j}) not preserved at hosts ({mapping[i - 1]}, {mapping[j - 1]})",
-            )
-    return True, None
-
-
 def find_ordered_embedding(
     host: OrderedGraph, pattern: OrderedGraph, slots=None
 ) -> Embedding | None:
@@ -147,15 +52,6 @@ def find_ordered_embedding(
         masks = slot_sys.masks()
     res = kernels.find_embedding(host.n, list(host.adj), pattern.n, _pre_lists(pattern), masks)
     return None if res is None else Embedding(tuple(res))
-
-
-def count_embeddings(
-    host: OrderedGraph, pattern: OrderedGraph, cap: int = DEFAULT_COUNT_CAP
-) -> int:
-    """Number of distinct order-preserving embeddings, saturating at cap."""
-    if cap < 1:
-        raise ParameterError("cap must be positive")
-    return kernels.count_embeddings(host.n, list(host.adj), pattern.n, _pre_lists(pattern), cap)
 
 
 def greedy_embed_or_sparse_pair(

@@ -22,47 +22,6 @@ def _full_mask(n: int) -> int:
     return ((1 << (n + 1)) - 1) & ~1
 
 
-def _completion_masks(
-    host_n: int,
-    host_adj: list[int],
-    pat_n: int,
-    pat_pre: list[list[int]],
-    slots: list[int] | None,
-    mapping: list[int],
-):
-    """The one embedding search behind find_embedding and count_embeddings.
-
-    Yields, for each embedded prefix of pattern vertices 1..pat_n-1 in
-    lexicographic order, the nonempty mask of host vertices that complete it.
-    pat_n >= 1.  mapping has length pat_n and mapping[0] == 0; while a mask
-    is yielded, mapping[1:] holds the host vertices of its prefix.
-    """
-    full = _full_mask(host_n)
-    if slots is None:
-        slots = [full] * (pat_n + 1)
-    rest = [0] * pat_n  # rest[t]: host vertices not yet tried for pattern vertex t
-    t = 0
-    while True:
-        nxt = t + 1
-        c = slots[nxt] & full & ~((2 << mapping[t]) - 1)
-        for j in pat_pre[nxt]:
-            c &= host_adj[mapping[j]]
-        if nxt < pat_n:
-            rest[nxt] = c
-            t = nxt
-        elif c:
-            yield c
-        r = rest[t]
-        while not r:
-            if t == 0:
-                return
-            t -= 1
-            r = rest[t]
-        low = r & -r
-        rest[t] = r ^ low
-        mapping[t] = low.bit_length() - 1
-
-
 def find_embedding(
     host_n: int,
     host_adj: list[int],
@@ -76,27 +35,39 @@ def find_embedding(
     slots, when given, holds a per-pattern-vertex bitmask of allowed host
     vertices (length pat_n + 1, index 0 unused).  The result has element
     i-1 carrying the host vertex of pattern vertex i.
+
+    A depth-first search over the prefixes of pattern vertices 1..pat_n-1
+    in lexicographic order: the first prefix with a nonempty mask of host
+    vertices that complete it gives the embedding, with that mask's least
+    vertex.
     """
     if pat_n == 0:
         return []
-    mapping = [0] * pat_n
-    for mask in _completion_masks(host_n, host_adj, pat_n, pat_pre, slots, mapping):
-        return mapping[1:] + [(mask & -mask).bit_length() - 1]
-    return None
-
-
-def count_embeddings(
-    host_n: int, host_adj: list[int], pat_n: int, pat_pre: list[list[int]], cap: int
-) -> int:
-    """Number of distinct embeddings, saturating at cap >= 1."""
-    if pat_n == 0:
-        return 1
-    total = 0
-    for mask in _completion_masks(host_n, host_adj, pat_n, pat_pre, None, [0] * pat_n):
-        total += mask.bit_count()
-        if total >= cap:
-            return cap
-    return total
+    full = _full_mask(host_n)
+    if slots is None:
+        slots = [full] * (pat_n + 1)
+    mapping = [0] * pat_n  # mapping[t]: host vertex of pattern vertex t, mapping[0] == 0
+    rest = [0] * pat_n  # rest[t]: host vertices not yet tried for pattern vertex t
+    t = 0
+    while True:
+        nxt = t + 1
+        c = slots[nxt] & full & ~((2 << mapping[t]) - 1)
+        for j in pat_pre[nxt]:
+            c &= host_adj[mapping[j]]
+        if nxt < pat_n:
+            rest[nxt] = c
+            t = nxt
+        elif c:
+            return mapping[1:] + [(c & -c).bit_length() - 1]
+        r = rest[t]
+        while not r:
+            if t == 0:
+                return None
+            t -= 1
+            r = rest[t]
+        low = r & -r
+        rest[t] = r ^ low
+        mapping[t] = low.bit_length() - 1
 
 
 # A learned clause of at most this many pairs is watched for the rest of the

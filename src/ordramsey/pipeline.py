@@ -1,12 +1,13 @@
 """Sparse-set recursion, the monochromatic-copy search, and an exact oracle.
 
-The central objects are certificates: a MonoCopy pins a monochromatic ordered
-copy of one pattern, a SparseSet pins a vertex set whose density in one color
-is below a stated bound, and Exhausted carries a trace of why a search
-stopped.  Every certificate returned by this module has been re-verified
-against the coloring before being handed to the caller.  An Exhausted from
-find_mono_copy follows a complete search, so neither copy exists; one from
-the sparse-set recursion is never a proof of absence.
+Their outcomes are the claim records of the certificates module: a MonoCopy
+pins a monochromatic ordered copy of one pattern, a SparseSet pins a vertex
+set whose density in one color is below a stated bound, and Exhausted
+carries a trace of why a search stopped.  Every MonoCopy and SparseSet
+returned here has been re-verified against the coloring, by the checks of
+the certificates module, before being handed to the caller.  An Exhausted
+from find_mono_copy follows a complete search, so neither copy exists; one
+from the sparse-set recursion is never a proof of absence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from fractions import Fraction
 from itertools import count
 
 from . import kernels
+from .certificates import (
+    Embedding,
+    Exhausted,
+    MonoCopy,
+    SparseSet,
+    verify_mono_copy,
+    verify_sparse_set,
+)
 from .core import (
     Color,
     ColoredCompleteGraph,
@@ -28,13 +37,7 @@ from .core import (
     sparser_color,
     vertex_tuple,
 )
-from .embed import (
-    Embedding,
-    check_pattern,
-    find_ordered_embedding,
-    skeleton_embed_or_sparse_pair,
-    verify_embedding,
-)
+from .embed import check_pattern, find_ordered_embedding, skeleton_embed_or_sparse_pair
 from .errors import BudgetExhausted, InternalContractError, ParameterError
 from .skeleton import (
     DEFAULT_SAMPLES,
@@ -122,62 +125,6 @@ class RecursionParams:
             alpha = base ** (2.0 * math.sqrt(m2 / ll1)) / (8.0 * window**5 * m1**2)
             alpha = max(alpha, 1e-300)
         return cls(c, k1, k2, alpha, h, h, window)
-
-
-@record
-class MonoCopy:
-    """mapping[i - 1] hosts vertex i of the pattern assigned to color."""
-
-    color: Color
-    mapping: tuple[int, ...]
-
-
-@record
-class SparseSet:
-    """A vertex set together with its certified density bound in one color."""
-
-    color: Color
-    members: tuple[int, ...]
-    density: Fraction
-    bound: Fraction
-    size_target: int
-    met_size_target: bool
-    alpha: float
-    h1: int
-    h2: int
-
-
-@record
-class Exhausted:
-    """A search that stopped without an answer; trace says where and why."""
-
-    trace: tuple[str, ...]
-
-
-def verify_mono_copy(
-    coloring: ColoredCompleteGraph,
-    pat1: OrderedGraph,
-    pat2: OrderedGraph,
-    mc: MonoCopy,
-) -> tuple[bool, str | None]:
-    pattern = pat1 if mc.color is Color.RED else pat2
-    return verify_embedding(color_class(coloring, mc.color), pattern, mc.mapping)
-
-
-def verify_sparse_set(
-    coloring: ColoredCompleteGraph, ss: SparseSet
-) -> tuple[bool, str | None]:
-    dens = class_density(coloring, ss.color, ss.members)
-    if dens != ss.density:
-        return False, f"recomputed density {dens} differs from claimed {ss.density}"
-    if dens > ss.bound:
-        return False, f"density {dens} exceeds the bound {ss.bound}"
-    if ss.met_size_target != (len(ss.members) >= ss.size_target):
-        return False, (
-            f"met_size_target is {str(ss.met_size_target).lower()} for "
-            f"{len(ss.members)} members and a size target of {ss.size_target}"
-        )
-    return True, None
 
 
 def _gate_patterns(pat1: OrderedGraph, pat2: OrderedGraph) -> None:
@@ -412,43 +359,23 @@ def recursive_sparse_set(
     return res
 
 
-def find_good_coloring(
-    pat1: OrderedGraph,
-    pat2: OrderedGraph,
-    big_n: int,
-    budget: kernels.DecisionBudget | None = None,
-) -> ColoredCompleteGraph | None:
-    """A coloring of ordered K_N with no red pat1 and no blue pat2, or None.
-
-    The result is the lexicographically least such coloring over the pairs in
-    colex order, Red before Blue.  The search holds the C(N, k1) + C(N, k2)
-    forbidden copies (k1, k2 the pattern orders) in memory as clauses over
-    the C(N, 2) pair colors and runs conflict-driven clause learning on them.
-    budget, when given, bounds its decisions and raises BudgetExhausted when
-    they run out.
-    """
-    if big_n < 1:
-        raise ParameterError("N must be positive")
-    bits = kernels.search_good_coloring(
-        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges(), budget
-    )
-    return None if bits is None else ColoredCompleteGraph.from_colex_bits(big_n, bits)
-
-
 def exact_ordered_ramsey(
     pat1: OrderedGraph, pat2: OrderedGraph, max_n: int, node_budget: int | None = None
 ) -> tuple[int, ColoredCompleteGraph] | Exhausted | None:
     """Least N <= max_n forcing a red pat1 or blue pat2, with a witness.
 
-    The witness is the least good coloring on N* - 1 vertices, as
-    find_good_coloring returns it.  Returns None when N* exceeds max_n.
-    Each N runs the search of find_good_coloring with restarts, which holds
-    C(N, k1) + C(N, k2) clauses in memory.  A coloring found before the
-    first restart is the least one; when the one kept at N* - 1 came after
-    a restart, the search without restarts runs again at N* - 1.  Only the
-    witness becomes a graph.  node_budget, when given, bounds the search
-    decisions summed over every search; when they run out the result is
-    Exhausted, naming that search's N and the count.
+    A good coloring of ordered K_N has no red pat1 and no blue pat2.  The
+    witness is the least good coloring on N* - 1 vertices: least over the
+    pairs in colex order, Red before Blue.  Returns None when N* exceeds
+    max_n.  Each N runs kernels.search_good_coloring with restarts: it holds
+    the C(N, k1) + C(N, k2) forbidden copies (k1, k2 the pattern orders) in
+    memory as clauses over the C(N, 2) pair colors and runs conflict-driven
+    clause learning on them.  A coloring found before the first restart is
+    the least one; when the one kept at N* - 1 came after a restart, the
+    search without restarts runs again at N* - 1.  Only the witness becomes
+    a graph.  node_budget, when given, bounds the search decisions summed
+    over every search; when they run out the result is Exhausted, naming
+    that search's N and the count.
     """
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")

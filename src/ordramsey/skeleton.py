@@ -18,6 +18,7 @@ from operator import itemgetter, or_, sub, xor
 from typing import Iterable
 
 from . import kernels
+from .certificates import Skeleton, verify_skeleton
 from .core import (
     Color,
     ColoredCompleteGraph,
@@ -30,78 +31,10 @@ from .core import (
     record,
     sparser_color,
 )
-from .errors import DomainError, InternalContractError, ParameterError, TupleCapError
+from .errors import InternalContractError, ParameterError, TupleCapError
 
 DEFAULT_TUPLE_CAP = 10_000_000
 DEFAULT_SAMPLES = 64
-
-
-@record
-class Skeleton:
-    """Spine vertices plus a + 1 blocks; b is the claimed minimum block size."""
-
-    spine: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    a: int
-    b: int
-
-    def __init__(self, spine: Iterable[int], blocks: Iterable[Iterable[int]], a: int, b: int):
-        spine_t = tuple(spine)
-        blocks_t = tuple(tuple(blk) for blk in blocks)
-        if a < 1 or b < 1:
-            raise DomainError("skeleton parameters a and b must be positive")
-        if len(spine_t) != a:
-            raise DomainError(f"spine has {len(spine_t)} vertices, expected a = {a}")
-        if len(blocks_t) != a + 1:
-            raise DomainError(f"skeleton needs a + 1 = {a + 1} blocks, got {len(blocks_t)}")
-        object.__setattr__(self, "spine", spine_t)
-        object.__setattr__(self, "blocks", blocks_t)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def _fails(condition: str, *witness: int) -> tuple[bool, str]:
-    return False, f"condition ({condition}) fails at {witness}"
-
-
-def verify_skeleton(host: OrderedGraph, s: Skeleton) -> tuple[bool, str | None]:
-    """Check the three skeleton conditions; returns (valid, reason), the
-    reason naming the first violated condition ("a" interleaving, "b" block
-    size, "c" adjacency) and a witness."""
-    seen: set[int] = set()
-    for v in s.spine:
-        if not 1 <= v <= host.n:
-            return _fails("a", v)
-        seen.add(v)
-    for blk in s.blocks:
-        for v in blk:
-            if not 1 <= v <= host.n or v in seen:
-                return _fails("a", v)
-            seen.add(v)
-        if tuple(sorted(blk)) != blk:
-            return _fails("a", *blk)
-    # interleaving: V_0 < v_1 < V_1 < ... < v_a < V_a
-    for j in range(s.a):
-        left = s.blocks[j]
-        if left and left[-1] >= s.spine[j]:
-            return _fails("a", left[-1], s.spine[j])
-        right = s.blocks[j + 1]
-        if right and s.spine[j] >= right[0]:
-            return _fails("a", s.spine[j], right[0])
-        if j + 1 < s.a and s.spine[j] >= s.spine[j + 1]:
-            return _fails("a", s.spine[j], s.spine[j + 1])
-    for j, blk in enumerate(s.blocks):
-        if len(blk) < s.b:
-            return _fails("b", j, len(blk))
-    for x, y in combinations(s.spine, 2):
-        if not host.has_edge(x, y):
-            return _fails("c", x, y)
-    for v in s.spine:
-        for blk in s.blocks:
-            for w in blk:
-                if not host.has_edge(v, w):
-                    return _fails("c", v, w)
-    return True, None
 
 
 @record

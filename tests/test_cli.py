@@ -551,6 +551,11 @@ class TestVerifyRule:
         assert (code, out) == (2, "")
         assert err == "error: embedding certificates need --pattern\n"
 
+    def test_skeleton_spine_length_must_be_a(self, capsys, hosts, tmp_path):
+        rec = {**SKELETON, "a": 2, "blocks": [[1], [3], [4]]}
+        code, out, err = self.verify(capsys, hosts, tmp_path, rec, ".og")
+        assert (code, out, err) == (2, "", "error: spine has 1 vertices, expected a = 2\n")
+
     @pytest.mark.parametrize("rec, host, reason", CHECKER_REJECTIONS)
     def test_checker_rejection_reasons(self, capsys, hosts, tmp_path, rec, host, reason):
         code, out, _ = self.verify(capsys, hosts, tmp_path, rec, host)
@@ -762,6 +767,37 @@ class TestErrorExitCodes:
         assert (code, out, err) == (5, "", "error: no avoiding tournament (after 7 tries)\n")
 
 
+# inputs that once ended in a traceback: a file that is not UTF-8, a
+# certificate nested past the recursion limit, and an alpha beyond the floats
+HOSTILE_INPUTS = [
+    ("bin.og", b"\xff\xfe", ["embed", "{input}", "{pattern}"]),
+    ("deep.json", b"[" * 200_000, ["verify", "{input}", "{coloring}"]),
+    (
+        "alpha.json",
+        json.dumps({
+            "kind": "sparse_set", "color": "red", "members": [1], "density": "0/1",
+            "bound": "1/1", "alpha": 10**400,
+        }).encode(),
+        ["verify", "{input}", "{coloring}"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, content, argv", HOSTILE_INPUTS, ids=["not-utf8", "deep-nesting", "alpha-overflow"]
+)
+def test_hostile_input_is_an_input_error(capsys, tmp_path, name, content, argv):
+    (tmp_path / name).write_bytes(content)
+    paths = {
+        "input": str(tmp_path / name),
+        "pattern": write(tmp_path / "p2.og", "2 1\n1 2\n"),
+        "coloring": write(tmp_path / "red4.okc", formats.write_okc(all_red(4))),
+    }
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSeedResolution:
     def test_env_seed_used_when_flag_absent(self, capsys, files, tmp_path, monkeypatch):
         monkeypatch.setenv("ORDRAMSEY_SEED", "7")
@@ -810,16 +846,31 @@ class TestDeterminism:
         assert code == 0 and err == ""
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # Every command pays this import in a fresh interpreter; core.record's
-    # docstring says what dataclasses and inspect would add to it.
+def fresh_interpreter(probe: str) -> str:
+    """stdout of the Python code probe, run in a new interpreter on this package."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(ordramsey.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    probe = "import sys, ordramsey.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every command pays this import in a fresh interpreter; core.record's
+    # docstring says what dataclasses and inspect would add to it.
+    probe = "import sys, ordramsey.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert fresh_interpreter(probe) == "[]\n"
+
+
+def test_certificates_import_no_search_code():
+    # the checks run apart from the searches they check
+    probe = (
+        "import sys, ordramsey.certificates; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ordramsey'))"
+    )
+    loaded = ["ordramsey", "ordramsey.certificates", "ordramsey.core", "ordramsey.errors"]
+    assert fresh_interpreter(probe) == f"{loaded}\n"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordramsey import kernels
 from ordramsey.kernels import cyclic_triangle_packing
+from ordramsey.certificates import verify_digraph_copy
 from ordramsey.constructions import (
     BASE_CUTOFF,
     InjectionResult,
@@ -20,11 +21,13 @@ from ordramsey.constructions import (
     iterated_lower_bound_tournament,
     lower_bound_parameters,
     random_tournament_avoiding,
-    verify_subdivision_copy,
 )
 from ordramsey.core import Digraph, Tournament, degeneracy
 from ordramsey.errors import BudgetExhausted, DomainError, GenerationError, ParameterError
 from ordramsey.io import write_trn
+
+# the subdivided star on base 1, 2, 3 with the middle vertex 4
+S3 = build_subdivision_S(3).digraph
 
 
 def transitive_tournament(n):
@@ -442,7 +445,7 @@ class TestContainsSubdivision:
             T = transitive_tournament(N)
             res = contains_subdivision(T, 3)
             assert res.found
-            ok, why = verify_subdivision_copy(T, 3, res.mapping)
+            ok, why = verify_digraph_copy(T, S3, res.mapping)
             assert ok, why
 
     def test_host_too_small(self):
@@ -459,7 +462,7 @@ class TestContainsSubdivision:
             expected = brute_force_subdivision(T, 3)
             assert res.found == (expected is not None), seed
             if res.found:
-                assert verify_subdivision_copy(T, 3, res.mapping)[0]
+                assert verify_digraph_copy(T, S3, res.mapping)[0]
 
     def test_budget_exhaustion_is_reported(self):
         T = iterated_lower_bound_tournament(50, 0)
@@ -539,20 +542,20 @@ class TestDigraphInjection:
 
 class TestVerifySubdivisionCopy:
     def test_wrong_length(self):
-        ok, why = verify_subdivision_copy(transitive_tournament(6), 3, (1, 2, 3))
+        ok, why = verify_digraph_copy(transitive_tournament(6), S3, (1, 2, 3))
         assert not ok and "4" in why
 
     def test_repeated_image(self):
-        ok, why = verify_subdivision_copy(transitive_tournament(6), 3, (1, 2, 2, 4))
+        ok, why = verify_digraph_copy(transitive_tournament(6), S3, (1, 2, 2, 4))
         assert not ok and "repeats" in why
 
     def test_out_of_range_image(self):
-        ok, why = verify_subdivision_copy(transitive_tournament(4), 3, (1, 2, 3, 9))
+        ok, why = verify_digraph_copy(transitive_tournament(4), S3, (1, 2, 3, 9))
         assert not ok
 
     def test_reversed_arc(self):
         # transitive host: mapping the middle above its source breaks arc (1, t)
         T = transitive_tournament(6)
-        ok, why = verify_subdivision_copy(T, 3, (4, 5, 6, 1))
+        ok, why = verify_digraph_copy(T, S3, (4, 5, 6, 1))
         assert not ok and "reversed" in why
 

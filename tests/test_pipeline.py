@@ -22,7 +22,6 @@ from ordramsey.pipeline import (
     SparseSet,
     binary_tree_sparse,
     exact_ordered_ramsey,
-    find_good_coloring,
     find_mono_copy,
     recursive_sparse_set,
     verify_mono_copy,
@@ -51,6 +50,14 @@ def monotone_path(n):
 
 def crossing_four_cycle():
     return OrderedGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+
+
+def has_good_coloring(pat1, pat2, big_n):
+    """Whether ordered K_N has a coloring with no red pat1 and no blue pat2."""
+    bits = kernels.search_good_coloring(
+        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges()
+    )
+    return bits is not None
 
 
 class TestBinaryTreeSparse:
@@ -365,8 +372,8 @@ class TestExactOrderedRamsey:
 
     def test_witness_is_extremal(self):
         # a good coloring exists at N*-1 but none at N*
-        assert find_good_coloring(k_pattern(3), k_pattern(3), 5) is not None
-        assert find_good_coloring(k_pattern(3), k_pattern(3), 6) is None
+        assert has_good_coloring(k_pattern(3), k_pattern(3), 5)
+        assert not has_good_coloring(k_pattern(3), k_pattern(3), 6)
 
     def test_monotone_paths_meet_erdos_szekeres(self):
         # R(P_s, P_t) = (s - 1)(t - 1) + 1 for monotone paths
@@ -393,8 +400,8 @@ class TestExactOrderedRamsey:
         assert (n_star, witness.N, built) == (6, 5, [5])
 
     def test_k4_k3_refuted_at_nine(self):
-        assert find_good_coloring(k_pattern(4), k_pattern(3), 8) is not None
-        assert find_good_coloring(k_pattern(4), k_pattern(3), 9) is None
+        assert has_good_coloring(k_pattern(4), k_pattern(3), 8)
+        assert not has_good_coloring(k_pattern(4), k_pattern(3), 9)
 
 
 class TestNodeBudget:
