@@ -56,7 +56,7 @@ class SlotSystem:
 
     slots: tuple[tuple[int, ...], ...]
 
-    def __init__(self, slots: Iterable[Iterable[int]], host_n: int | None = None):
+    def __init__(self, slots: Iterable[Iterable[int]], host_n: int):
         norm = tuple(tuple(sorted(s)) for s in slots)
         prev_max = 0
         for idx, s in enumerate(norm, start=1):
@@ -64,7 +64,7 @@ class SlotSystem:
                 raise DomainError(f"slot {idx} is empty")
             if len(set(s)) != len(s):
                 raise DomainError(f"slot {idx} has duplicate vertices")
-            if host_n is not None and (s[0] < 1 or s[-1] > host_n):
+            if s[0] < 1 or s[-1] > host_n:
                 raise DomainError(f"slot {idx} leaves the host vertex range")
             if s[0] <= prev_max:
                 raise DomainError(f"slot {idx} does not lie strictly above slot {idx - 1}")
@@ -132,19 +132,11 @@ class Exhausted:
     trace: tuple[str, ...]
 
 
-def _coerce_slots(slots, host_n: int) -> SlotSystem | None:
-    if slots is None:
-        return None
-    if isinstance(slots, SlotSystem):
-        return slots
-    return SlotSystem(slots, host_n)
-
-
 def verify_embedding(
     host: OrderedGraph,
     pattern: OrderedGraph,
     emb: Embedding | Sequence[int],
-    slots=None,
+    slot_sys: SlotSystem | None = None,
 ) -> tuple[bool, str | None]:
     """Check an embedding claim; returns (ok, reason for the first violation)."""
     mapping = tuple(emb.mapping if isinstance(emb, Embedding) else emb)
@@ -156,7 +148,6 @@ def verify_embedding(
     for t in range(1, len(mapping)):
         if mapping[t - 1] >= mapping[t]:
             return False, f"map not increasing at pattern vertices {t}, {t + 1}"
-    slot_sys = _coerce_slots(slots, host.n)
     if slot_sys is not None:
         if len(slot_sys) != pattern.n:
             return False, f"slot count {len(slot_sys)} != pattern order {pattern.n}"

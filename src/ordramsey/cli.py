@@ -93,6 +93,20 @@ def _write_out(path: str, text: str) -> None:
     _file_op("write", path, lambda: Path(path).write_text(text))
 
 
+def _out_path(args, default: str) -> str:
+    """args.out or default; an --out whose extension names another value type
+    than default's is refused, and an unknown extension is written as given."""
+    out = args.out or default
+    try:
+        same = formats.value_type(out) is formats.value_type(default)
+    except ParseError:
+        return out
+    if not same:
+        want, got = Path(default).suffix, Path(out).suffix
+        raise ParseError(f"--out {out}: construct {args.what} writes {want} files, not {got}")
+    return out
+
+
 def _load(path: str, want: type, label: str):
     """Parse a file by its extension; an extension that names another value
     type is refused before the file is read."""
@@ -174,7 +188,10 @@ def cmd_embed(args) -> int:
 def skeleton_arguments(p) -> None:
     p.add_argument("host")
     p.add_argument("--a", type=int, required=True, help="spine length")
-    p.add_argument("--window", type=int, default=None, help="clique size (default 4a+1)")
+    p.add_argument(
+        "--window", type=int, default=None,
+        help="the n of the block target b >= d*N/n^5, with N >= n >= 4a+1 (default 4a+1)",
+    )
     p.add_argument("--d", type=_fraction_arg, default=Fraction(1), help="block target factor")
     p.set_defaults(run=cmd_skeleton)
 
@@ -197,8 +214,9 @@ def sparse_set_arguments(p) -> None:
     p.add_argument("--c", type=_fraction_arg, required=True, help="density target in (0, 1/8)")
     p.add_argument(
         "--alpha", type=float, default=None,
-        help="per-level shrink factor in (0, 1); the default is the lemma's value, 1e-16 or "
-        "less, at which the recursion stops at its root with a one-vertex set (try 0.75)",
+        help="per-level shrink factor in (0, 1); the default is the lemma's value, which "
+        "falls as N grows (for K3,K3 at c = 1/10: 1.8e-10 at N = 1, 1.7e-16 from N = 16 on) "
+        "and at which the recursion stops at its root with a one-vertex set (try 0.75)",
     )
     p.add_argument("--window", type=int, default=None, help="sampling window override")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -255,8 +273,8 @@ def construct_sn_arguments(p) -> None:
 
 
 def cmd_construct_sn(args) -> int:
+    out = _out_path(args, f"sn_{args.n}.dg")
     sub = build_subdivision_S(args.n)
-    out = args.out or f"sn_{args.n}.dg"
     _write_out(out, formats.write_dg(sub.digraph))
     sidecar = str(Path(out).with_suffix(".triples.json"))
     triples = {",".join(map(str, t)): v for t, v in sorted(sub.triple_index.items())}
@@ -284,8 +302,8 @@ def construct_blowup_arguments(p) -> None:
 def cmd_construct_blowup(args) -> int:
     outer = _load(args.outer, Tournament, "a .trn tournament")
     inner = _load(args.inner, Tournament, "a .trn tournament")
+    out = _out_path(args, f"blowup_{outer.N}x{inner.N}.trn")
     B = blowup(outer, inner)
-    out = args.out or f"blowup_{outer.N}x{inner.N}.trn"
     _write_out(out, formats.write_trn(B.tournament))
     cert = {
         "kind": "construct",
@@ -305,8 +323,8 @@ def construct_lowerbound_arguments(p) -> None:
 
 
 def cmd_construct_lowerbound(args) -> int:
+    out = _out_path(args, f"lowerbound_{args.n}_{args.seed}.trn")
     T = iterated_lower_bound_tournament(args.n, args.seed)
-    out = args.out or f"lowerbound_{args.n}_{args.seed}.trn"
     _write_out(out, formats.write_trn(T))
     cert = {
         "kind": "construct",

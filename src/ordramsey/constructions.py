@@ -12,6 +12,7 @@ from .errors import BudgetExhausted, DomainError, GenerationError, ParameterErro
 from .kernels import DEFAULT_NODE_BUDGET
 
 BASE_CUTOFF = 20
+AVOIDING_TRIES = 64
 
 
 @record
@@ -50,25 +51,23 @@ def find_transitive_subtournament(T: Tournament, k: int) -> tuple[int, ...] | No
     return None if chain is None else tuple(chain)
 
 
-def random_tournament_avoiding(
-    m: int, k: int, seed: int, max_tries: int = 64
-) -> Tournament:
+def random_tournament_avoiding(m: int, k: int, seed: int) -> Tournament:
     """Uniform m-vertex tournament with no transitive subtournament on k vertices.
 
-    Draws from a single seeded stream and re-verifies each draw, so equal
-    (m, k, seed) always return the same tournament.
+    Draws up to AVOIDING_TRIES times from a single seeded stream and
+    re-verifies each draw, so equal (m, k, seed) always return the same one.
     """
     if m < 1:
         raise ParameterError(f"vertex count must be >= 1, got {m}")
     if k < 1:
         raise ParameterError(f"forbidden size must be >= 1, got {k}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(AVOIDING_TRIES):
         T = Tournament.from_random(m, rng)
         if find_transitive_subtournament(T, k) is None:
             return T
     raise GenerationError(
-        f"no {m}-vertex tournament avoiding a transitive {k}-set found", max_tries
+        f"no {m}-vertex tournament avoiding a transitive {k}-set found", AVOIDING_TRIES
     )
 
 

@@ -135,8 +135,8 @@ def record(cls):
     """Make cls a frozen record over its annotated fields, in declaration order.
 
     The class gets what ``@dataclass(frozen=True)`` gives it: an ``__init__``
-    taking the fields by position or keyword (a class attribute is the
-    field's default; ``__post_init__`` runs last if the class has one);
+    taking every field once, by position or keyword, with no defaults
+    (``__post_init__`` runs last if the class has one);
     ``__eq__``, true only between instances of the same class with equal
     field tuples; ``__hash__``, the hash of the field tuple; ``__repr__`` as
     ``Name(field=value, ...)``; and a ``__setattr__`` and ``__delattr__``
@@ -154,13 +154,12 @@ def record(cls):
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     name_set = frozenset(names)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 
     def __init__(self, *args, **kwargs):
-        given = {**defaults, **dict(zip(names, args)), **kwargs}
+        given = dict(zip(names, args), **kwargs)
         if (
             len(args) > len(names)
             or given.keys() != name_set

@@ -18,7 +18,6 @@ from .certificates import (
     Skeleton,
     SlotSystem,
     SparsePair,
-    _coerce_slots,
     verify_embedding,
     verify_skeleton,
     verify_sparse_pair,
@@ -40,24 +39,16 @@ def _pre_lists(pattern: OrderedGraph) -> list[list[int]]:
     return [list(bits_of(row & ((1 << j) - 1))) for j, row in enumerate(pattern.adj)]
 
 
-def find_ordered_embedding(
-    host: OrderedGraph, pattern: OrderedGraph, slots=None
-) -> Embedding | None:
+def find_ordered_embedding(host: OrderedGraph, pattern: OrderedGraph) -> Embedding | None:
     """Lexicographically least order-preserving embedding, or None."""
-    slot_sys = _coerce_slots(slots, host.n)
-    masks = None
-    if slot_sys is not None:
-        if len(slot_sys) != pattern.n:
-            raise DomainError(f"slot count {len(slot_sys)} != pattern order {pattern.n}")
-        masks = slot_sys.masks()
-    res = kernels.find_embedding(host.n, list(host.adj), pattern.n, _pre_lists(pattern), masks)
+    res = kernels.find_embedding(host.n, list(host.adj), pattern.n, _pre_lists(pattern))
     return None if res is None else Embedding(tuple(res))
 
 
 def greedy_embed_or_sparse_pair(
     host: OrderedGraph,
     pattern: OrderedGraph,
-    slots,
+    slot_sys: SlotSystem,
     c: Fraction,
 ) -> Embedding | SparsePair:
     """Embed the pattern with one vertex per slot, or extract a sparse pair.
@@ -74,9 +65,6 @@ def greedy_embed_or_sparse_pair(
     c = Fraction(c)
     if not 0 < c < 1:
         raise ParameterError(f"c={c} must lie strictly between 0 and 1")
-    slot_sys = _coerce_slots(slots, host.n)
-    if slot_sys is None:
-        raise DomainError("greedy embedding requires a slot system")
     n = pattern.n
     if len(slot_sys) != n:
         raise DomainError(f"slot count {len(slot_sys)} != pattern order {n}")

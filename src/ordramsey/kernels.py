@@ -12,9 +12,8 @@ from itertools import combinations
 from .core import bits_of, transpose_masks
 from .errors import BudgetExhausted
 
-# The benchmark records this in every result and refuses to compare runs
-# whose values differ.  Every kernel has one implementation, so it is
-# constant; results from builds that bound a compiled twin say "compiled".
+# Every kernel has one implementation, so this is constant; the benchmark
+# records it in every result.
 IMPLEMENTATION = "pure"
 
 
@@ -27,14 +26,11 @@ def find_embedding(
     host_adj: list[int],
     pat_n: int,
     pat_pre: list[list[int]],
-    slots: list[int] | None = None,
 ) -> list[int] | None:
     """Lexicographically least order-preserving embedding, or None.
 
-    pat_pre[t] lists the pattern neighbors of t that are smaller than t.
-    slots, when given, holds a per-pattern-vertex bitmask of allowed host
-    vertices (length pat_n + 1, index 0 unused).  The result has element
-    i-1 carrying the host vertex of pattern vertex i.
+    pat_pre[t] lists the pattern neighbors of t that are smaller than t, and
+    element i-1 of the result is the host vertex of pattern vertex i.
 
     A depth-first search over the prefixes of pattern vertices 1..pat_n-1
     in lexicographic order: the first prefix with a nonempty mask of host
@@ -44,14 +40,12 @@ def find_embedding(
     if pat_n == 0:
         return []
     full = _full_mask(host_n)
-    if slots is None:
-        slots = [full] * (pat_n + 1)
     mapping = [0] * pat_n  # mapping[t]: host vertex of pattern vertex t, mapping[0] == 0
     rest = [0] * pat_n  # rest[t]: host vertices not yet tried for pattern vertex t
     t = 0
     while True:
         nxt = t + 1
-        c = slots[nxt] & full & ~((2 << mapping[t]) - 1)
+        c = full & ~((2 << mapping[t]) - 1)
         for j in pat_pre[nxt]:
             c &= host_adj[mapping[j]]
         if nxt < pat_n:

@@ -384,48 +384,36 @@ def skeleton_from_harvest(
     return None, None, truncated
 
 
-def _sample_rounds(big_n: int, window: int, samples: int) -> int:
-    """Windows sample_color_cliques processes: one when the window is all N."""
-    return samples if window < big_n else min(samples, 1)
-
-
 def sample_color_cliques(
     coloring: ColoredCompleteGraph,
     need: dict[Color, int],
     window: int,
     samples: int,
     seed: int,
-    density_gate: Fraction | None = None,
-    gate_color: Color | None = None,
 ) -> dict[Color, list[tuple[int, ...]]]:
     """Sample windows and harvest monochromatic cliques of the needed sizes.
 
-    Runs the two-chain greedy on the sparser color class of each sampled
-    window; its clique chain is a clique of that color and its independent
-    chain is a clique of the other color.  When density_gate is given, windows
-    whose gate_color density exceeds the gate are skipped.  A window of at
-    least N vertices is the whole coloring, so it is processed once however
+    Runs the two-chain greedy on the sparser color class of each of samples
+    seeded windows; its clique chain is a clique of that color and its
+    independent chain one of the other, kept once if it has need[color]
+    vertices or more.  A window of all N vertices is processed once, however
     many samples are asked for; the harvest is the same.
     """
     rng = random.Random(seed)
     universe = list(range(1, coloring.N + 1))
     window = min(window, coloring.N)
-    rounds = _sample_rounds(coloring.N, window, samples)
+    rounds = samples if window < coloring.N else min(samples, 1)
     found: dict[Color, list[tuple[int, ...]]] = {Color.RED: [], Color.BLUE: []}
     seen: dict[Color, set] = {Color.RED: set(), Color.BLUE: set()}
     for _ in range(rounds):
         # a full window needs no draw; induced hands back the coloring itself
         members = rng.sample(universe, window) if window < coloring.N else universe
         sub, back = coloring.induced(members)
-        if density_gate is not None and gate_color is not None and sub.N >= 2:
-            if class_density(sub, gate_color) > density_gate:
-                continue
         sparse, theta = sparser_color(sub)
         theta = max(Fraction(1, 100), min(theta, Fraction(49, 100)))
         clique_chain, indep_chain = _es_chains(color_class(sub, sparse).adj, theta)
         for color, chain in ((sparse, clique_chain), (sparse.other, indep_chain)):
-            k_needed = need.get(color)
-            if k_needed is None or len(chain) < k_needed:
+            if len(chain) < need[color]:
                 continue
             host_clique = tuple(sorted(back[v] for v in chain))
             if host_clique not in seen[color]:
@@ -440,21 +428,17 @@ def find_skeleton_in_dense(
     a: int,
     c: Fraction,
     *,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    window: int | None = None,
 ) -> DenseSkeletonResult:
     """Find a skeleton in one color class of a coloring whose sparse_color
     class has density at most c.
 
-    Samples windows (the window size follows the underlying lemma, capped at
-    N), grows monochromatic cliques per sample, and assembles a skeleton from
-    them with skeleton_from_harvest: the cliques' increasing (4a+1)-tuples
-    are bucketed in closed form, never listed; tuple_cap bounds the spine
-    keys enumerated.  The result reports the lemma's block size target
-    and whether it was met; a result with no skeleton is a search failure,
-    distinct from a parameter error.
+    Harvests (4a+1)-cliques from DEFAULT_SAMPLES windows of the lemma's size
+    exp(1000 a c ln(1/c)), kept between 4a+1 and N, and assembles a skeleton
+    with skeleton_from_harvest (at most DEFAULT_TUPLE_CAP spine keys).  For
+    c < 1/2 the check a >= 10/c makes the window all N, processed once.  The
+    result reports the lemma's block size target and whether it was met; no
+    skeleton is a search failure, distinct from a parameter error.
     """
     c = Fraction(c)
     if c <= 0:
@@ -463,38 +447,24 @@ def find_skeleton_in_dense(
         raise ParameterError("a must be positive")
     if Fraction(a) < 10 / c:
         raise ParameterError(f"need a >= 10/c = {float(10 / c):.4g}, got a={a}")
-    if samples < 1:
-        raise ParameterError("samples must be positive")
     big_n = coloring.N
     dens = class_density(coloring, sparse_color)
     if dens > c:
         raise ParameterError(f"{sparse_color} class density {dens} exceeds c={c}")
 
     k = 4 * a + 1
-    if window is None:
-        if c >= 1:
-            window = big_n
-        else:
-            log_window = 1000.0 * a * float(c) * math.log(1.0 / float(c))
-            if log_window >= math.log(max(big_n, 2)):
-                window = big_n
-            else:
-                window = int(math.ceil(math.exp(max(log_window, 0.0))))
-    window = max(min(window, big_n), min(big_n, k))
+    log_window = 1000.0 * a * float(c) * math.log(1.0 / float(c)) if c < 1 else math.inf
+    window = big_n
+    if log_window < math.log(max(big_n, 2)):
+        window = min(max(math.ceil(math.exp(log_window)), k), big_n)
 
-    gate = min(2 * c, Fraction(1, 1))
     harvest = sample_color_cliques(
-        coloring,
-        {Color.RED: k, Color.BLUE: k},
-        window,
-        samples,
-        seed,
-        density_gate=gate,
-        gate_color=sparse_color,
+        coloring, {Color.RED: k, Color.BLUE: k}, window, DEFAULT_SAMPLES, seed
     )
-    rounds = _sample_rounds(big_n, window, samples)
+    rounds = DEFAULT_SAMPLES if window < big_n else 1
     target = _dense_target_b(big_n, a, c)
-    color, skel, _ = skeleton_from_harvest(harvest, {Color.RED: a, Color.BLUE: a}, 1, tuple_cap)
+    spine = {Color.RED: a, Color.BLUE: a}
+    color, skel, _ = skeleton_from_harvest(harvest, spine, 1, DEFAULT_TUPLE_CAP)
     if skel is None:
         return DenseSkeletonResult(None, None, target, False, rounds)
     ok, reason = verify_skeleton(color_class(coloring, color), skel)

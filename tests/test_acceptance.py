@@ -132,9 +132,10 @@ def test_criterion_2_greedy_dichotomy():
             slot_list.append(list(range(at, at + size)))
             at += size
         c = c_values[seed % 3]
-        res = greedy_embed_or_sparse_pair(host, pattern, slot_list, c)
+        slot_sys = SlotSystem(slot_list, n)
+        res = greedy_embed_or_sparse_pair(host, pattern, slot_sys, c)
         if isinstance(res, Embedding):
-            ok, why = verify_embedding(host, pattern, res, SlotSystem(slot_list, n))
+            ok, why = verify_embedding(host, pattern, res, slot_sys)
             assert ok, (seed, why)
             embeddings += 1
         else:

@@ -312,6 +312,25 @@ class TestConstruct:
         assert code == 0
         assert formats.parse_trn(out_path.read_text()).N == 4
 
+    @pytest.mark.parametrize(
+        "what, want, suffix",
+        [(w, want, sfx) for w, want in (("sn", ".dg"), ("blowup", ".trn"), ("lowerbound", ".trn"))
+         for sfx in (".og", ".okc", ".dg", ".trn") if sfx != want],
+    )
+    def test_out_naming_another_format_is_refused(
+        self, capsys, files, tmp_path, what, want, suffix
+    ):
+        # such a file would be read back as the type its extension names
+        out_path = tmp_path / f"x{suffix}"
+        args = {"sn": ["3"], "blowup": [files["t3"], files["t3"]], "lowerbound": ["21"]}[what]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, ["construct", what, *args, "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --out {out_path}: construct {what} writes {want} files, not {suffix}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("argv", [["sn", "3"], ["lowerbound", "3"]])
     def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv):
         out_path = tmp_path / "missing" / "x.out"

@@ -330,11 +330,6 @@ class TestRandomTournamentAvoiding:
             random_tournament_avoiding(3, 2, 0)
         assert err.value.tries == 64
 
-    def test_custom_try_budget(self):
-        with pytest.raises(GenerationError) as err:
-            random_tournament_avoiding(3, 2, 0, max_tries=5)
-        assert err.value.tries == 5
-
 
 class TestBlowup:
     def test_single_outer_vertex_copies_inner(self):

@@ -14,6 +14,7 @@ from ordramsey import kernels
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, bits_of, color_class, mask_of
 from ordramsey.errors import DomainError, InternalContractError, ParameterError, TupleCapError
 from ordramsey.skeleton import (
+    DEFAULT_SAMPLES,
     DEFAULT_TUPLE_CAP,
     Skeleton,
     _by_population,
@@ -554,24 +555,31 @@ class TestFindSkeletonInDense:
 
     def test_samples_used_counts_windows_processed(self):
         col = ColoredCompleteGraph.from_function(30, lambda i, j: False)
-        for window in (None, 30, 45):
-            res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), samples=64, window=window)
-            assert res.found and res.samples_used == 1
-        res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), samples=8, window=12)
-        assert res.samples_used == 8
+        res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10))
+        assert res.found and res.samples_used == 1
+
+    def test_lemma_window_below_one_half_is_all_n(self):
+        # c < 1/2 and a >= 10/c put the lemma's window exp(1000 a c ln(1/c))
+        # far above N, so the whole coloring is the one window
+        col = ColoredCompleteGraph.from_function(86, lambda i, j: False)
+        res = find_skeleton_in_dense(col, Color.RED, 21, Fraction(10, 21))
+        assert res.samples_used == 1
+        assert res.found and res.color is Color.BLUE and res.skeleton.a == 21
+
+    def test_lemma_window_near_one_is_sampled(self):
+        # at c = 99999/100000 the window formula gives 2, raised to the
+        # clique size 4a + 1 = 45 < N, so DEFAULT_SAMPLES windows are drawn
+        col = ColoredCompleteGraph.from_function(60, lambda i, j: True)
+        res = find_skeleton_in_dense(col, Color.BLUE, 11, Fraction(99999, 100000), seed=4)
+        assert res.samples_used == DEFAULT_SAMPLES == 64
+        assert res.found and res.color is Color.RED
+        assert verify_skeleton(color_class(col, Color.RED), res.skeleton)[0]
 
     def test_spine_gate(self):
         # a below 10/c is a parameter violation
         col = ColoredCompleteGraph.from_function(30, lambda i, j: False)
         with pytest.raises(ParameterError):
             find_skeleton_in_dense(col, Color.RED, 1, Fraction(1, 2))
-
-    @pytest.mark.parametrize("samples", [0, -4])
-    def test_samples_gate(self, samples):
-        # a window of all N would process one window however few were asked for
-        col = ColoredCompleteGraph.from_function(30, lambda i, j: False)
-        with pytest.raises(ParameterError, match="samples must be positive"):
-            find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), samples=samples)
 
     def test_reports_target(self):
         col = ColoredCompleteGraph.from_function(50, lambda i, j: False)
