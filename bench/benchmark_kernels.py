@@ -3,7 +3,8 @@
 
 It also times the .okc reader and writer on an N=120 coloring, the size of
 the perfbench sparse-set inputs, and the clique-harvest skeleton layer on
-the all-blue N=50 coloring of the perfbench dense-skeleton workload.  Every time is the best of --repeat runs.
+the all-blue N=50 coloring of the perfbench dense-skeleton workload, and the
+host-path skeleton search on K_40.  Every time is the best of --repeat runs.
 Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
@@ -15,8 +16,12 @@ from itertools import combinations
 
 from ordramsey import kernels
 from ordramsey.constructions import build_subdivision_S
-from ordramsey.core import Color, ColoredCompleteGraph
-from ordramsey.skeleton import _index_from_cliques, find_skeleton_in_dense
+from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph
+from ordramsey.skeleton import (
+    _index_from_cliques,
+    find_skeleton_from_cliques,
+    find_skeleton_in_dense,
+)
 from ordramsey.io import parse_okc, write_okc
 
 
@@ -101,6 +106,13 @@ def workloads():
         return kernels.clique_tuple_buckets(40, k40, 5, 10_000_000)
 
     yield "clique_tuple_buckets K40", w_cliques_k40
+
+    # the whole host path of that job: the kernel, the largest-b selection
+    # and the skeleton's self-check
+    k40_graph = OrderedGraph.from_rows(40, k40)
+    yield "find_skeleton_from_cliques K40 a=1", lambda: find_skeleton_from_cliques(
+        k40_graph, 5, 1
+    )
 
     # skeleton on K_40 with a = 2 (k = 9), the shape of the slowest skeleton
     # test, capped inside the block of one 6-vertex prefix

@@ -7,8 +7,15 @@ import random
 from itertools import combinations
 
 from . import kernels
+from .certificates import verify_digraph_copy
 from .core import Digraph, Tournament, record
-from .errors import BudgetExhausted, DomainError, GenerationError, ParameterError
+from .errors import (
+    BudgetExhausted,
+    DomainError,
+    GenerationError,
+    InternalContractError,
+    ParameterError,
+)
 from .kernels import DEFAULT_NODE_BUDGET
 
 BASE_CUTOFF = 20
@@ -167,7 +174,8 @@ def contains_subdivision(
 
     Assigns base vertices 1..n first and then triple vertices in
     lexicographic order; every attempted assignment costs one node, and an
-    exhausted result reports the budget as its nodes.
+    exhausted result reports the budget as its nodes.  A copy found is
+    re-checked against T before it is returned.
     """
     if budget < 1:
         raise ParameterError(f"node budget must be >= 1, got {budget}")
@@ -181,5 +189,10 @@ def contains_subdivision(
         )
     except BudgetExhausted:
         return InjectionResult(None, spent.used, True)
-    return InjectionResult(None if mapping is None else tuple(mapping), nodes, False)
+    if mapping is None:
+        return InjectionResult(None, nodes, False)
+    ok, reason = verify_digraph_copy(T, S.digraph, mapping)
+    if not ok:
+        raise InternalContractError(f"subdivision copy: {reason}")
+    return InjectionResult(tuple(mapping), nodes, False)
 

@@ -532,20 +532,20 @@ def _edges_between(side: int, other: int, adj: list[int]) -> tuple[int, int, int
 
 def clique_tuple_buckets(
     n: int, adj: list[int], k: int, cap: int
-) -> tuple[int, bool, dict[tuple[int, ...], list]]:
+) -> tuple[int, bool, dict[tuple[int, ...], list[int]]]:
     """Enumerate increasing k-tuples spanning cliques, in lexicographic order.
 
     Aggregates tuples into buckets keyed by the odd-position vertices
-    (positions 2, 4, ... in 1-based position counting); each bucket holds
-    [tuple count, list of even-position vertex bitmasks].  For odd k >= 3 the
-    last three positions x < y < w are filled in blocks: with the first k - 3
-    vertices (the prefix) fixed, the tuples sharing the last spine vertex y
-    all land in one bucket, so each (prefix, y) is one bucket update (a
-    count, a mask of the x and a mask of the w).  The cap still counts tuples
-    in lexicographic order, where a prefix's tuples are contiguous: a prefix
-    is committed in blocks only when all its tuples fit under the cap, and
-    otherwise recorded tuple by tuple, cut at exactly the cap'th tuple.  So
-    the result holds exactly the first cap tuples, and truncated is True
+    (positions 2, 4, ... in 1-based position counting); each bucket holds the
+    list of its even-position vertex bitmasks.  For odd k >= 3 the last three
+    positions x < y < w are filled in blocks: with the first k - 3 vertices
+    (the prefix) fixed, the tuples sharing the last spine vertex y all land
+    in one bucket, so each (prefix, y) is one bucket update (a mask of the x
+    and a mask of the w).  The cap counts tuples in lexicographic order,
+    where a prefix's tuples are contiguous: a prefix is committed in blocks
+    only when all its tuples fit under the cap, and otherwise recorded tuple
+    by tuple, cut at exactly the cap'th tuple.  So the result holds exactly
+    the first cap tuples, total is how many that is, and truncated is True
     when at least one further tuple existed.
     """
     buckets: dict[tuple[int, ...], list] = {}
@@ -559,20 +559,18 @@ def clique_tuple_buckets(
 
     def bucket() -> list:
         key = tuple(tup[1::2])
-        ent = buckets.get(key)
-        if ent is None:
-            ent = [0, [0] * half]
-            buckets[key] = ent
-        return ent
+        masks = buckets.get(key)
+        if masks is None:
+            masks = [0] * half
+            buckets[key] = masks
+        return masks
 
     def record() -> None:
         nonlocal total, truncated
         if total >= cap:
             truncated = True
             raise _Stop
-        ent = bucket()
-        ent[0] += 1
-        masks = ent[1]
+        masks = bucket()
         for idx in range(half):
             masks[idx] |= 1 << tup[2 * idx]
         total += 1
@@ -598,15 +596,13 @@ def clique_tuple_buckets(
             else:
                 count, last_mask, x_mask = _edges_between(above, xs, adj)
             if count:
-                blocks.append((y, count, x_mask, last_mask))
+                blocks.append((y, x_mask, last_mask))
                 size += count
         if size > cap - total:
             return False
-        for y, count, x_mask, last_mask in blocks:
+        for y, x_mask, last_mask in blocks:
             tup[depth + 1] = y
-            ent = bucket()
-            ent[0] += count
-            masks = ent[1]
+            masks = bucket()
             for idx in range(half - 2):
                 masks[idx] |= 1 << tup[2 * idx]
             masks[half - 2] |= x_mask

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, count, islice
-from operator import itemgetter, or_, sub, xor
+from operator import itemgetter, or_, xor
 from typing import Iterable
 
 from . import kernels
@@ -41,17 +41,15 @@ DEFAULT_SAMPLES = 64
 class CliqueTupleIndex:
     """Increasing clique (4a+1)-tuples bucketed by their odd-position vertices.
 
-    buckets maps each odd-position key (the spine key) to (tuple count,
-    even-position vertex masks).  truncated means enumeration stopped at the
-    cap with work left: tuples on the host-graph path
+    buckets maps each odd-position key (the spine key) to the list of its
+    tuples' even-position vertex masks.  truncated means enumeration stopped
+    at the cap with work left: tuples on the host-graph path
     (build_clique_tuple_index), counted in lexicographic order, so a
     truncated index holds exactly the first cap tuples even though the last
     three positions are recorded as one block per prefix and last spine
     vertex; spine keys on the clique-harvest path (_index_from_cliques).
     """
 
-    k: int
-    total: int
     truncated: bool
     buckets: dict
 
@@ -62,66 +60,47 @@ def build_clique_tuple_index(
     """Bucket the increasing clique k-tuples of host (lexicographic order, capped).
 
     For odd k >= 3, the tuples sharing their first k - 3 vertices and their
-    last spine vertex are recorded as one bucket update (a count and the
-    masks of their last two even positions) rather than tuple by tuple.  The
-    cap still counts tuples in lexicographic order: a truncated index holds
-    exactly the first tuple_cap tuples.
+    last spine vertex are recorded as one bucket update (the masks of their
+    last two even positions) rather than tuple by tuple.  The cap still
+    counts tuples in lexicographic order: a truncated index holds exactly the
+    first tuple_cap tuples.
     """
     if k < 1:
         raise ParameterError(f"tuple length {k} must be positive")
     if tuple_cap < 1:
         raise ParameterError("tuple cap must be positive")
-    total, truncated, buckets = kernels.clique_tuple_buckets(
-        host.n, list(host.adj), k, tuple_cap
-    )
-    return CliqueTupleIndex(k, total, truncated, buckets)
-
-
-def _by_population(buckets: dict):
-    """Bucket keys by population, descending, ties to the least key.
-
-    The first key takes one pass; the others are sorted only when it is
-    passed over.
-    """
-    if not buckets:
-        return
-
-    counts = list(map(itemgetter(0), buckets.values()))
-    yield min(compress(buckets, map(max(counts).__eq__, counts)))
-
-    def rank(key):
-        return -buckets[key][0], key
-
-    yield from sorted(buckets, key=rank)[1:]
+    _, truncated, buckets = kernels.clique_tuple_buckets(host.n, list(host.adj), k, tuple_cap)
+    return CliqueTupleIndex(truncated, buckets)
 
 
 def _skeleton_from_index(
     index: CliqueTupleIndex, a: int, b_required: Fraction | int
 ) -> Skeleton | None:
-    """Pick a bucket and assemble a skeleton with blocks of size >= b_required.
+    """Assemble a skeleton from the bucket with the largest b, ties to the
+    least spine key; None when that b is below max(1, b_required).
 
-    Buckets are scanned by population (descending; ties to the least key), so
-    the pigeonhole bucket is tried first.  Within a bucket the a + 1 largest
-    even-position sets become the blocks.  Returns None when no bucket
-    qualifies.
+    A bucket's b is the (a + 1)-th largest of its 2a + 1 even-position sets,
+    and its blocks are its a + 1 largest sets, ties to the leftmost.  The
+    lemma's pigeonhole bucket, the most populated one, is only a witness
+    that some bucket's b is large: the largest b is at least its b.
     """
-    for key in _by_population(index.buckets):
-        masks = index.buckets[key][1]
-        sizes = [(m.bit_count(), pos) for pos, m in enumerate(masks)]
-        # choose a + 1 positions maximizing the minimum set size; ties keep
-        # the leftmost positions for determinism
-        chosen = sorted(sorted(sizes, key=lambda sp: (-sp[0], sp[1]))[: a + 1], key=lambda sp: sp[1])
-        if len(chosen) < a + 1:
-            continue
-        b_achieved = min(sz for sz, _ in chosen)
-        if b_achieved < 1 or b_achieved < b_required:
-            continue
-        positions = [pos for _, pos in chosen]
-        blocks = tuple(tuple(bits_of(masks[pos])) for pos in positions)
-        # spine vertex after even position 2*pos is the odd entry at index pos
-        spine = tuple(key[positions[j]] for j in range(a))
-        return Skeleton(spine, blocks, a, b_achieved)
-    return None
+    buckets = index.buckets
+    # each bucket's set sizes, counted a position at a time; the (a + 1)-th
+    # largest of 2a + 1 sizes is the median
+    sizes = zip(*[map(int.bit_count, col) for col in zip(*buckets.values())])
+    bs = list(map(itemgetter(a), map(sorted, sizes)))
+    best = max(bs, default=0)
+    if best < max(1, b_required):
+        return None
+    key = min(compress(buckets, map(best.__eq__, bs)))
+    masks = buckets[key]
+    # the stable sort keeps the leftmost of equal sizes
+    largest = sorted(range(len(masks)), key=lambda pos: -masks[pos].bit_count())
+    positions = sorted(largest[: a + 1])
+    blocks = tuple(tuple(bits_of(masks[pos])) for pos in positions)
+    # spine vertex after even position 2*pos is the odd entry at index pos
+    spine = tuple(key[pos] for pos in positions[:a])
+    return Skeleton(spine, blocks, a, best)
 
 
 def find_skeleton_from_cliques(
@@ -134,10 +113,11 @@ def find_skeleton_from_cliques(
     """Find an (a, b)-skeleton with b >= d * N / n^5 via clique-tuple pigeonholing.
 
     Enumerates increasing (4a+1)-clique tuples, buckets them on odd positions,
-    and assembles spine and blocks from the best bucket.  Returns None when no
-    bucket yields large enough blocks; raises TupleCapError when the
-    enumeration cap was hit and no skeleton could be produced from the partial
-    index (a skeleton found from a truncated index is still valid as checked).
+    and assembles spine and blocks from the bucket with the largest b
+    (_skeleton_from_index).  Returns None when no bucket yields large enough
+    blocks; raises TupleCapError when the enumeration cap was hit and no
+    skeleton could be produced from the partial index (a skeleton found from
+    a truncated index is still valid as checked).
     """
     big_n = host.n
     if a < 1:
@@ -245,7 +225,6 @@ class DenseSkeletonResult:
     skeleton: Skeleton | None
     target_b: float
     met_target: bool
-    samples_used: int  # windows processed: 1 when the window covers all N
 
     @property
     def found(self) -> bool:
@@ -263,32 +242,6 @@ def expand_clique_tuples(
     return list(islice(combinations(sorted(clique), k), max(budget, 0)))
 
 
-def _box_union_size(boxes: list) -> int:
-    """Size of a union of boxes, a box being one nonempty vertex mask per
-    coordinate.  Splits the first coordinate by which boxes hold each vertex
-    and recurses on the remaining coordinates of those boxes."""
-    if len(boxes) == 1 or not boxes[0]:
-        return math.prod(m.bit_count() for m in boxes[0])
-    parts: list[tuple[int, list[int]]] = []  # disjoint vertex masks, holding boxes
-    for i, box in enumerate(boxes):
-        head = box[0]
-        fresh = head
-        refined = []
-        for mask, members in parts:
-            if mask & head:
-                refined.append((mask & head, members + [i]))
-            if mask & ~head:
-                refined.append((mask & ~head, members))
-            fresh &= ~mask
-        if fresh:
-            refined.append((fresh, [i]))
-        parts = refined
-    return sum(
-        mask.bit_count() * _box_union_size([boxes[i][1:] for i in members])
-        for mask, members in parts
-    )
-
-
 def _index_from_cliques(
     cliques: list[tuple[int, ...]], k: int, cap: int
 ) -> CliqueTupleIndex:
@@ -299,9 +252,9 @@ def _index_from_cliques(
     last; the tuple's other entries are one vertex from each gap.  In a clique
     of m vertices, the keys at positions p_1 < ... < p_r (r = k // 2) with
     every gap nonempty are exactly those with q_j = p_j - (j - 1) an
-    increasing r-subset of range(1, m - r + 1 - k % 2), and such a key buckets
-    the product of its gap sizes.  A key valid in several cliques buckets the
-    union of their gap boxes, counted exactly.
+    increasing r-subset of range(1, m - r + 1 - k % 2), and such a key's
+    bucket holds its gap masks.  A key valid in several cliques holds, at
+    each position, the union of those cliques' gap masks.
 
     cap bounds the spine keys enumerated, clique by clique in the given order
     and lexicographically within a clique, a key valid in two cliques counting
@@ -311,7 +264,6 @@ def _index_from_cliques(
     """
     r, tail = k // 2, k % 2
     buckets: dict = {}
-    shared: dict = {}  # key -> gap masks of every clique it is valid in
     budget = cap
     truncated = False
     for idx, clique in enumerate(cliques):
@@ -327,19 +279,15 @@ def _index_from_cliques(
         cols = list(zip(*keys)) or [()] * r
         los = [[0] * len(keys), *cols]
         his = [*cols, [span + 1] * len(keys)][: r + tail]
-        sizes, masks = [], []
+        masks = []
         for i, (lo, hi) in enumerate(zip(los, his)):
             at = prefix[i:].__getitem__
-            sizes.append(map(sub, hi, lo))
             masks.append(map(xor, map(at, hi), map(at, lo)))
         # key vertex j of q is verts[q[j] + j]
         lifted = [map(verts[j:].__getitem__, col) for j, col in enumerate(cols)]
-        entries = map(list, zip(map(math.prod, zip(*sizes)), map(list, zip(*masks))))
-        fresh = dict(zip(zip(*lifted) if r else [()] * len(keys), entries))
+        fresh = dict(zip(zip(*lifted) if r else [()] * len(keys), map(list, zip(*masks))))
         for key in fresh.keys() & buckets.keys():
-            ent, box = buckets[key], fresh.pop(key)[1]
-            shared.setdefault(key, [ent[1]]).append(box)
-            ent[1] = list(map(or_, ent[1], box))
+            fresh[key] = list(map(or_, buckets[key], fresh[key]))
         buckets.update(fresh)
         budget -= len(keys)
         if budget <= 0:
@@ -347,10 +295,7 @@ def _index_from_cliques(
                 len(c) >= k for c in cliques[idx + 1:]
             )
             break
-    for key, boxes in shared.items():
-        buckets[key][0] = _box_union_size(boxes)
-    total = sum(map(itemgetter(0), buckets.values()))
-    return CliqueTupleIndex(k, total, truncated, buckets)
+    return CliqueTupleIndex(truncated, buckets)
 
 
 def skeleton_from_harvest(
@@ -363,11 +308,11 @@ def skeleton_from_harvest(
 
     Tries the color with more cliques first (ties to Red), then the other.
     A color with spine size a has the increasing (4a+1)-tuples of its cliques
-    indexed in closed form (_index_from_cliques, at most tuple_cap spine
-    keys), and the index yields a skeleton with blocks of size >= b_required
-    or none.  Returns (color, skeleton, truncated), (None, None, truncated)
-    when neither color yields one; truncated says whether a spine-key cap
-    bit on a color tried.
+    indexed without listing them (_index_from_cliques, at most tuple_cap
+    spine keys), and the index's bucket with the largest b yields a skeleton
+    when that b is at least b_required (and 1).  Returns (color, skeleton,
+    truncated), (None, None, truncated) when neither color yields one;
+    truncated says whether a spine-key cap bit on a color tried.
     """
     n_red, n_blue = len(harvest[Color.RED]), len(harvest[Color.BLUE])
     order = (Color.RED, Color.BLUE) if n_red >= n_blue else (Color.BLUE, Color.RED)
@@ -461,16 +406,15 @@ def find_skeleton_in_dense(
     harvest = sample_color_cliques(
         coloring, {Color.RED: k, Color.BLUE: k}, window, DEFAULT_SAMPLES, seed
     )
-    rounds = DEFAULT_SAMPLES if window < big_n else 1
     target = _dense_target_b(big_n, a, c)
     spine = {Color.RED: a, Color.BLUE: a}
     color, skel, _ = skeleton_from_harvest(harvest, spine, 1, DEFAULT_TUPLE_CAP)
     if skel is None:
-        return DenseSkeletonResult(None, None, target, False, rounds)
+        return DenseSkeletonResult(None, None, target, False)
     ok, reason = verify_skeleton(color_class(coloring, color), skel)
     if not ok:
         raise InternalContractError(f"dense skeleton: {reason}")
-    return DenseSkeletonResult(color, skel, target, skel.b >= target, rounds)
+    return DenseSkeletonResult(color, skel, target, skel.b >= target)
 
 
 def _dense_target_b(big_n: int, a: int, c: Fraction) -> float:

@@ -23,7 +23,13 @@ from ordramsey.constructions import (
     random_tournament_avoiding,
 )
 from ordramsey.core import Digraph, Tournament, degeneracy
-from ordramsey.errors import BudgetExhausted, DomainError, GenerationError, ParameterError
+from ordramsey.errors import (
+    BudgetExhausted,
+    DomainError,
+    GenerationError,
+    InternalContractError,
+    ParameterError,
+)
 from ordramsey.io import write_trn
 
 # the subdivided star on base 1, 2, 3 with the middle vertex 4
@@ -468,6 +474,19 @@ class TestContainsSubdivision:
     def test_budget_gate(self):
         with pytest.raises(ParameterError):
             contains_subdivision(transitive_tournament(5), 3, budget=0)
+
+    def test_broken_copy_is_refused(self, monkeypatch):
+        # in the transitive tournament every arc runs upward, so reversing
+        # a found copy breaks its arcs
+        T = transitive_tournament(6)
+        mapping, nodes = kernels.digraph_injection(
+            T.N, list(T.beats), S3.n, S3.out, kernels.DecisionBudget(1000)
+        )
+        broken = mapping[::-1]
+        assert not verify_digraph_copy(T, S3, broken)[0]
+        monkeypatch.setattr(kernels, "digraph_injection", lambda *args: (broken, nodes))
+        with pytest.raises(InternalContractError, match="subdivision copy: arc"):
+            contains_subdivision(T, 3)
 
 
 class TestSubdivisionNodeBudget:

@@ -710,8 +710,8 @@ RECORDS = [
         id="post-init",
     ),
     pytest.param(
-        lambda: CliqueTupleIndex(5, 3, False, {(1, 3): (3, [8, 16, 32])}),
-        "CliqueTupleIndex(k=5, total=3, truncated=False, buckets={(1, 3): (3, [8, 16, 32])})",
+        lambda: CliqueTupleIndex(False, {(1, 3): [8, 16, 32]}),
+        "CliqueTupleIndex(truncated=False, buckets={(1, 3): [8, 16, 32]})",
         id="dict-field",
     ),
 ]

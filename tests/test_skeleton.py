@@ -4,11 +4,12 @@ clique-or-independent-set finder."""
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordramsey import kernels
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, bits_of, color_class, mask_of
@@ -17,9 +18,9 @@ from ordramsey.skeleton import (
     DEFAULT_SAMPLES,
     DEFAULT_TUPLE_CAP,
     Skeleton,
-    _by_population,
     _es_chains,
     _index_from_cliques,
+    _skeleton_from_index,
     build_clique_tuple_index,
     es_bound,
     es_clique_or_independent,
@@ -92,11 +93,16 @@ class TestVerifySkeleton:
         assert verify_skeleton(host, s) == (False, "condition (c) fails at (4, 8)")
 
 
+def tuple_total(host: OrderedGraph, k: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
+    """The number of clique tuples the host-path kernel enumerated."""
+    return kernels.clique_tuple_buckets(host.n, list(host.adj), k, cap)[0]
+
+
 class TestCliqueTupleIndex:
     def test_complete_graph_counts(self):
         # every increasing 5-tuple of K_9 is a clique tuple
         idx = build_clique_tuple_index(complete_graph(9), 5)
-        assert idx.total == math.comb(9, 5)
+        assert tuple_total(complete_graph(9), 5) == math.comb(9, 5)
         assert not idx.truncated
 
     def test_matches_brute_force_on_random_hosts(self):
@@ -105,7 +111,7 @@ class TestCliqueTupleIndex:
             for k in (3, 5):
                 idx = build_clique_tuple_index(host, k)
                 expected = brute_force_clique_tuples(host, k)
-                assert idx.total == len(expected)
+                assert tuple_total(host, k) == len(expected)
                 keys = {tup[1::2] for tup in expected}
                 assert set(idx.buckets) == keys
 
@@ -120,7 +126,7 @@ class TestCliqueTupleIndex:
             caps.update((b - 1, b, b + 1))
         for cap in sorted(caps):
             idx = build_clique_tuple_index(host, 5, tuple_cap=cap)
-            assert idx.total == min(cap, len(listed)), cap
+            assert tuple_total(host, 5, cap) == min(cap, len(listed)), cap
             assert idx.truncated == (cap < len(listed)), cap
             assert idx.buckets == reference_buckets(listed[:cap], 5), cap
 
@@ -131,14 +137,18 @@ class TestCliqueTupleIndex:
             build_clique_tuple_index(complete_graph(4), 2, tuple_cap=0)
 
     def test_pigeonhole_floor(self):
-        # the fullest bucket holds at least total / N^(2a) tuples
+        # the fullest bucket holds at least total / N^(2a) tuples, and the
+        # chosen skeleton's b is at least that bucket's b
         for seed in range(8):
             host = random_ordered_graph(13, 0.7, 8000 + seed)
-            idx = build_clique_tuple_index(host, 5)
-            if idx.total == 0:
+            listed = brute_force_clique_tuples(host, 5)
+            if not listed:
                 continue
-            count = max(cnt for cnt, _ in idx.buckets.values())
-            assert count >= idx.total / host.n ** 2
+            populations = Counter(tup[1::2] for tup in listed)
+            fullest = max(populations, key=populations.get)
+            assert populations[fullest] >= len(listed) / host.n ** 2
+            skel = _skeleton_from_index(build_clique_tuple_index(host, 5), 1, 1)
+            assert skel.b >= reference_b(reference_buckets(listed, 5)[fullest], 1)
 
 
 @st.composite
@@ -152,14 +162,18 @@ def hosts_and_k(draw):
 
 
 def reference_buckets(tuples, k):
-    """Buckets of the listed tuples: key tup[1::2], count and masks of tup[::2]."""
+    """Buckets of the listed tuples: key tup[1::2], masks of tup[::2]."""
     buckets = {}
     for tup in tuples:
-        ent = buckets.setdefault(tup[1::2], [0, [0] * ((k + 1) // 2)])
-        ent[0] += 1
+        masks = buckets.setdefault(tup[1::2], [0] * ((k + 1) // 2))
         for pos, v in enumerate(tup[::2]):
-            ent[1][pos] |= 1 << v
+            masks[pos] |= 1 << v
     return buckets
+
+
+def reference_b(masks, a):
+    """A bucket's b: the (a + 1)-th largest of its even-position set sizes."""
+    return sorted((m.bit_count() for m in masks), reverse=True)[a]
 
 
 class TestCliqueTupleBucketsDifferential:
@@ -200,17 +214,9 @@ class TestCliqueTupleBucketsLargerHosts:
                 ), (host.n, k, cap)
 
 
-def reference_index(cliques, k):
-    """Buckets of every increasing k-tuple of every clique, listed one by one
-    and deduplicated; also returns how many tuples were listed."""
-    listed = [tup for clique in cliques for tup in combinations(sorted(clique), k)]
-    buckets = {}
-    for tup in dict.fromkeys(listed):
-        ent = buckets.setdefault(tup[1::2], [0, [0] * ((k + 1) // 2)])
-        ent[0] += 1
-        for pos, v in enumerate(tup[::2]):
-            ent[1][pos] |= 1 << v
-    return buckets, len(listed)
+def listed_from_cliques(cliques, k):
+    """Every increasing k-tuple of every clique, listed one by one, repeats kept."""
+    return [tup for clique in cliques for tup in combinations(sorted(clique), k)]
 
 
 @st.composite
@@ -231,10 +237,9 @@ class TestIndexFromCliques:
     @given(clique_families())
     def test_matches_listed_tuples(self, family):
         cliques, k = family
-        buckets, _ = reference_index(cliques, k)
+        buckets = reference_buckets(listed_from_cliques(cliques, k), k)
         idx = _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP)
         assert idx.buckets == buckets
-        assert idx.total == sum(cnt for cnt, _ in buckets.values())
         assert not idx.truncated
 
     @settings(max_examples=150, deadline=None)
@@ -243,8 +248,9 @@ class TestIndexFromCliques:
         # every spine key holds a tuple, so a cap the listed tuples fit under
         # never bites
         cliques, k = family
-        buckets, listed = reference_index(cliques, k)
-        idx = _index_from_cliques(cliques, k, max(listed, 1) + extra)
+        listed = listed_from_cliques(cliques, k)
+        buckets = reference_buckets(listed, k)
+        idx = _index_from_cliques(cliques, k, max(len(listed), 1) + extra)
         assert idx.buckets == buckets
         assert not idx.truncated
 
@@ -252,27 +258,25 @@ class TestIndexFromCliques:
     @given(clique_families(), st.integers(1, 6))
     def test_small_cap_truncates_to_a_sub_index(self, family, cap):
         cliques, k = family
-        buckets, _ = reference_index(cliques, k)
+        buckets = reference_buckets(listed_from_cliques(cliques, k), k)
         idx = _index_from_cliques(cliques, k, cap)
         if len(buckets) > cap:
             assert idx.truncated
         if not idx.truncated:
             assert idx.buckets == buckets
-        for key, (cnt, masks) in idx.buckets.items():
-            assert cnt <= buckets[key][0]
-            assert all(m & ~full == 0 for m, full in zip(masks, buckets[key][1]))
+        for key, masks in idx.buckets.items():
+            assert all(m & ~full == 0 for m, full in zip(masks, buckets[key]))
 
     def test_tiny_cap_marks_truncated(self):
         # the first spine key of K_12 at k = 5 is (2, 4), with gaps {1}, {3}
         # and {5, ..., 12}
         idx = _index_from_cliques([tuple(range(1, 13))], 5, 1)
         assert idx.truncated
-        assert idx.buckets == {(2, 4): [8, [1 << 1, 1 << 3, mask_of(range(5, 13))]]}
-        assert idx.total == 8
+        assert idx.buckets == {(2, 4): [1 << 1, 1 << 3, mask_of(range(5, 13))]}
 
     def test_short_cliques_hold_nothing(self):
         idx = _index_from_cliques([(1, 2, 3, 4)], 5, 1)
-        assert idx.total == 0 and not idx.truncated and not idx.buckets
+        assert not idx.truncated and not idx.buckets
 
 
 class TestExpandCliqueTuples:
@@ -293,19 +297,53 @@ class TestExpandCliqueTuples:
         assert expand_clique_tuples((1, 2), 3, 10) == []
 
 
-class TestBucketOrder:
+def check_largest_b(index, tuples, a, b_required):
+    """_skeleton_from_index against the buckets of the listed tuples: the
+    least key with the largest b, its a + 1 largest sets (ties leftmost) as
+    blocks, at least the fullest bucket's b, and None exactly when no bucket
+    reaches max(1, b_required).  Returns the skeleton."""
+    buckets = reference_buckets(tuples, 4 * a + 1)
+    bs = {key: reference_b(masks, a) for key, masks in buckets.items()}
+    skel = _skeleton_from_index(index, a, b_required)
+    assert (skel is None) == all(b < max(1, b_required) for b in bs.values())
+    if skel is None:
+        return None
+    best = max(bs.values())
+    key = min(key for key, b in bs.items() if b == best)
+    sizes = [m.bit_count() for m in buckets[key]]
+    positions = sorted(sorted(range(len(sizes)), key=lambda p: (-sizes[p], p))[: a + 1])
+    blocks = tuple(tuple(bits_of(buckets[key][p])) for p in positions)
+    assert skel == Skeleton(tuple(key[p] for p in positions[:a]), blocks, a, best)
+    populations = Counter(tup[1::2] for tup in tuples)
+    fullest = min(populations, key=lambda key: (-populations[key], key))
+    assert skel.b >= bs[fullest]
+    return skel
+
+
+class TestLargestBSelection:
+    """The chosen bucket is the one with the largest b, from listed tuples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(clique_families(), st.fractions(0, 6))
+    def test_clique_families(self, family, b_required):
+        cliques, k = family
+        assume(k in (5, 9))
+        tuples = list(dict.fromkeys(listed_from_cliques(cliques, k)))
+        index = _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP)
+        check_largest_b(index, tuples, k // 4, b_required)
+
     @settings(max_examples=200, deadline=None)
     @given(
-        st.dictionaries(
-            st.tuples(st.integers(1, 6), st.integers(1, 6)),
-            st.integers(1, 4),
-            max_size=12,
-        )
+        hosts_and_k(), st.sampled_from((1, 2)), st.integers(1, 2000), st.fractions(0, 4)
     )
-    def test_most_populated_first_then_sorted(self, counts):
-        buckets = {key: [count, []] for key, count in counts.items()}
-        want = sorted(buckets, key=lambda key: (-buckets[key][0], key))
-        assert list(_by_population(buckets)) == want
+    def test_random_hosts(self, host_k, a, cap, b_required):
+        # a truncated index holds the first cap listed tuples
+        host, _ = host_k
+        listed = brute_force_clique_tuples(host, 4 * a + 1)
+        index = build_clique_tuple_index(host, 4 * a + 1, cap)
+        skel = check_largest_b(index, listed[:cap], a, b_required)
+        if skel is not None:
+            assert verify_skeleton(host, skel) == (True, None)
 
 
 class TestSkeletonFromHarvest:
@@ -367,8 +405,13 @@ class TestFindSkeletonFromCliques:
         skel = find_skeleton_from_cliques(host, 5, 1)
         assert skel is not None
         assert verify_skeleton(host, skel)[0]
-        idx = build_clique_tuple_index(host, 5)
-        assert idx.total == len(brute_force_clique_tuples(host, 5))
+        assert tuple_total(host, 5) == len(brute_force_clique_tuples(host, 5))
+
+    def test_k9_takes_the_largest_b(self):
+        # the key (2, 6) has gaps {1}, {3, 4, 5} and {7, 8, 9}; the most
+        # populated key, (3, 6), gives b = 2 only
+        skel = find_skeleton_from_cliques(complete_graph(9), 5, 1)
+        assert skel == Skeleton((6,), ((3, 4, 5), (7, 8, 9)), 1, 3)
 
     def test_returned_b_matches_min_block(self):
         skel = find_skeleton_from_cliques(complete_graph(25), 5, 1)
@@ -515,6 +558,20 @@ class TestSampleColorCliques:
                     assert col.color_of(x, y) is color
 
 
+def count_windows(monkeypatch):
+    """Record the size of every window sample_color_cliques induces."""
+    windows = []
+    induced = ColoredCompleteGraph.induced
+
+    def spy(self, members):
+        sub, back = induced(self, members)
+        windows.append(sub.N)
+        return sub, back
+
+    monkeypatch.setattr(ColoredCompleteGraph, "induced", spy)
+    return windows
+
+
 class TestFindSkeletonInDense:
     def test_all_blue_coloring(self):
         col = ColoredCompleteGraph.from_function(40, lambda i, j: False)
@@ -553,25 +610,28 @@ class TestFindSkeletonInDense:
         assert verify_skeleton(color_class(col, Color.BLUE), res.skeleton)[0]
         assert peak < 100 * 2**20
 
-    def test_samples_used_counts_windows_processed(self):
+    def test_samples_used_counts_windows_processed(self, monkeypatch):
+        windows = count_windows(monkeypatch)
         col = ColoredCompleteGraph.from_function(30, lambda i, j: False)
         res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10))
-        assert res.found and res.samples_used == 1
+        assert res.found and len(windows) == 1
 
-    def test_lemma_window_below_one_half_is_all_n(self):
+    def test_lemma_window_below_one_half_is_all_n(self, monkeypatch):
         # c < 1/2 and a >= 10/c put the lemma's window exp(1000 a c ln(1/c))
         # far above N, so the whole coloring is the one window
+        windows = count_windows(monkeypatch)
         col = ColoredCompleteGraph.from_function(86, lambda i, j: False)
         res = find_skeleton_in_dense(col, Color.RED, 21, Fraction(10, 21))
-        assert res.samples_used == 1
+        assert windows == [86]
         assert res.found and res.color is Color.BLUE and res.skeleton.a == 21
 
-    def test_lemma_window_near_one_is_sampled(self):
+    def test_lemma_window_near_one_is_sampled(self, monkeypatch):
         # at c = 99999/100000 the window formula gives 2, raised to the
         # clique size 4a + 1 = 45 < N, so DEFAULT_SAMPLES windows are drawn
+        windows = count_windows(monkeypatch)
         col = ColoredCompleteGraph.from_function(60, lambda i, j: True)
         res = find_skeleton_in_dense(col, Color.BLUE, 11, Fraction(99999, 100000), seed=4)
-        assert res.samples_used == DEFAULT_SAMPLES == 64
+        assert windows == [45] * DEFAULT_SAMPLES and DEFAULT_SAMPLES == 64
         assert res.found and res.color is Color.RED
         assert verify_skeleton(color_class(col, Color.RED), res.skeleton)[0]
 
