@@ -5,6 +5,8 @@ It also times the .okc reader and writer on an N=120 coloring, the size of
 the perfbench sparse-set inputs, and the clique-harvest skeleton layer on
 the all-blue N=50 coloring of the perfbench dense-skeleton workload, and the
 host-path skeleton search on K_40.  Every time is the best of --repeat runs.
+The three transitive_chain refutations it times must return None, or the
+run stops with an error.
 Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
@@ -15,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ordramsey import kernels
-from ordramsey.constructions import build_subdivision_S
-from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph
+from ordramsey.constructions import blowup, build_subdivision_S
+from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, Tournament
 from ordramsey.skeleton import (
     _index_from_cliques,
     find_skeleton_from_cliques,
@@ -57,6 +59,17 @@ def random_tournament_rows(n, rng):
     return rows
 
 
+def refutation(n, rows, k):
+    """The no-transitive-k-set proof for rows; a chain found stops the run."""
+
+    def run():
+        chain = kernels.transitive_chain(n, rows, k)
+        if chain is not None:
+            raise SystemExit(f"T{n} holds the transitive {k}-set {chain}")
+
+    return run
+
+
 def workloads():
     rng = random.Random(2024)
     host_n = 60
@@ -91,6 +104,20 @@ def workloads():
 
     yield "digraph_injection", w_inject
 
+    # the shape of the cli-mix subdivision job: S_4 in a 12x10 blowup.  This
+    # draw takes 22,324 nodes, where the median over seeds 0-39 is about 365
+    rng = random.Random(17)
+    outer = Tournament(12, tuple(random_tournament_rows(12, rng)))
+    inner = Tournament(10, tuple(random_tournament_rows(10, rng)))
+    big = blowup(outer, inner).tournament
+    s4 = build_subdivision_S(4).digraph
+
+    def w_inject_blowup():
+        budget = kernels.DecisionBudget(200_000)
+        return kernels.digraph_injection(big.N, list(big.beats), s4.n, s4.out, budget)
+
+    yield "digraph_injection S4 in blowup 12x10", w_inject_blowup
+
     dense = adj_rows(30, random_graph(30, 0.8, random.Random(3)))
 
     def w_cliques():
@@ -122,20 +149,16 @@ def workloads():
     yield "clique_tuple_buckets K40 k=9 capped", w_cliques_k40_k9
 
     t160 = random_tournament_rows(160, random.Random(1600))
-
-    def w_chain_160():
-        return kernels.transitive_chain(160, t160, 30)
-
-    yield "transitive_chain T160", w_chain_160
+    yield "transitive_chain T160", refutation(160, t160, 30)
 
     # the outer draw of lowerbound 2000 (N = 200, k = 31), and a draw with no
     # 12-chain whose low half holds its 7-chain, so the full DFS runs after
     # the low-half search (seed 71 is the slowest against the DFS without
     # the half split among seeds 0-79 at N = 42, k = 12)
     t200 = random_tournament_rows(200, random.Random(2000))
-    yield "transitive_chain T200 k=31", lambda: kernels.transitive_chain(200, t200, 31)
+    yield "transitive_chain T200 k=31", refutation(200, t200, 31)
     t42 = random_tournament_rows(42, random.Random(71))
-    yield "transitive_chain T42 k=12", lambda: kernels.transitive_chain(42, t42, 12)
+    yield "transitive_chain T42 k=12", refutation(42, t42, 12)
 
     # refutations at N*, which take most of the perfbench exact workload
     k3 = list(combinations(range(1, 4), 2))

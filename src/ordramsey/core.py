@@ -287,8 +287,16 @@ class ColoredCompleteGraph:
         object.__setattr__(self, "red_rows", tuple(red_rows))
 
     @classmethod
+    def _of_checked_rows(cls, N: int, red_rows: tuple[int, ...]) -> "ColoredCompleteGraph":
+        """The coloring of red rows already known to be symmetric and loop-free on 1..N."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "N", N)
+        object.__setattr__(c, "red_rows", red_rows)
+        return c
+
+    @classmethod
     def from_red_edges(cls, N: int, red_edges: Iterable[tuple[int, int]]) -> "ColoredCompleteGraph":
-        return cls(N, OrderedGraph(N, red_edges).adj)
+        return cls._of_checked_rows(N, OrderedGraph(N, red_edges).adj)
 
     @classmethod
     def from_function(cls, N: int, is_red) -> "ColoredCompleteGraph":
@@ -326,7 +334,7 @@ class ColoredCompleteGraph:
         for j in range(2, w):
             grid[j] = "0" + red[k : k + j - 1] + "0" * (w - j)
             k += j - 1
-        return cls(N, symmetric_rows("".join(grid), N))
+        return cls._of_checked_rows(N, symmetric_rows("".join(grid), N))
 
     def color_of(self, i: int, j: int) -> Color:
         if i == j or not (1 <= i <= self.N and 1 <= j <= self.N):
@@ -338,7 +346,7 @@ class ColoredCompleteGraph:
         if len(keep) == self.N:
             return self, (0,) + keep
         rows = tuple(_relabel_rows(self.red_rows, keep))
-        return ColoredCompleteGraph(len(keep), rows), (0,) + keep
+        return ColoredCompleteGraph._of_checked_rows(len(keep), rows), (0,) + keep
 
 
 @record

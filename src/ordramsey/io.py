@@ -127,7 +127,7 @@ def parse_okc(text: str) -> ColoredCompleteGraph:
                 if ch not in "RB":
                     raise ParseError(f"invalid color character {ch!r}", k + 1)
         grid[k] = "0" * (k + 1) + row.translate(_COLOR_TO_BIT)
-    return ColoredCompleteGraph(n_val, symmetric_rows("".join(grid), n_val))
+    return ColoredCompleteGraph._of_checked_rows(n_val, symmetric_rows("".join(grid), n_val))
 
 
 def write_okc(c: ColoredCompleteGraph) -> str:

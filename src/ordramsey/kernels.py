@@ -372,44 +372,6 @@ def search_good_coloring(
     return [1 if lval[2 * v + 1] > 0 else 0 for v in range(nvars)]
 
 
-def cyclic_triangle_packing(
-    beats: list[int], mask: int, limit: int
-) -> list[tuple[int, int, int]]:
-    """Greedy vertex-disjoint cyclic triangles inside mask, at most limit of them.
-
-    Takes the lowest vertex w of the mask, then the first x it beats that
-    beats some y beating w, and the lowest such y: w -> x -> y -> w.  The
-    three leave the mask and the scan repeats; a w on no cyclic triangle
-    inside the mask is dropped alone.  Stops early once too few vertices
-    remain for the triangles still missing.  A helper of transitive_chain.
-    """
-    found: list[tuple[int, int, int]] = []
-    missing = limit
-    left = mask.bit_count()
-    while missing and left >= 3 * missing:
-        low = mask & -mask
-        mask ^= low
-        left -= 1
-        w = low.bit_length() - 1
-        outs = mask & beats[w]
-        ins = mask ^ outs
-        if not ins:
-            continue
-        while outs:
-            xb = outs & -outs
-            x = xb.bit_length() - 1
-            ys = beats[x] & ins
-            if ys:
-                yb = ys & -ys
-                found.append((w, x, yb.bit_length() - 1))
-                mask ^= xb | yb
-                left -= 2
-                missing -= 1
-                break
-            outs ^= xb
-    return found
-
-
 def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
     """First dominance-ordered transitive subtournament of size k in DFS order.
 
@@ -418,7 +380,11 @@ def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
     the chain is rejected in the parent loop, before any call: when it has
     fewer candidates than the chain still needs, or when its s candidates
     hold t vertex-disjoint cyclic triangles with s - t short of that need (a
-    transitive set keeps at most two vertices of a cyclic triangle).  Before
+    transitive set keeps at most two vertices of a cyclic triangle).  The
+    triangles are counted greedily in place: the lowest candidate w left,
+    then the first x it beats that beats some y beating w, and the lowest
+    such y; a w on no cyclic triangle is dropped alone.  The count stops
+    once it rejects the child or too few candidates remain to do so.  Before
     the DFS, the same search runs on the low index half {1..floor(N/2)} for
     a transitive ka-set, ka = ceil((k+1)/2), and then on the high half for
     a (k+1-ka)-set: a k-chain meets the halves in transitive sets, so when
@@ -432,25 +398,44 @@ def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
 
     def rec(depth: int, cands: int, k: int) -> bool:
         need = k - depth - 1
+        if not need:
+            if not cands:
+                return False
+            chain[depth] = (cands & -cands).bit_length() - 1
+            return True
         rest = cands
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            chain[depth] = v
-            if not need:
-                return True
             nxt = cands & beats[v]
-            s = nxt.bit_count()
-            if s < need:
+            left = nxt.bit_count()
+            if left < need:
                 continue
-            slack = s - need
-            if 3 * (slack + 1) <= s and len(
-                cyclic_triangle_packing(beats, nxt, slack + 1)
-            ) > slack:
-                continue
-            if rec(depth + 1, nxt, k):
-                return True
+            # triangles still missing to reject the child: slack + 1
+            missing = left - need + 1
+            mask = nxt
+            while 0 < 3 * missing <= left:
+                wb = mask & -mask
+                mask ^= wb
+                left -= 1
+                outs = mask & beats[wb.bit_length() - 1]
+                ins = mask ^ outs
+                if not ins:
+                    continue
+                while outs:
+                    xb = outs & -outs
+                    ys = beats[xb.bit_length() - 1] & ins
+                    if ys:
+                        mask ^= xb | (ys & -ys)
+                        left -= 2
+                        missing -= 1
+                        break
+                    outs ^= xb
+            if missing:
+                chain[depth] = v
+                if rec(depth + 1, nxt, k):
+                    return True
         return False
 
     full = _full_mask(N)

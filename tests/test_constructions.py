@@ -3,13 +3,13 @@
 import hashlib
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordramsey import kernels
-from ordramsey.kernels import cyclic_triangle_packing
 from ordramsey.certificates import verify_digraph_copy
 from ordramsey.constructions import (
     BASE_CUTOFF,
@@ -186,6 +186,25 @@ def plain_transitive_chain(N, beats, k, within=None):
     return chain[:] if rec(0, full if within is None else within) else None
 
 
+def traced_chain(N, beats, k):
+    """transitive_chain's result and the (depth, cands, k) of every call of
+    its inner search, read off the calls' arguments by a profile hook."""
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == kernels.__file__:
+            calls.append((frame.f_locals["depth"], frame.f_locals["cands"], frame.f_locals["k"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        chain = kernels.transitive_chain(N, beats, k)
+    finally:
+        sys.setprofile(previous)
+    return chain, calls
+
+
 @st.composite
 def cyclic_rich_tournaments(draw):
     """Up to 14 vertices: a transitive order with each arc reversed with a drawn chance.
@@ -211,36 +230,48 @@ class TestTriangleBound:
                 T.N, beats, k
             ), k
 
-    def test_bound_rejects_a_child_the_count_keeps(self):
+    def test_count_rejects_a_child_at_the_early_stop_boundary(self):
         # vertex 1 beats four disjoint 3-cycles, which beat each other in
         # order; a transitive set keeps at most two vertices of each cycle, so
         # the largest chain has 9 vertices.  For k = 10 the child of vertex 1
-        # has 12 candidates for 9 places, which the count alone keeps.
+        # has 12 candidates for 9 places, which the candidate count keeps.
+        # Its slack is 3, and 12 = 3 * (3 + 1): the count reaches its 4th
+        # triangle only on the last three candidates, and must reject there
         arcs = [(1, v) for v in range(2, 14)]
         for a in range(2, 14, 3):
             arcs += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
             arcs += [(u, v) for u in range(a, a + 3) for v in range(a + 3, 14)]
         T = Tournament.from_arcs(13, arcs)
         beats = list(T.beats)
-        assert len(cyclic_triangle_packing(beats, beats[1], 4)) == 4
         for k in range(15):
             assert kernels.transitive_chain(13, beats, k) == plain_transitive_chain(
                 13, beats, k
             ), k
-        assert kernels.transitive_chain(13, beats, 9) == [1, 2, 3, 5, 6, 8, 9, 11, 12]
-        assert kernels.transitive_chain(13, beats, 10) is None
+        chain, calls = traced_chain(13, beats, 10)
+        assert chain is None
+        assert (1, beats[1], 10) not in calls
+        # for k = 9 the slack is 4, and 12 candidates hold at most 4 triangles
+        chain, calls = traced_chain(13, beats, 9)
+        assert chain == [1, 2, 3, 5, 6, 8, 9, 11, 12]
+        assert (1, beats[1], 9) in calls
 
-    @settings(max_examples=200, deadline=None)
-    @given(cyclic_rich_tournaments(), st.integers(0, 2**15 - 1), st.integers(0, 6))
-    def test_packing_is_cyclic_disjoint_and_inside_mask(self, T, raw, limit):
-        mask = (raw << 1) & (((1 << (T.N + 1)) - 1) & ~1)
-        found = cyclic_triangle_packing(list(T.beats), mask, limit)
-        assert len(found) <= limit
-        used = [v for tri in found for v in tri]
-        assert len(used) == len(set(used))
-        assert all(mask >> v & 1 for v in used)
-        for w, x, y in found:
-            assert T.has_arc(w, x) and T.has_arc(x, y) and T.has_arc(y, w)
+    def test_count_keeps_a_transitive_child(self):
+        # a transitive tournament in the order below: the child of its top
+        # vertex 5 has 8 candidates for 8 places (slack 0) and no cyclic
+        # triangle, though its lowest candidate 1 is beaten by 2 and 8
+        order = [5, 2, 8, 1, 9, 3, 7, 4, 6]
+        T = Tournament.from_arcs(9, [(u, v) for a, u in enumerate(order) for v in order[a + 1 :]])
+        beats = list(T.beats)
+        for k in range(11):
+            assert kernels.transitive_chain(9, beats, k) == plain_transitive_chain(9, beats, k), k
+        chain, calls = traced_chain(9, beats, 9)
+        assert chain == order
+        assert (1, beats[5], 9) in calls
+
+    def test_last_level_of_an_empty_mask(self):
+        assert kernels.transitive_chain(0, [0], 1) is None
+        assert kernels.transitive_chain(1, [0, 0], 1) == [1]
+        assert kernels.transitive_chain(1, [0, 0], 2) is None
 
 
 def largest_chain(T):

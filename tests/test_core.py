@@ -31,6 +31,7 @@ from ordramsey.core import (
     vertex_tuple,
 )
 from ordramsey.errors import DomainError, ParameterError
+from ordramsey.io import parse_okc, write_okc
 from ordramsey.pipeline import RecursionParams
 from ordramsey.skeleton import CliqueTupleIndex, Skeleton
 
@@ -196,6 +197,32 @@ class TestColoredCompleteGraph:
         sub, back = c.induced([2, 4, 7, 9])
         for i, j in combinations(range(1, 5), 2):
             assert sub.color_of(i, j) == c.color_of(back[i], back[j])
+
+
+class TestColoringsBuiltUnchecked:
+    """The package's own builders skip the row check; each coloring they build
+    must equal one the checked public constructor builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_built_colorings_equal_checked_rebuilds(self, n, seed, p):
+        c = ColoredCompleteGraph.from_random(n, seed, p)
+        assert c == ColoredCompleteGraph(n, c.red_rows)
+        assert parse_okc(write_okc(c)) == c
+        bits = [int(c.color_of(i, j) is Color.BLUE) for j in range(2, n + 1) for i in range(1, j)]
+        assert ColoredCompleteGraph.from_colex_bits(n, bits) == c
+        members = random.Random(seed).sample(range(1, n + 1), n // 2)
+        sub, back = c.induced(members)
+        assert sub == ColoredCompleteGraph(sub.N, sub.red_rows)
+        assert sub == ColoredCompleteGraph.from_function(
+            sub.N, lambda i, j: c.color_of(back[i], back[j]) is Color.RED
+        )
+
+    def test_public_constructor_still_checks_symmetry(self):
+        with pytest.raises(DomainError, match="^red adjacency not symmetric at pair"):
+            ColoredCompleteGraph(2, (0, 1 << 2, 0))
+        with pytest.raises(DomainError, match="^red adjacency not symmetric at pair"):
+            ColoredCompleteGraph(3, [0, 0, 1 << 3, 1 << 1])
 
 
 class TestDegeneracy:
