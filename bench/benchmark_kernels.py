@@ -19,6 +19,7 @@ from itertools import combinations
 from ordramsey import kernels
 from ordramsey.constructions import blowup, build_subdivision_S
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, Tournament
+from ordramsey.embed import _pre_lists
 from ordramsey.skeleton import (
     _index_from_cliques,
     find_skeleton_from_cliques,
@@ -27,36 +28,8 @@ from ordramsey.skeleton import (
 from ordramsey.io import parse_okc, write_okc
 
 
-def adj_rows(n, edges):
-    rows = [0] * (n + 1)
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
-
-
-def pre_lists(n, edges):
-    pre = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        pre[v].append(u)
-    for row in pre:
-        row.sort()
-    return pre
-
-
 def random_graph(n, p, rng):
     return [(i, j) for i, j in combinations(range(1, n + 1), 2) if rng.random() < p]
-
-
-def random_tournament_rows(n, rng):
-    rows = [0] * (n + 1)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            if rng.getrandbits(1):
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return rows
 
 
 def refutation(n, rows, k):
@@ -73,9 +46,8 @@ def refutation(n, rows, k):
 def workloads():
     rng = random.Random(2024)
     host_n = 60
-    host = adj_rows(host_n, random_graph(host_n, 0.35, rng))
-    pat_edges = [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (4, 7)]
-    pre = pre_lists(7, pat_edges)
+    host = OrderedGraph(host_n, random_graph(host_n, 0.35, rng)).adj
+    pre = _pre_lists(OrderedGraph(7, [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (4, 7)]))
 
     def w_find():
         out = []
@@ -85,7 +57,7 @@ def workloads():
 
     yield "find_embedding", w_find
 
-    t_rows = random_tournament_rows(44, random.Random(5))
+    t_rows = Tournament.from_random(44, random.Random(5)).beats
 
     def w_chain():
         return [kernels.transitive_chain(44, t_rows, k) for k in (6, 8, 10)]
@@ -97,7 +69,7 @@ def workloads():
     def w_inject():
         out = []
         for s in range(40, 46):
-            rows = random_tournament_rows(24, random.Random(s))
+            rows = Tournament.from_random(24, random.Random(s)).beats
             budget = kernels.DecisionBudget(50_000)
             out.append(kernels.digraph_injection(24, rows, star.n, star.out, budget))
         return out
@@ -107,18 +79,18 @@ def workloads():
     # the shape of the cli-mix subdivision job: S_4 in a 12x10 blowup.  This
     # draw takes 22,324 nodes, where the median over seeds 0-39 is about 365
     rng = random.Random(17)
-    outer = Tournament(12, tuple(random_tournament_rows(12, rng)))
-    inner = Tournament(10, tuple(random_tournament_rows(10, rng)))
+    outer = Tournament.from_random(12, rng)
+    inner = Tournament.from_random(10, rng)
     big = blowup(outer, inner).tournament
     s4 = build_subdivision_S(4).digraph
 
     def w_inject_blowup():
         budget = kernels.DecisionBudget(200_000)
-        return kernels.digraph_injection(big.N, list(big.beats), s4.n, s4.out, budget)
+        return kernels.digraph_injection(big.N, big.beats, s4.n, s4.out, budget)
 
     yield "digraph_injection S4 in blowup 12x10", w_inject_blowup
 
-    dense = adj_rows(30, random_graph(30, 0.8, random.Random(3)))
+    dense = OrderedGraph(30, random_graph(30, 0.8, random.Random(3))).adj
 
     def w_cliques():
         return kernels.clique_tuple_buckets(30, dense, 9, 200_000)
@@ -127,7 +99,8 @@ def workloads():
 
     # the sizes of the perfbench cli-mix jobs: skeleton on K_40 (a = 1) and
     # the no-transitive-30-set proof for each 160-vertex lowerbound draw
-    k40 = adj_rows(40, list(combinations(range(1, 41), 2)))
+    k40_graph = OrderedGraph(40, combinations(range(1, 41), 2))
+    k40 = k40_graph.adj
 
     def w_cliques_k40():
         return kernels.clique_tuple_buckets(40, k40, 5, 10_000_000)
@@ -136,7 +109,6 @@ def workloads():
 
     # the whole host path of that job: the kernel, the largest-b selection
     # and the skeleton's self-check
-    k40_graph = OrderedGraph.from_rows(40, k40)
     yield "find_skeleton_from_cliques K40 a=1", lambda: find_skeleton_from_cliques(
         k40_graph, 5, 1
     )
@@ -148,16 +120,16 @@ def workloads():
 
     yield "clique_tuple_buckets K40 k=9 capped", w_cliques_k40_k9
 
-    t160 = random_tournament_rows(160, random.Random(1600))
+    t160 = Tournament.from_random(160, random.Random(1600)).beats
     yield "transitive_chain T160", refutation(160, t160, 30)
 
     # the outer draw of lowerbound 2000 (N = 200, k = 31), and a draw with no
     # 12-chain whose low half holds its 7-chain, so the full DFS runs after
     # the low-half search (seed 71 is the slowest against the DFS without
     # the half split among seeds 0-79 at N = 42, k = 12)
-    t200 = random_tournament_rows(200, random.Random(2000))
+    t200 = Tournament.from_random(200, random.Random(2000)).beats
     yield "transitive_chain T200 k=31", refutation(200, t200, 31)
-    t42 = random_tournament_rows(42, random.Random(71))
+    t42 = Tournament.from_random(42, random.Random(71)).beats
     yield "transitive_chain T42 k=12", refutation(42, t42, 12)
 
     # refutations at N*, which take most of the perfbench exact workload
@@ -167,7 +139,11 @@ def workloads():
     p4 = [(1, 2), (2, 3), (3, 4)]
 
     def w_refute(n, pat1, pat2, restarts):
-        return lambda: kernels.search_good_coloring(n, *pat1, *pat2, restarts=restarts)
+        def run():
+            budget = kernels.DecisionBudget(kernels.DEFAULT_NODE_BUDGET)
+            return kernels.search_good_coloring(n, *pat1, *pat2, budget, restarts=restarts)
+
+        return run
 
     for name, n, pat1, pat2 in (
         ("C4x,K3", 9, (4, c4x), (3, k3)),

@@ -288,7 +288,8 @@ def parse_rational(s) -> Fraction:
 
 def certificate_dict(obj, color=None) -> dict:
     """Serializable dict for an Embedding, MonoCopy, SparsePair, Skeleton,
-    SparseSet, Exhausted, or (n_star, okc_text) exact-ramsey tuple."""
+    SparseSet, Exhausted, or (n_star, okc_text) exact-ramsey tuple; color,
+    when given, is the color class a Skeleton lives in."""
     if isinstance(obj, MonoCopy):
         return {
             "kind": "embedding",
@@ -296,10 +297,7 @@ def certificate_dict(obj, color=None) -> dict:
             "map": list(obj.mapping),
         }
     if isinstance(obj, Embedding):
-        d = {"kind": "embedding", "map": list(obj.mapping)}
-        if color is not None:
-            d["color"] = color.value
-        return d
+        return {"kind": "embedding", "map": list(obj.mapping)}
     if isinstance(obj, SparsePair):
         return {
             "kind": "sparse_pair",

@@ -124,8 +124,6 @@ def skeleton_embed_or_sparse_pair(
     skel: Skeleton,
     pattern: OrderedGraph,
     c: Fraction,
-    *,
-    enforce_size_precondition: bool = True,
 ) -> Embedding | SparsePair:
     """Embed a pattern through a skeleton, or extract a sparse pair.
 
@@ -133,9 +131,8 @@ def skeleton_embed_or_sparse_pair(
     (ties to the smaller index); the remaining pattern is placed by the
     greedy dichotomy into equal contiguous partitions of the blocks, chunk
     size floor(|V_j| / count) with leftovers at the top of each block
-    discarded.  Requires block size b >= 2 m^2 c^(-2m/a) unless
-    enforce_size_precondition is off (the dichotomy still runs; only the
-    guaranteed pair size is lost).
+    discarded.  The sparse pair is guaranteed its lemma size only when
+    b >= 2 m^2 c^(-2m/a); the dichotomy runs for any b.
     """
     c = Fraction(c)
     if not 0 < c < 1:
@@ -144,15 +141,8 @@ def skeleton_embed_or_sparse_pair(
     if not ok:
         raise DomainError(f"invalid skeleton: {reason}")
     check_pattern(pattern)
-    m = pattern.m
     n = pattern.n
     a = skel.a
-    if enforce_size_precondition:
-        b_needed = 2.0 * m * m * float(c) ** (-2.0 * m / a)
-        if skel.b < b_needed:
-            raise ParameterError(
-                f"block size b={skel.b} below the required 2 m^2 c^(-2m/a) = {b_needed:.6g}"
-            )
 
     degrees = [(pattern.adj[v].bit_count(), v) for v in range(1, n + 1)]
     by_size = sorted(degrees, key=lambda dv: (-dv[0], dv[1]))

@@ -32,7 +32,7 @@ class GenerationError(OrdRamseyError):
 
 
 class BudgetExhausted(OrdRamseyError):
-    """A search used up its decision budget before it could decide."""
+    """A search used up its decision budget, or hit its clause bound, before it could decide."""
 
 
 class TupleCapError(OrdRamseyError):

@@ -79,44 +79,26 @@ ACTIVITY_DECAY = 0.99
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
+# search_good_coloring refuses an N whose copy clauses would hold more than
+# this many literals, C(N, k1) m1 + C(N, k2) m2 for patterns of k vertices
+# and m edges: memory grows with that total, not with the clause count.
+# Built, P8,P8 at N = 24 (10.3M literals) peaks at about 340 MB and K6,K6
+# at N = 28 (11.3M) at about 390 MB; two-literal clauses cost the most per
+# literal, about 0.9 GB at the bound.
+CLAUSE_LITERAL_BOUND = 12_000_000
+
 
 class DecisionBudget:
-    """Steps allowed to a run of searches (limit, None for no bound) and taken
-    so far (used): the decisions of search_good_coloring, the attempts of
+    """Steps allowed to a run of searches (limit) and taken so far (used):
+    the decisions of search_good_coloring, the attempts of
     digraph_injection.  restarts counts the restarts of search_good_coloring."""
 
     __slots__ = ("limit", "used", "restarts")
 
-    def __init__(self, limit: int | None):
+    def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
         self.restarts = 0
-
-
-def _copy_clauses(
-    N: int,
-    pat1_n: int,
-    pat1_edges: list[tuple[int, int]],
-    pat2_n: int,
-    pat2_edges: list[tuple[int, int]],
-) -> dict[tuple[int, ...], None]:
-    """The distinct clauses of the forbidden copies, as sorted literal tuples.
-
-    A Red copy of pattern 1 asks one of its pairs to be Blue, a Blue copy of
-    pattern 2 one of its pairs to be Red.
-    """
-    clauses: dict[tuple[int, ...], None] = {}
-    for color, pn, pedges in ((0, pat1_n, pat1_edges), (1, pat2_n, pat2_edges)):
-        if pn > N:
-            continue
-        other = 1 - color
-        for sub in combinations(range(1, N + 1), pn):
-            # pair (i, j), i < j, is variable (j-1)(j-2)/2 + i - 1
-            clauses[tuple(sorted({
-                (sub[b - 1] - 1) * (sub[b - 1] - 2) + 2 * sub[a - 1] - 2 + other
-                for a, b in pedges
-            }))] = None
-    return clauses
 
 
 def search_good_coloring(
@@ -125,7 +107,7 @@ def search_good_coloring(
     pat1_edges: list[tuple[int, int]],
     pat2_n: int,
     pat2_edges: list[tuple[int, int]],
-    budget: DecisionBudget | None = None,
+    budget: DecisionBudget,
     *,
     restarts: bool = False,
 ) -> list[int] | None:
@@ -135,16 +117,17 @@ def search_good_coloring(
 
     Every k-subset of K_N hosts exactly one copy of a k-vertex pattern, so the
     forbidden copies are C(N, k1) + C(N, k2) clauses over the C(N, 2) pair
-    variables, all held in memory.  A literal 2*v + c says that pair v has
-    color c, and the clause of a forbidden copy asks one of its pairs to take
-    the other color.  The search is conflict-driven clause learning: two
-    watched literals per clause drive unit propagation, and a conflict learns
-    its first-UIP clause, backjumps to the second-highest level in it and
-    asserts the UIP pair's other color.  It decides the lowest unassigned
-    pair Red.  A learned clause follows from the copy clauses, so it removes
-    no good coloring.  Were a decision ever to disagree with the least good
-    coloring, the search could only end on a smaller good coloring, which
-    does not exist; so it ends on that one.
+    variables, all held in memory, each built once straight into its watch
+    lists.  A literal 2*v + c says that pair v has color c, and the clause of
+    a forbidden copy asks one of its pairs to take the other color.  The
+    search is conflict-driven clause learning: two watched literals per
+    clause drive unit propagation, and a conflict learns its first-UIP
+    clause, backjumps to the second-highest level in it and asserts the UIP
+    pair's other color.  It decides the lowest unassigned pair Red.  A
+    learned clause follows from the copy clauses, so it removes no good
+    coloring.  Were a decision ever to disagree with the least good coloring,
+    the search could only end on a smaller good coloring, which does not
+    exist; so it ends on that one.
 
     With restarts, the search is the same until its first restart, after
     LUBY_UNIT conflicts, and then restarts on the Luby sequence, keeping its
@@ -155,49 +138,66 @@ def search_good_coloring(
     color as its phase.  The answer to whether a good coloring exists is the
     same, but one found after a restart need not be the least.
 
-    budget, when given, bounds the decisions of a run of searches: a search
-    that would make the run's decision budget.limit + 1 raises
-    BudgetExhausted instead.  Each restart adds 1 to budget.restarts.
+    budget bounds the decisions of a run of searches: a search that would
+    make the run's decision budget.limit + 1 raises BudgetExhausted instead.
+    Each restart adds 1 to budget.restarts.  An N whose copy clauses would
+    hold more than CLAUSE_LITERAL_BOUND literals raises BudgetExhausted
+    before any clause is built.
 
     Returns per-pair colors in colex order (0 Red, 1 Blue), or None when every
     coloring contains a forbidden copy.
     """
-    # an edgeless pattern that fits is present in any coloring of its color
-    if pat1_n <= N and not pat1_edges:
-        return None
-    if pat2_n <= N and not pat2_edges:
-        return None
-
+    literals = math.comb(N, pat1_n) * len(pat1_edges) + math.comb(N, pat2_n) * len(pat2_edges)
+    if literals > CLAUSE_LITERAL_BOUND:
+        raise BudgetExhausted(
+            f"clause bound exhausted at N = {N}: {literals} literals"
+            f" above the bound of {CLAUSE_LITERAL_BOUND}"
+        )
     nvars = N * (N - 1) // 2
     # watches[lit]: the clauses with lit in their first two places, visited
     # when lit becomes false
     watches: list[list[list[int]]] = [[] for _ in range(2 * nvars)]
-    units: list[int] = []
-    for key in _copy_clauses(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
-        if len(key) == 1:
-            units.append(key[0])
-            continue
-        clause = list(key)
-        watches[clause[0]].append(clause)
-        watches[clause[1]].append(clause)
-
     # lval[lit]: 1 true, -1 false, 0 unassigned
     lval = [0] * (2 * nvars)
+    trail: list[int] = []
+    for other, pn, pedges in ((1, pat1_n, pat1_edges), (0, pat2_n, pat2_edges)):
+        if pn > N:
+            continue
+        # an edgeless pattern that fits is present in any coloring of its color
+        if not pedges:
+            return None
+        subs = combinations(range(1, N + 1), pn)
+        # copies that differ only in where an isolated vertex sits share a
+        # clause; build it from the first, which has each isolated vertex
+        # just above the vertex before it
+        isolated = [v - 1 for v in range(1, pn + 1) if all(v not in e for e in pedges)]
+        if isolated:
+            subs = (s for s in subs if all(s[i] == (s[i - 1] if i else 0) + 1 for i in isolated))
+        for sub in subs:
+            # pair (i, j), i < j, is variable (j-1)(j-2)/2 + i - 1
+            clause = sorted({
+                (sub[b - 1] - 1) * (sub[b - 1] - 2) + 2 * sub[a - 1] - 2 + other
+                for a, b in pedges
+            })
+            if len(clause) > 1:
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+                continue
+            lit = clause[0]
+            if lval[lit] < 0:
+                return None
+            if not lval[lit]:
+                lval[lit] = 1
+                lval[lit ^ 1] = -1
+                trail.append(lit)
+
     level = [0] * nvars
     reason: list[list[int] | None] = [None] * nvars
     seen_var = [False] * nvars
     activity = [0.0] * nvars
     bump = 1.0
     phase = list(range(0, 2 * nvars, 2))  # phase[v]: the literal v was last given
-    trail: list[int] = []
     starts: list[int] = []  # starts[d - 1]: trail length before decision level d
-    for lit in units:
-        if lval[lit] < 0:
-            return None
-        if not lval[lit]:
-            lval[lit] = 1
-            lval[lit ^ 1] = -1
-            trail.append(lit)
     head = 0  # trail[:head] have been propagated
     depth = 0
     k = 0  # before the first restart, every pair below k is assigned
@@ -297,8 +297,7 @@ def search_good_coloring(
                 bump *= 1e-100
         elif conflicts >= restart_at:
             by_activity = True
-            if budget is not None:
-                budget.restarts += 1
+            budget.restarts += 1
             conflicts = 0
             if u & -u == luby:
                 u += 1
@@ -326,10 +325,9 @@ def search_good_coloring(
                 if k == nvars:
                     break
                 lit = 2 * k
-            if budget is not None:
-                if budget.used == budget.limit:
-                    raise BudgetExhausted(f"decision budget of {budget.limit} exhausted")
-                budget.used += 1
+            if budget.used == budget.limit:
+                raise BudgetExhausted(f"node budget exhausted at N = {N} after {budget.used} decisions")
+            budget.used += 1
             depth += 1
             starts.append(len(trail))
             lval[lit] = 1

@@ -258,9 +258,7 @@ def binary_tree_sparse(
 
         pattern = pat1 if i is Color.RED else pat2
         try:
-            res = skeleton_embed_or_sparse_pair(
-                color_class(sub, i), skel, pattern, c / 8, enforce_size_precondition=False
-            )
+            res = skeleton_embed_or_sparse_pair(color_class(sub, i), skel, pattern, c / 8)
         except ParameterError as exc:
             raise _exhausted(trace, f"skeleton embedding inapplicable: {exc}")
         if isinstance(res, Embedding):
@@ -360,7 +358,10 @@ def recursive_sparse_set(
 
 
 def exact_ordered_ramsey(
-    pat1: OrderedGraph, pat2: OrderedGraph, max_n: int, node_budget: int | None = None
+    pat1: OrderedGraph,
+    pat2: OrderedGraph,
+    max_n: int,
+    node_budget: int = kernels.DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ColoredCompleteGraph] | Exhausted | None:
     """Least N <= max_n forcing a red pat1 or blue pat2, with a witness.
 
@@ -373,9 +374,10 @@ def exact_ordered_ramsey(
     clause learning on them.  A coloring found before the first restart is
     the least one; when the one kept at N* - 1 came after a restart, the
     search without restarts runs again at N* - 1.  Only the witness becomes
-    a graph.  node_budget, when given, bounds the search decisions summed
-    over every search; when they run out the result is Exhausted, naming
-    that search's N and the count.
+    a graph.  node_budget bounds the search decisions summed over every
+    search, and kernels.CLAUSE_LITERAL_BOUND the clauses of each N; when
+    either runs out the result is Exhausted, naming that search's N and the
+    count.
     """
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")
@@ -402,10 +404,8 @@ def exact_ordered_ramsey(
             witness_bits = kernels.search_good_coloring(
                 big_n, pat1.n, edges1, pat2.n, edges2, budget
             )
-    except BudgetExhausted:
-        return Exhausted(
-            (f"node budget exhausted at N = {big_n} after {budget.used} decisions",)
-        )
+    except BudgetExhausted as e:
+        return Exhausted((str(e),))
     assert witness_bits is not None  # K_1 contains no pattern with an edge
     return n_star, ColoredCompleteGraph.from_colex_bits(n_star - 1, witness_bits)
 

@@ -419,7 +419,4 @@ def find_skeleton_in_dense(
 
 def _dense_target_b(big_n: int, a: int, c: Fraction) -> float:
     log_b = -6000.0 * a * float(c) * math.log(1.0 / float(c)) if c < 1 else 0.0
-    try:
-        return math.exp(log_b) * big_n
-    except OverflowError:
-        return float("inf")
+    return math.exp(log_b) * big_n

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ordramsey
-from ordramsey import cli, io as formats
+from ordramsey import cli, io as formats, kernels
 from ordramsey.cli import main
 from ordramsey.core import ColoredCompleteGraph, OrderedGraph, Tournament
 from ordramsey.errors import GenerationError, TupleCapError
@@ -98,6 +98,15 @@ class TestExact:
         assert rec["kind"] == "exhausted"
         assert rec["trace"][-1].startswith("node budget exhausted at N = ")
         assert rec["trace"][-1].endswith(" after 50 decisions")
+
+    def test_clause_bound_exhausts(self, capsys, files, monkeypatch):
+        # C4x,K3 at N = 7: C(7, 4) * 4 + C(7, 3) * 3 = 245 literals
+        monkeypatch.setattr(kernels, "CLAUSE_LITERAL_BOUND", 200)
+        code, out, err = run(capsys, ["exact", files["c4x"], files["k3"], "12"])
+        trace = "clause bound exhausted at N = 7: 245 literals above the bound of 200"
+        assert code == 4
+        assert out == '{"kind":"exhausted","trace":["' + trace + '"]}\n'
+        assert err == "exact search exhausted: " + trace + "\n"
 
     def test_nonpositive_max_n_is_an_input_error(self, capsys, files):
         code, out, err = run(capsys, ["exact", files["k3"], files["k3"], "0"])

@@ -179,9 +179,7 @@ class TestSkeletonEmbed:
         host = complete_graph(7)
         skel = Skeleton((4,), ((1, 2, 3), (5, 6, 7)), 1, 3)
         pattern = OrderedGraph(2, [(1, 2)])
-        out = skeleton_embed_or_sparse_pair(
-            host, skel, pattern, Fraction(1, 2), enforce_size_precondition=False
-        )
+        out = skeleton_embed_or_sparse_pair(host, skel, pattern, Fraction(1, 2))
         assert isinstance(out, Embedding)
         assert verify_embedding(host, pattern, out)[0]
 
@@ -193,18 +191,14 @@ class TestSkeletonEmbed:
         blocks = tuple(tuple(range(j - 3, j)) for j in (*spine, 4 * a + 4))
         skel = Skeleton(spine, blocks, a, 3)
         pattern = OrderedGraph(2, [(1, 2)])
-        out = skeleton_embed_or_sparse_pair(
-            host, skel, pattern, Fraction(1, 2), enforce_size_precondition=False
-        )
+        out = skeleton_embed_or_sparse_pair(host, skel, pattern, Fraction(1, 2))
         assert out == Embedding(skel.spine[:2])
 
     def test_complete_host_embeds(self):
         host = complete_graph(11)
         skel = Skeleton((4, 8), ((1, 2, 3), (5, 6, 7), (9, 10, 11)), 2, 3)
         pattern = OrderedGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        out = skeleton_embed_or_sparse_pair(
-            host, skel, pattern, Fraction(1, 2), enforce_size_precondition=False
-        )
+        out = skeleton_embed_or_sparse_pair(host, skel, pattern, Fraction(1, 2))
         assert isinstance(out, Embedding)
         assert verify_embedding(host, pattern, out)[0]
 
@@ -224,22 +218,11 @@ class TestSkeletonEmbed:
         assert max(out.lower) < min(out.upper)
         assert density_between(host, out.lower, out.upper) == 0
 
-    def test_b_too_small_names_bound(self):
-        host, skel = planted_skeleton_host()
-        pattern = OrderedGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        small = Skeleton(skel.spine, skel.blocks, skel.a, skel.b)
-        # with c = 1/4 the requirement 2 m^2 c^(-2m/a) = 32 * 256 exceeds b = 512
-        with pytest.raises(ParameterError) as e:
-            skeleton_embed_or_sparse_pair(host, small, pattern, Fraction(1, 4))
-        assert "8192" in str(e.value)
-
     def test_isolated_pattern_vertex_rejected(self):
         host, skel = planted_skeleton_host()
         pattern = OrderedGraph(3, [(1, 2)])
         with pytest.raises(ParameterError, match="^pattern has isolated vertices; strip them"):
-            skeleton_embed_or_sparse_pair(
-                host, skel, pattern, Fraction(1, 2), enforce_size_precondition=False
-            )
+            skeleton_embed_or_sparse_pair(host, skel, pattern, Fraction(1, 2))
 
 
 class TestVerifyEmbedding:

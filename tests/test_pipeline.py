@@ -13,7 +13,7 @@ from ordramsey import core, kernels, pipeline, skeleton
 from ordramsey.certificates import decode_certificate, encode_certificate, verify_certificate
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph, color_class, rows_density
 from ordramsey.embed import find_ordered_embedding
-from ordramsey.errors import DomainError, ParameterError
+from ordramsey.errors import BudgetExhausted, DomainError, ParameterError
 from ordramsey.io import write_okc
 from ordramsey.pipeline import (
     Exhausted,
@@ -52,10 +52,14 @@ def crossing_four_cycle():
     return OrderedGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
 
 
+def budget():
+    return kernels.DecisionBudget(kernels.DEFAULT_NODE_BUDGET)
+
+
 def has_good_coloring(pat1, pat2, big_n):
     """Whether ordered K_N has a coloring with no red pat1 and no blue pat2."""
     bits = kernels.search_good_coloring(
-        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges()
+        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges(), budget()
     )
     return bits is not None
 
@@ -449,6 +453,23 @@ class TestNodeBudget:
         monkeypatch.setattr(kernels, "LUBY_UNIT", 1)
         self.check_one_decision_short(monkeypatch, 8)
 
+    def test_clause_bound_stops_exact(self, monkeypatch):
+        # C4x,K3 at N = 7: C(7, 4) * 4 + C(7, 3) * 3 = 245 literals
+        monkeypatch.setattr(kernels, "CLAUSE_LITERAL_BOUND", 245)
+        assert exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 7) is None
+        monkeypatch.setattr(kernels, "CLAUSE_LITERAL_BOUND", 244)
+        assert exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12) == Exhausted(
+            ("clause bound exhausted at N = 7: 245 literals above the bound of 244",)
+        )
+
+    def test_clause_bound_refuses_before_building(self):
+        # P8,P8 at N = 60: 2 * C(60, 8) * 7 literals, about 36 billion
+        p8 = monotone_path(8).sorted_edges()
+        budget = kernels.DecisionBudget(1)
+        with pytest.raises(BudgetExhausted, match="^clause bound exhausted at N = 60: "):
+            kernels.search_good_coloring(60, 8, p8, 8, p8, budget)
+        assert budget.used == 0
+
 
 @st.composite
 def small_patterns(draw):
@@ -485,7 +506,7 @@ class TestSearchGoodColoringDifferential:
     """The clause search against exhaustive enumeration of colorings."""
 
     def check(self, N, pat1, pat2):
-        got = kernels.search_good_coloring(N, pat1[0], pat1[1], pat2[0], pat2[1])
+        got = kernels.search_good_coloring(N, *pat1, *pat2, budget())
         assert got == brute_force_good_coloring(N, pat1, pat2)
 
     @given(st.integers(1, 5), small_patterns(), small_patterns())
@@ -626,7 +647,7 @@ class TestSearchGoodColoringAgainstCounterPropagation:
             pat1, pat2 = (pat, other) if side == "first" else (other, pat)
             for N in range(1, max_n + 1):
                 want = counter_propagation_search(N, pat1[0], pat1[1], pat2[0], pat2[1])
-                got = kernels.search_good_coloring(N, pat1[0], pat1[1], pat2[0], pat2[1])
+                got = kernels.search_good_coloring(N, *pat1, *pat2, budget())
                 assert got == want, (pat1, pat2, N)
                 if want is None:
                     break
@@ -657,21 +678,21 @@ class TestSearchWithRestarts:
     def test_refutes_where_the_least_search_does(self, monkeypatch, unit, partner, max_n, side):
         monkeypatch.setattr(kernels, "LUBY_UNIT", unit)
         other = (3, [(1, 2), (1, 3), (2, 3)]) if partner == "K3" else (4, [(1, 2), (2, 3), (3, 4)])
-        budget = kernels.DecisionBudget(None)
+        spent = budget()
         for pat in patterns_up_to_four():
             pat1, pat2 = (pat, other) if side == "first" else (other, pat)
             for N in range(1, max_n + 1):
-                least = kernels.search_good_coloring(N, *pat1, *pat2)
-                restarts = budget.restarts
-                got = kernels.search_good_coloring(N, *pat1, *pat2, budget, restarts=True)
+                least = kernels.search_good_coloring(N, *pat1, *pat2, budget())
+                restarts = spent.restarts
+                got = kernels.search_good_coloring(N, *pat1, *pat2, spent, restarts=True)
                 assert (got is None) == (least is None), (pat1, pat2, N)
                 if got is None:
                     break
                 assert not holds_copy(N, got, pat1, 0), (pat1, pat2, N)
                 assert not holds_copy(N, got, pat2, 1), (pat1, pat2, N)
-                if budget.restarts == restarts:
+                if spent.restarts == restarts:
                     assert got == least, (pat1, pat2, N)
-        assert budget.restarts > 0
+        assert spent.restarts > 0
 
     @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
     @pytest.mark.parametrize(
@@ -696,8 +717,8 @@ class TestSearchWithRestarts:
         monkeypatch.setattr(kernels, "LUBY_UNIT", 1)
         c4x, k3 = crossing_four_cycle().sorted_edges(), k_pattern(3).sorted_edges()
         # at N = 8 a restart leads to a good coloring that is not the least
-        other = kernels.search_good_coloring(8, 4, c4x, 3, k3, restarts=True)
-        least = kernels.search_good_coloring(8, 4, c4x, 3, k3)
+        other = kernels.search_good_coloring(8, 4, c4x, 3, k3, budget(), restarts=True)
+        least = kernels.search_good_coloring(8, 4, c4x, 3, k3, budget())
         assert other != least
         calls = []
         search = kernels.search_good_coloring
