@@ -5,8 +5,8 @@ It also times the .okc reader and writer on an N=120 coloring, the size of
 the perfbench sparse-set inputs, and the clique-harvest skeleton layer on
 the all-blue N=50 coloring of the perfbench dense-skeleton workload, and the
 host-path skeleton search on K_40.  Every time is the best of --repeat runs.
-The three transitive_chain refutations it times must return None, or the
-run stops with an error.
+The three transitive_chain refutations and the three good-coloring climbs
+it times must refute, the climbs at N* alone, or the run stops with an error.
 Usage: PYTHONPATH=src python bench/benchmark_kernels.py [--repeat K]
 """
 
@@ -132,16 +132,18 @@ def workloads():
     t42 = Tournament.from_random(42, random.Random(71)).beats
     yield "transitive_chain T42 k=12", refutation(42, t42, 12)
 
-    # refutations at N*, which take most of the perfbench exact workload
+    # exact's climb to its refutation at N*, most of the perfbench exact workload
     k3 = list(combinations(range(1, 4), 2))
     k4 = list(combinations(range(1, 5), 2))
     c4x = [(1, 3), (1, 4), (2, 3), (2, 4)]
     p4 = [(1, 2), (2, 3), (3, 4)]
 
-    def w_refute(n, pat1, pat2, restarts):
+    def w_refute(n_star, pat1, pat2):
         def run():
-            budget = kernels.DecisionBudget(kernels.DEFAULT_NODE_BUDGET)
-            return kernels.search_good_coloring(n, *pat1, *pat2, budget, restarts=restarts)
+            solver = kernels.ColoringSolver(*pat1, *pat2, kernels.DecisionBudget(kernels.DEFAULT_NODE_BUDGET))
+            for n in range(1, n_star + 1):
+                if (kernels.search_good_coloring(solver, n) is None) != (n == n_star):
+                    raise SystemExit(f"{pat1}, {pat2}: N* is not {n_star}")
 
         return run
 
@@ -150,8 +152,7 @@ def workloads():
         ("K3,K4", 9, (3, k3), (4, k4)),
         ("P4,P4", 10, (4, p4), (4, p4)),
     ):
-        yield f"search_good_coloring {name}", w_refute(n, pat1, pat2, False)
-        yield f"search_good_coloring {name} restarts", w_refute(n, pat1, pat2, True)
+        yield f"search_good_coloring {name} N*={n}", w_refute(n, pat1, pat2)
 
     c120 = ColoredCompleteGraph.from_random(120, 120)
     okc120 = write_okc(c120)

@@ -65,21 +65,21 @@ def find_embedding(
 
 
 # A learned clause of at most this many pairs is watched for the rest of the
-# search.  A longer one only serves as the reason of the pair it asserts and
-# is dropped when that pair is unassigned.  With every learned clause
-# watched, refuting K3,K4 or K4,K3 at N = 9 took 3-4 times as long, spent
-# visiting watches; limits from 4 to 12 all did worse than 8 there.
+# solver's life.  A longer one only serves as the reason of the pair it
+# asserts and is dropped when that pair is unassigned.  With every learned
+# clause watched, refuting K3,K4 or K4,K3 at N = 9 took 3-4 times as long,
+# spent visiting watches; limits from 4 to 12 all did worse than 8 there.
 LEARNED_WATCH_LIMIT = 8
 
-# With restarts, the search restarts after 1, 1, 2, 1, 1, 2, 4, ... (the
-# Luby sequence) times this many conflicts, and after each conflict every
-# activity decays by this factor.  See CHANGES.md for how they were chosen.
+# A search restarts after 1, 1, 2, 1, 1, 2, 4, ... (the Luby sequence) times
+# this many conflicts, and after each conflict every activity decays by this
+# factor.  See CHANGES.md for how they were chosen.
 LUBY_UNIT = 50
 ACTIVITY_DECAY = 0.99
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# search_good_coloring refuses an N whose copy clauses would hold more than
+# ColoringSolver.grow refuses an N whose copy clauses would hold more than
 # this many literals, C(N, k1) m1 + C(N, k2) m2 for patterns of k vertices
 # and m edges: memory grows with that total, not with the clause count.
 # Built, P8,P8 at N = 24 (10.3M literals) peaks at about 340 MB and K6,K6
@@ -90,284 +90,304 @@ CLAUSE_LITERAL_BOUND = 12_000_000
 
 class DecisionBudget:
     """Steps allowed to a run of searches (limit) and taken so far (used):
-    the decisions of search_good_coloring, the attempts of
-    digraph_injection.  restarts counts the restarts of search_good_coloring."""
+    the decisions of ColoringSolver.solve, the attempts of
+    digraph_injection."""
 
-    __slots__ = ("limit", "used", "restarts")
+    __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self.restarts = 0
 
 
-def search_good_coloring(
-    N: int,
-    pat1_n: int,
-    pat1_edges: list[tuple[int, int]],
-    pat2_n: int,
-    pat2_edges: list[tuple[int, int]],
-    budget: DecisionBudget,
-    *,
-    restarts: bool = False,
-) -> list[int] | None:
-    """Find a coloring of ordered K_N with no Red copy of pattern 1 and no Blue
-    copy of pattern 2: without restarts, the lexicographically least one over
-    the pairs in colex order, Red before Blue.
+class ColoringSolver:
+    """Good colorings of ordered K_N: no Red copy of pattern 1 and no Blue
+    copy of pattern 2, where each pattern has at least one edge.
 
     Every k-subset of K_N hosts exactly one copy of a k-vertex pattern, so the
     forbidden copies are C(N, k1) + C(N, k2) clauses over the C(N, 2) pair
     variables, all held in memory, each built once straight into its watch
-    lists.  A literal 2*v + c says that pair v has color c, and the clause of
-    a forbidden copy asks one of its pairs to take the other color.  The
-    search is conflict-driven clause learning: two watched literals per
-    clause drive unit propagation, and a conflict learns its first-UIP
-    clause, backjumps to the second-highest level in it and asserts the UIP
-    pair's other color.  It decides the lowest unassigned pair Red.  A
-    learned clause follows from the copy clauses, so it removes no good
-    coloring.  Were a decision ever to disagree with the least good coloring,
-    the search could only end on a smaller good coloring, which does not
-    exist; so it ends on that one.
-
-    With restarts, the search is the same until its first restart, after
-    LUBY_UNIT conflicts, and then restarts on the Luby sequence, keeping its
-    learned clauses, as MiniSat does.  After the first restart it decides the
-    unassigned pair of highest activity (lowest on a tie) in its saved phase:
-    every pair met in conflict analysis gains activity, the gain grows by
-    1 / ACTIVITY_DECAY per conflict, and an unassigned pair keeps its last
-    color as its phase.  The answer to whether a good coloring exists is the
-    same, but one found after a restart need not be the least.
-
-    budget bounds the decisions of a run of searches: a search that would
-    make the run's decision budget.limit + 1 raises BudgetExhausted instead.
-    Each restart adds 1 to budget.restarts.  An N whose copy clauses would
-    hold more than CLAUSE_LITERAL_BOUND literals raises BudgetExhausted
-    before any clause is built.
-
-    Returns per-pair colors in colex order (0 Red, 1 Blue), or None when every
-    coloring contains a forbidden copy.
+    lists.  A literal 2*v + c says that pair v (colex order) has color c (0
+    Red, 1 Blue); a copy's clause asks one of its pairs to take the other
+    color.  The pairs and copy clauses of K_N are some of those of K_(N+1),
+    so grow adds only the copies through new vertices, and a clause learned
+    at N holds at every larger N.  units lists the literals asserted before
+    every search: one-pair copy clauses, learned one-pair clauses and the
+    pairs that least fixes.  A fixed pair does not follow from the copy
+    clauses, so a solver that has run least is not grown or reused.
     """
-    literals = math.comb(N, pat1_n) * len(pat1_edges) + math.comb(N, pat2_n) * len(pat2_edges)
-    if literals > CLAUSE_LITERAL_BOUND:
-        raise BudgetExhausted(
-            f"clause bound exhausted at N = {N}: {literals} literals"
-            f" above the bound of {CLAUSE_LITERAL_BOUND}"
-        )
-    nvars = N * (N - 1) // 2
-    # watches[lit]: the clauses with lit in their first two places, visited
-    # when lit becomes false
-    watches: list[list[list[int]]] = [[] for _ in range(2 * nvars)]
-    # lval[lit]: 1 true, -1 false, 0 unassigned
-    lval = [0] * (2 * nvars)
-    trail: list[int] = []
-    for other, pn, pedges in ((1, pat1_n, pat1_edges), (0, pat2_n, pat2_edges)):
-        if pn > N:
-            continue
-        # an edgeless pattern that fits is present in any coloring of its color
-        if not pedges:
-            return None
-        subs = combinations(range(1, N + 1), pn)
-        # copies that differ only in where an isolated vertex sits share a
-        # clause; build it from the first, which has each isolated vertex
-        # just above the vertex before it
-        isolated = [v - 1 for v in range(1, pn + 1) if all(v not in e for e in pedges)]
-        if isolated:
-            subs = (s for s in subs if all(s[i] == (s[i - 1] if i else 0) + 1 for i in isolated))
-        for sub in subs:
-            # pair (i, j), i < j, is variable (j-1)(j-2)/2 + i - 1
-            clause = sorted({
-                (sub[b - 1] - 1) * (sub[b - 1] - 2) + 2 * sub[a - 1] - 2 + other
-                for a, b in pedges
-            })
-            if len(clause) > 1:
-                watches[clause[0]].append(clause)
-                watches[clause[1]].append(clause)
-                continue
-            lit = clause[0]
+
+    def __init__(self, pat1_n, pat1_edges, pat2_n, pat2_edges, budget: DecisionBudget):
+        self.patterns = ((1, pat1_n, pat1_edges), (0, pat2_n, pat2_edges))
+        self.budget = budget
+        self.N = self.nvars = 0
+        # watches[lit]: the clauses with lit in their first two places, visited
+        # when lit becomes false
+        self.watches: list[list[list[int]]] = []
+        self.units: list[int] = []
+
+    def grow(self, N: int) -> None:
+        """Add the pairs and the copy clauses of K_N, N >= self.N.
+
+        An N whose copy clauses would hold more than CLAUSE_LITERAL_BOUND
+        literals raises BudgetExhausted before any clause is built.
+        """
+        literals = sum(math.comb(N, pn) * len(pedges) for _, pn, pedges in self.patterns)
+        if literals > CLAUSE_LITERAL_BOUND:
+            raise BudgetExhausted(
+                f"clause bound exhausted at N = {N}: {literals} literals"
+                f" above the bound of {CLAUSE_LITERAL_BOUND}"
+            )
+        nvars = N * (N - 1) // 2
+        self.watches += [[] for _ in range(2 * (nvars - self.nvars))]
+        watches, units = self.watches, self.units
+        for other, pn, pedges in self.patterns:
+            # copies that differ only in where an isolated vertex sits share a
+            # clause; build it from the first, which has each isolated vertex
+            # just above the vertex before it
+            isolated = [v - 1 for v in range(1, pn + 1) if all(v not in e for e in pedges)]
+            for top in range(self.N + 1, N + 1):
+                subs = (head + (top,) for head in combinations(range(1, top), pn - 1))
+                if isolated:
+                    subs = (s for s in subs if all(s[i] == (s[i - 1] if i else 0) + 1 for i in isolated))
+                for sub in subs:
+                    # pair (i, j), i < j, is variable (j-1)(j-2)/2 + i - 1
+                    clause = sorted({
+                        (sub[b - 1] - 1) * (sub[b - 1] - 2) + 2 * sub[a - 1] - 2 + other
+                        for a, b in pedges
+                    })
+                    if len(clause) > 1:
+                        watches[clause[0]].append(clause)
+                        watches[clause[1]].append(clause)
+                    else:
+                        units.append(clause[0])
+        self.N, self.nvars = N, nvars
+
+    def solve(self, assume: int | None = None) -> list[int] | None:
+        """A good coloring of K_N in which the literal assume, when given,
+        holds: per-pair colors in colex order, or None when there is none.
+
+        Conflict-driven clause learning from an empty assignment: the units
+        are asserted first, two watched literals per clause drive unit
+        propagation, and a conflict learns its first-UIP clause, backjumps to
+        the second-highest level in it and asserts the UIP pair's other
+        color.  A learned clause follows from the clauses and units held, so
+        it removes no good coloring.  assume is decided first, at level 1.
+        Every other decision takes the unassigned pair of highest activity
+        (lowest on a tie) in its saved phase: every pair met in conflict
+        analysis gains activity, the gain grows by 1 / ACTIVITY_DECAY per
+        conflict, and an unassigned pair keeps its last color as its phase.
+        Each search starts with no activity and every phase Red, so its first
+        decisions go in colex order; it restarts on the Luby sequence in
+        units of LUBY_UNIT conflicts, keeping its learned clauses, as MiniSat
+        does.  A decision that would make budget.used exceed budget.limit
+        raises BudgetExhausted instead.
+        """
+        N, nvars, budget = self.N, self.nvars, self.budget
+        watches, units = self.watches, self.units
+        # lval[lit]: 1 true, -1 false, 0 unassigned
+        lval = [0] * (2 * nvars)
+        trail: list[int] = []
+        for lit in units:
             if lval[lit] < 0:
                 return None
             if not lval[lit]:
                 lval[lit] = 1
                 lval[lit ^ 1] = -1
                 trail.append(lit)
-
-    level = [0] * nvars
-    reason: list[list[int] | None] = [None] * nvars
-    seen_var = [False] * nvars
-    activity = [0.0] * nvars
-    bump = 1.0
-    phase = list(range(0, 2 * nvars, 2))  # phase[v]: the literal v was last given
-    starts: list[int] = []  # starts[d - 1]: trail length before decision level d
-    head = 0  # trail[:head] have been propagated
-    depth = 0
-    k = 0  # before the first restart, every pair below k is assigned
-    by_activity = False
-    conflicts = 0  # since the last restart
-    # (u, luby) steps through the Luby sequence by Knuth's reluctant doubling
-    u = luby = 1
-    restart_at = LUBY_UNIT if restarts else math.inf
-    while True:
-        conflict = None
-        while head < len(trail):
-            false_lit = trail[head] ^ 1
-            head += 1
-            ws = watches[false_lit]
-            if not ws:
-                continue
-            watches[false_lit] = kept = []
-            keep = kept.append
-            rest = iter(ws)
-            for cl in rest:
-                # keep the false literal in place 1
-                first = cl[0]
-                if first == false_lit:
-                    first = cl[1]
-                    if lval[first] > 0:
+        level = [0] * nvars
+        reason: list[list[int] | None] = [None] * nvars
+        seen_var = [False] * nvars
+        activity = [0.0] * nvars
+        bump = 1.0
+        phase = list(range(0, 2 * nvars, 2))  # phase[v]: the literal v was last given
+        starts: list[int] = []  # starts[d - 1]: trail length before decision level d
+        head = 0  # trail[:head] have been propagated
+        depth = 0
+        conflicts = 0  # since the last restart
+        # (u, luby) steps through the Luby sequence by Knuth's reluctant doubling
+        u = luby = 1
+        restart_at = LUBY_UNIT
+        while True:
+            conflict = None
+            while head < len(trail):
+                false_lit = trail[head] ^ 1
+                head += 1
+                ws = watches[false_lit]
+                if not ws:
+                    continue
+                watches[false_lit] = kept = []
+                keep = kept.append
+                rest = iter(ws)
+                for cl in rest:
+                    # keep the false literal in place 1
+                    first = cl[0]
+                    if first == false_lit:
+                        first = cl[1]
+                        if lval[first] > 0:
+                            keep(cl)
+                            continue
+                        cl[0] = first
+                        cl[1] = false_lit
+                    elif lval[first] > 0:
                         keep(cl)
                         continue
-                    cl[0] = first
-                    cl[1] = false_lit
-                elif lval[first] > 0:
-                    keep(cl)
-                    continue
-                for t in range(2, len(cl)):
-                    lit = cl[t]
-                    if lval[lit] >= 0:
-                        cl[1] = lit
-                        cl[t] = false_lit
-                        watches[lit].append(cl)
-                        break
-                else:
-                    keep(cl)
-                    if lval[first]:
-                        kept.extend(rest)
-                        conflict = cl
-                        break
-                    lval[first] = 1
-                    lval[first ^ 1] = -1
-                    v = first >> 1
-                    level[v] = depth
-                    reason[v] = cl
-                    trail.append(first)
-            if conflict is not None:
-                break
+                    for t in range(2, len(cl)):
+                        lit = cl[t]
+                        if lval[lit] >= 0:
+                            cl[1] = lit
+                            cl[t] = false_lit
+                            watches[lit].append(cl)
+                            break
+                    else:
+                        keep(cl)
+                        if lval[first]:
+                            kept.extend(rest)
+                            conflict = cl
+                            break
+                        lval[first] = 1
+                        lval[first ^ 1] = -1
+                        v = first >> 1
+                        level[v] = depth
+                        reason[v] = cl
+                        trail.append(first)
+                if conflict is not None:
+                    break
 
-        if conflict is not None:
-            if not depth:
-                return None
-            conflicts += 1
-            # first UIP: resolve with the reasons of this level's pairs,
-            # latest first, until one pair of this level is left
-            learnt = [0]
-            back = 0
-            open_here = 0
-            cl = conflict
-            skip = 0
-            pos = len(trail)
-            while True:
-                for t in range(skip, len(cl)):
-                    lit = cl[t]
-                    v = lit >> 1
-                    if not seen_var[v] and level[v]:
-                        seen_var[v] = True
-                        activity[v] += bump
-                        if level[v] == depth:
-                            open_here += 1
-                        else:
-                            learnt.append(lit)
-                            if level[v] > back:
-                                back = level[v]
-                pos -= 1
-                while not seen_var[trail[pos] >> 1]:
+            if conflict is not None:
+                if not depth:
+                    return None
+                conflicts += 1
+                # first UIP: resolve with the reasons of this level's pairs,
+                # latest first, until one pair of this level is left
+                learnt = [0]
+                back = 0
+                open_here = 0
+                cl = conflict
+                skip = 0
+                pos = len(trail)
+                while True:
+                    for t in range(skip, len(cl)):
+                        lit = cl[t]
+                        v = lit >> 1
+                        if not seen_var[v] and level[v]:
+                            seen_var[v] = True
+                            activity[v] += bump
+                            if level[v] == depth:
+                                open_here += 1
+                            else:
+                                learnt.append(lit)
+                                if level[v] > back:
+                                    back = level[v]
                     pos -= 1
-                uip = trail[pos]
-                v = uip >> 1
-                seen_var[v] = False
-                open_here -= 1
-                if not open_here:
-                    break
-                cl = reason[v]
-                skip = 1  # cl[0] is the literal cl asserted
-            learnt[0] = uip ^ 1
-            for lit in learnt:
-                seen_var[lit >> 1] = False
-            bump /= ACTIVITY_DECAY
-            if bump > 1e100:
-                activity = [a * 1e-100 for a in activity]
-                bump *= 1e-100
-        elif conflicts >= restart_at:
-            by_activity = True
-            budget.restarts += 1
-            conflicts = 0
-            if u & -u == luby:
-                u += 1
-                luby = 1
+                    while not seen_var[trail[pos] >> 1]:
+                        pos -= 1
+                    uip = trail[pos]
+                    v = uip >> 1
+                    seen_var[v] = False
+                    open_here -= 1
+                    if not open_here:
+                        break
+                    cl = reason[v]
+                    skip = 1  # cl[0] is the literal cl asserted
+                learnt[0] = uip ^ 1
+                for lit in learnt:
+                    seen_var[lit >> 1] = False
+                bump /= ACTIVITY_DECAY
+                if bump > 1e100:
+                    activity = [a * 1e-100 for a in activity]
+                    bump *= 1e-100
+            elif conflicts >= restart_at:
+                conflicts = 0
+                if u & -u == luby:
+                    u += 1
+                    luby = 1
+                else:
+                    luby *= 2
+                restart_at = luby * LUBY_UNIT
+                if not depth:
+                    continue
+                back = 0
             else:
-                luby *= 2
-            restart_at = luby * LUBY_UNIT
-            if not depth:
+                if assume is None or lval[assume] > 0:
+                    k = -1
+                    best = -1.0
+                    for v, a in enumerate(activity):
+                        if a > best and not lval[2 * v]:
+                            best = a
+                            k = v
+                    if k < 0:
+                        break
+                    lit = phase[k]
+                elif lval[assume]:
+                    return None
+                else:
+                    lit = assume
+                    k = lit >> 1
+                if budget.used == budget.limit:
+                    raise BudgetExhausted(f"node budget exhausted at N = {N} after {budget.used} decisions")
+                budget.used += 1
+                depth += 1
+                starts.append(len(trail))
+                lval[lit] = 1
+                lval[lit ^ 1] = -1
+                level[k] = depth
+                reason[k] = None
+                trail.append(lit)
                 continue
-            back = 0
-        else:
-            if by_activity:
-                k = -1
-                best = -1.0
-                for v, a in enumerate(activity):
-                    if a > best and not lval[2 * v]:
-                        best = a
-                        k = v
-                if k < 0:
-                    break
-                lit = phase[k]
+
+            # backjump to level back
+            cut = starts[back]
+            for lit in trail[cut:]:
+                lval[lit] = 0
+                lval[lit ^ 1] = 0
+                phase[lit >> 1] = lit
+            del trail[cut:]
+            del starts[back:]
+            head = cut
+            depth = back
+            if conflict is None:
+                continue
+            if len(learnt) > 1:
+                # watch a literal of level back beside the asserted one
+                for t in range(1, len(learnt)):
+                    if level[learnt[t] >> 1] == back:
+                        learnt[1], learnt[t] = learnt[t], learnt[1]
+                        break
+                if len(learnt) <= LEARNED_WATCH_LIMIT:
+                    watches[learnt[0]].append(learnt)
+                    watches[learnt[1]].append(learnt)
             else:
-                while k < nvars and lval[2 * k]:
-                    k += 1
-                if k == nvars:
-                    break
-                lit = 2 * k
-            if budget.used == budget.limit:
-                raise BudgetExhausted(f"node budget exhausted at N = {N} after {budget.used} decisions")
-            budget.used += 1
-            depth += 1
-            starts.append(len(trail))
+                units.append(learnt[0])
+            lit = learnt[0]
             lval[lit] = 1
             lval[lit ^ 1] = -1
-            level[k] = depth
-            reason[k] = None
+            v = lit >> 1
+            level[v] = depth
+            reason[v] = learnt
             trail.append(lit)
-            continue
+        return [1 if lval[2 * v + 1] > 0 else 0 for v in range(nvars)]
 
-        # backjump to level back; before the first restart, the lowest
-        # unassigned pair is then the decision of level back + 1
-        cut = starts[back]
-        k = trail[cut] >> 1
-        for lit in trail[cut:]:
-            lval[lit] = 0
-            lval[lit ^ 1] = 0
-            phase[lit >> 1] = lit
-        del trail[cut:]
-        del starts[back:]
-        head = cut
-        depth = back
-        if conflict is None:
-            continue
-        if len(learnt) > 1:
-            # watch a literal of level back beside the asserted one
-            for t in range(1, len(learnt)):
-                if level[learnt[t] >> 1] == back:
-                    learnt[1], learnt[t] = learnt[t], learnt[1]
-                    break
-            if len(learnt) <= LEARNED_WATCH_LIMIT:
-                watches[learnt[0]].append(learnt)
-                watches[learnt[1]].append(learnt)
-        lit = learnt[0]
-        lval[lit] = 1
-        lval[lit ^ 1] = -1
-        v = lit >> 1
-        level[v] = depth
-        reason[v] = learnt
-        trail.append(lit)
-    return [1 if lval[2 * v + 1] > 0 else 0 for v in range(nvars)]
+    def least(self, good: list[int]) -> list[int]:
+        """The least good coloring, over the pairs in colex order with Red
+        before Blue, from the good coloring good, as lexicographic
+        optimization with a SAT oracle finds it (Marques-Silva, Argelich,
+        Graca and Lynce, 2011): each pair in turn is fixed in units Red if the
+        current good coloring has it Red or solve finds one that does, which
+        becomes the current one, and Blue otherwise.
+        """
+        for v in range(self.nvars):
+            found = self.solve(2 * v) if good[v] else good
+            if found is not None:
+                good = found
+            self.units.append(2 * v + (found is None))
+        return good
+
+
+def search_good_coloring(solver: ColoringSolver, N: int) -> list[int] | None:
+    """Grow solver to N and solve: a good coloring of K_N, or None."""
+    solver.grow(N)
+    return solver.solve()
 
 
 def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:

@@ -368,45 +368,39 @@ def exact_ordered_ramsey(
     A good coloring of ordered K_N has no red pat1 and no blue pat2.  The
     witness is the least good coloring on N* - 1 vertices: least over the
     pairs in colex order, Red before Blue.  Returns None when N* exceeds
-    max_n.  Each N runs kernels.search_good_coloring with restarts: it holds
-    the C(N, k1) + C(N, k2) forbidden copies (k1, k2 the pattern orders) in
-    memory as clauses over the C(N, 2) pair colors and runs conflict-driven
-    clause learning on them.  A coloring found before the first restart is
-    the least one; when the one kept at N* - 1 came after a restart, the
-    search without restarts runs again at N* - 1.  Only the witness becomes
-    a graph.  node_budget bounds the search decisions summed over every
-    search, and kernels.CLAUSE_LITERAL_BOUND the clauses of each N; when
-    either runs out the result is Exhausted, naming that search's N and the
-    count.
+    max_n.  One kernels.ColoringSolver, grown from N = 1 by
+    kernels.search_good_coloring, holds the C(N, k1) + C(N, k2) forbidden
+    copies (k1, k2 the pattern orders) as clauses over the C(N, 2) pair
+    colors, runs conflict-driven clause learning on them and keeps what it
+    learns for the next N.  A fresh solver at N* - 1, which holds nothing
+    learned at N*, then probes from the last good coloring for the least
+    one; only that witness becomes a graph.  node_budget bounds the search
+    decisions summed over every N and every probe, and
+    kernels.CLAUSE_LITERAL_BOUND the clauses of each N; when either runs out
+    the result is Exhausted, naming that search's N and the count.
     """
     if pat1.m < 1 or pat2.m < 1:
         raise ParameterError("patterns must each have at least one edge")
     if max_n < 1:
         raise ParameterError("max_n must be positive")
     budget = kernels.DecisionBudget(node_budget)
-    edges1, edges2 = pat1.sorted_edges(), pat2.sorted_edges()
+    args = (pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges(), budget)
+    solver = kernels.ColoringSolver(*args)
     witness_bits = None
-    least = True
     try:
-        for big_n in range(1, max_n + 1):
-            restarts = budget.restarts
-            bits = kernels.search_good_coloring(
-                big_n, pat1.n, edges1, pat2.n, edges2, budget, restarts=True
-            )
+        for n_star in range(1, max_n + 1):
+            bits = kernels.search_good_coloring(solver, n_star)
             if bits is None:
                 break
-            witness_bits, least = bits, budget.restarts == restarts
+            witness_bits = bits
         else:
             return None
-        n_star = big_n
-        if not least:
-            big_n -= 1
-            witness_bits = kernels.search_good_coloring(
-                big_n, pat1.n, edges1, pat2.n, edges2, budget
-            )
+        assert witness_bits is not None  # K_1 contains no pattern with an edge
+        probe = kernels.ColoringSolver(*args)
+        probe.grow(n_star - 1)
+        witness_bits = probe.least(witness_bits)
     except BudgetExhausted as e:
         return Exhausted((str(e),))
-    assert witness_bits is not None  # K_1 contains no pattern with an edge
     return n_star, ColoredCompleteGraph.from_colex_bits(n_star - 1, witness_bits)
 
 

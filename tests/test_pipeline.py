@@ -52,16 +52,15 @@ def crossing_four_cycle():
     return OrderedGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
 
 
-def budget():
-    return kernels.DecisionBudget(kernels.DEFAULT_NODE_BUDGET)
+def solver(pat1, pat2):
+    """A fresh ColoringSolver for two (n, edges) patterns."""
+    return kernels.ColoringSolver(*pat1, *pat2, kernels.DecisionBudget(kernels.DEFAULT_NODE_BUDGET))
 
 
 def has_good_coloring(pat1, pat2, big_n):
     """Whether ordered K_N has a coloring with no red pat1 and no blue pat2."""
-    bits = kernels.search_good_coloring(
-        big_n, pat1.n, pat1.sorted_edges(), pat2.n, pat2.sorted_edges(), budget()
-    )
-    return bits is not None
+    pats = (pat1.n, pat1.sorted_edges()), (pat2.n, pat2.sorted_edges())
+    return kernels.search_good_coloring(solver(*pats), big_n) is not None
 
 
 class TestBinaryTreeSparse:
@@ -410,48 +409,36 @@ class TestExactOrderedRamsey:
 
 class TestNodeBudget:
     def spend_of_full_run(self, monkeypatch):
-        """The result of exact on C4x,K3, the decisions it spends and the N of
-        the search that makes its last decision, read off its own budget."""
-        used_after = []
-        search = kernels.search_good_coloring
+        """The result of exact on C4x,K3 and the decisions it spends, read
+        off its own budget."""
+        budgets = []
+        solve = kernels.ColoringSolver.solve
 
-        def recording(N, *args, **kwargs):
-            bits = search(N, *args, **kwargs)
-            used_after.append((N, args[4].used))
-            return bits
+        def recording(self, *args):
+            budgets.append(self.budget)
+            return solve(self, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(kernels, "search_good_coloring", recording)
+            m.setattr(kernels.ColoringSolver, "solve", recording)
             res = exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)
-        used = used_after[-1][1]
-        last_n = next(N for N, after in used_after if after == used)
-        return res, used, last_n
+        return res, budgets[-1].used
 
     def test_budget_covers_every_n(self, monkeypatch):
-        res, used, _ = self.spend_of_full_run(monkeypatch)
+        res, used = self.spend_of_full_run(monkeypatch)
         assert res[0] == 9
         assert exact_ordered_ramsey(
             crossing_four_cycle(), k_pattern(3), 12, node_budget=used
         ) == res
 
-    def check_one_decision_short(self, monkeypatch, last_n):
-        _, used, ran_out_at = self.spend_of_full_run(monkeypatch)
-        assert ran_out_at == last_n
+    def test_one_decision_short_exhausts_in_the_probes(self, monkeypatch):
+        # the probes for the least witness at N* - 1 = 8 make the last decisions
+        _, used = self.spend_of_full_run(monkeypatch)
         res = exact_ordered_ramsey(
             crossing_four_cycle(), k_pattern(3), 12, node_budget=used - 1
         )
         assert res == Exhausted(
-            (f"node budget exhausted at N = {last_n} after {used - 1} decisions",)
+            (f"node budget exhausted at N = 8 after {used - 1} decisions",)
         )
-
-    def test_one_decision_short_exhausts_at_the_last_n(self, monkeypatch):
-        self.check_one_decision_short(monkeypatch, 9)
-
-    def test_one_decision_short_exhausts_in_the_search_again(self, monkeypatch):
-        # with a unit of 1 the coloring kept at N = 8 comes after a restart,
-        # so the last decisions are those of the least search at N = 8
-        monkeypatch.setattr(kernels, "LUBY_UNIT", 1)
-        self.check_one_decision_short(monkeypatch, 8)
 
     def test_clause_bound_stops_exact(self, monkeypatch):
         # C4x,K3 at N = 7: C(7, 4) * 4 + C(7, 3) * 3 = 245 literals
@@ -464,18 +451,18 @@ class TestNodeBudget:
 
     def test_clause_bound_refuses_before_building(self):
         # P8,P8 at N = 60: 2 * C(60, 8) * 7 literals, about 36 billion
-        p8 = monotone_path(8).sorted_edges()
-        budget = kernels.DecisionBudget(1)
+        p8 = (8, monotone_path(8).sorted_edges())
+        grown = solver(p8, p8)
         with pytest.raises(BudgetExhausted, match="^clause bound exhausted at N = 60: "):
-            kernels.search_good_coloring(60, 8, p8, 8, p8, budget)
-        assert budget.used == 0
+            grown.grow(60)
+        assert (grown.N, grown.watches, grown.units, grown.budget.used) == (0, [], [], 0)
 
 
 @st.composite
 def small_patterns(draw):
     n = draw(st.integers(2, 4))
     pairs = list(combinations(range(1, n + 1), 2))
-    return n, sorted(draw(st.sets(st.sampled_from(pairs))))
+    return n, sorted(draw(st.sets(st.sampled_from(pairs), min_size=1)))
 
 
 def brute_force_good_coloring(N, pat1, pat2):
@@ -502,25 +489,41 @@ def brute_force_good_coloring(N, pat1, pat2):
     return None
 
 
+def check_solver(unit, N, pat1, pat2, reference):
+    """The grown solver and least() on a fresh one against reference(n, pat1,
+    pat2), the least good coloring of K_n or None, at every n <= N."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "LUBY_UNIT", unit)
+        grown = solver(pat1, pat2)
+        for n in range(1, N + 1):
+            want = reference(n, pat1, pat2)
+            got = kernels.search_good_coloring(grown, n)
+            assert (got is None) == (want is None), (pat1, pat2, n)
+            if got is None:
+                return
+            assert is_good(n, got, pat1, pat2), (pat1, pat2, n)
+            fresh = solver(pat1, pat2)
+            fresh.grow(n)
+            assert fresh.least(got) == want, (pat1, pat2, n)
+
+
 class TestSearchGoodColoringDifferential:
-    """The clause search against exhaustive enumeration of colorings."""
+    """The solver against exhaustive enumeration of colorings."""
 
-    def check(self, N, pat1, pat2):
-        got = kernels.search_good_coloring(N, *pat1, *pat2, budget())
-        assert got == brute_force_good_coloring(N, pat1, pat2)
-
+    @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
     @given(st.integers(1, 5), small_patterns(), small_patterns())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, N, pat1, pat2):
-        self.check(N, pat1, pat2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, unit, N, pat1, pat2):
+        check_solver(unit, N, pat1, pat2, brute_force_good_coloring)
 
+    @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
     @given(small_patterns(), small_patterns())
-    @settings(max_examples=20, deadline=None)
-    def test_matches_brute_force_on_k6(self, pat1, pat2):
-        self.check(6, pat1, pat2)
+    @settings(max_examples=10, deadline=None)
+    def test_matches_brute_force_on_k6(self, unit, pat1, pat2):
+        check_solver(unit, 6, pat1, pat2, brute_force_good_coloring)
 
 
-def counter_propagation_search(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
+def counter_propagation_search(N, pat1, pat2):
     """The clause search before conflict learning, kept as a reference.
 
     One clause per forbidden copy; a count per clause of its pairs not yet
@@ -528,10 +531,6 @@ def counter_propagation_search(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
     color at 1 and conflicts at 0.  Red-first chronological backtracking over
     the pairs in colex order, so it returns the least good coloring.
     """
-    if pat1_n <= N and not pat1_edges:
-        return None
-    if pat2_n <= N and not pat2_edges:
-        return None
     index = {}
     for j in range(2, N + 1):
         for i in range(1, j):
@@ -540,7 +539,7 @@ def counter_propagation_search(N, pat1_n, pat1_edges, pat2_n, pat2_edges):
     watch = [[[] for _ in range(nvars)] for _ in range(2)]
     clauses = []
     units = []
-    for color, pn, pedges in ((0, pat1_n, pat1_edges), (1, pat2_n, pat2_edges)):
+    for color, (pn, pedges) in enumerate((pat1, pat2)):
         if pn > N:
             continue
         seen = set()
@@ -630,69 +629,35 @@ def patterns_up_to_four():
     return out
 
 
-class TestSearchGoodColoringAgainstCounterPropagation:
-    """The learning search against the search it replaced, N up to N*.
-
-    Against P4 every N up to 9 is compared.  Against K3 the comparison stops
-    at N = 8: every pair left at N = 9 is refuted there (R(3,4) = 9), and the
-    26 such pairs take the reference about 6 s.  TestExactOrderedRamsey
-    checks three of them.
-    """
-
-    @pytest.mark.parametrize("partner, max_n", [("K3", 8), ("P4", 9)])
-    @pytest.mark.parametrize("side", ["first", "second"])
-    def test_every_small_pattern(self, partner, max_n, side):
-        other = (3, [(1, 2), (1, 3), (2, 3)]) if partner == "K3" else (4, [(1, 2), (2, 3), (3, 4)])
-        for pat in patterns_up_to_four():
-            pat1, pat2 = (pat, other) if side == "first" else (other, pat)
-            for N in range(1, max_n + 1):
-                want = counter_propagation_search(N, pat1[0], pat1[1], pat2[0], pat2[1])
-                got = kernels.search_good_coloring(N, *pat1, *pat2, budget())
-                assert got == want, (pat1, pat2, N)
-                if want is None:
-                    break
-
-
-def holds_copy(N, bits, pattern, color):
-    """Whether the coloring of K_N given by its colex bits holds a copy of
-    pattern in color (0 Red, 1 Blue), by a scan of every vertex subset."""
-    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
-    color_of = dict(zip(pairs, bits))
-    pn, pedges = pattern
-    return any(
+def is_good(N, bits, pat1, pat2):
+    """Whether the coloring of K_N given by its colex bits holds no Red copy
+    of pat1 and no Blue copy of pat2, by a scan of every vertex subset."""
+    color_of = dict(zip([(i, j) for j in range(2, N + 1) for i in range(1, j)], bits))
+    return not any(
         all(color_of[sub[a - 1], sub[b - 1]] == color for a, b in pedges)
+        for color, (pn, pedges) in enumerate((pat1, pat2))
         for sub in combinations(range(1, N + 1), pn)
     )
 
 
-class TestSearchWithRestarts:
-    """The search with restarts against the least search and a subset scan.
-
-    A Luby unit of 1 restarts the search at its first conflict, so every case
-    with a conflict ends in activity order; the default unit is checked too.
-    """
+class TestSearchGoodColoringAgainstCounterPropagation:
+    """The solver against the search it replaced, N up to N*: every N up to
+    9 against P4, and up to 8 against K3, since each pair left at N = 9 is
+    refuted there (R(3,4) = 9) and the 26 such pairs take the reference
+    about 6 s.  TestExactOrderedRamsey checks three of them."""
 
     @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
     @pytest.mark.parametrize("partner, max_n", [("K3", 8), ("P4", 9)])
     @pytest.mark.parametrize("side", ["first", "second"])
-    def test_refutes_where_the_least_search_does(self, monkeypatch, unit, partner, max_n, side):
-        monkeypatch.setattr(kernels, "LUBY_UNIT", unit)
+    def test_every_small_pattern(self, unit, partner, max_n, side):
         other = (3, [(1, 2), (1, 3), (2, 3)]) if partner == "K3" else (4, [(1, 2), (2, 3), (3, 4)])
-        spent = budget()
         for pat in patterns_up_to_four():
             pat1, pat2 = (pat, other) if side == "first" else (other, pat)
-            for N in range(1, max_n + 1):
-                least = kernels.search_good_coloring(N, *pat1, *pat2, budget())
-                restarts = spent.restarts
-                got = kernels.search_good_coloring(N, *pat1, *pat2, spent, restarts=True)
-                assert (got is None) == (least is None), (pat1, pat2, N)
-                if got is None:
-                    break
-                assert not holds_copy(N, got, pat1, 0), (pat1, pat2, N)
-                assert not holds_copy(N, got, pat2, 1), (pat1, pat2, N)
-                if spent.restarts == restarts:
-                    assert got == least, (pat1, pat2, N)
-        assert spent.restarts > 0
+            check_solver(unit, max_n, pat1, pat2, counter_propagation_search)
+
+
+class TestColoringSolver:
+    """grow, solve under an assumption and the least good coloring by probing."""
 
     @pytest.mark.parametrize("unit", [1, kernels.LUBY_UNIT])
     @pytest.mark.parametrize(
@@ -713,21 +678,54 @@ class TestSearchWithRestarts:
         got_n, got = exact_ordered_ramsey(pat1, pat2, 12)
         assert (got_n, write_okc(got)) == (n_star, witness)
 
-    def test_a_coloring_found_after_a_restart_is_searched_again(self, monkeypatch):
+    def test_a_coloring_that_is_not_the_least_is_probed(self, monkeypatch):
+        # with a unit of 1 the grown solver's coloring at N = 8 is not the
+        # least; the probes run on a fresh solver at N = 8
         monkeypatch.setattr(kernels, "LUBY_UNIT", 1)
-        c4x, k3 = crossing_four_cycle().sorted_edges(), k_pattern(3).sorted_edges()
-        # at N = 8 a restart leads to a good coloring that is not the least
-        other = kernels.search_good_coloring(8, 4, c4x, 3, k3, budget(), restarts=True)
-        least = kernels.search_good_coloring(8, 4, c4x, 3, k3, budget())
-        assert other != least
-        calls = []
-        search = kernels.search_good_coloring
+        probes = []
+        least = kernels.ColoringSolver.least
 
-        def recording(N, *args, restarts=False):
-            calls.append((N, restarts))
-            return search(N, *args, restarts=restarts)
+        def recording(probe, good):
+            probes.append((probe.N, good))
+            return least(probe, good)
 
-        monkeypatch.setattr(kernels, "search_good_coloring", recording)
+        monkeypatch.setattr(kernels.ColoringSolver, "least", recording)
         n_star, witness = exact_ordered_ramsey(crossing_four_cycle(), k_pattern(3), 12)
-        assert calls == [(N, True) for N in range(1, 10)] + [(8, False)]
-        assert (n_star, witness) == (9, ColoredCompleteGraph.from_colex_bits(8, least))
+        [(probe_n, good)] = probes
+        assert (n_star, probe_n) == (9, 8)
+        assert witness != ColoredCompleteGraph.from_colex_bits(8, good)
+
+    def test_grown_clauses_are_those_of_a_fresh_solver(self):
+        # vertex 2 of the second pattern is isolated, so its copies share clauses
+        pats = (4, [(1, 2), (2, 3), (3, 4)]), (3, [(1, 3)])
+        grown, fresh = solver(*pats), solver(*pats)
+        for n in range(1, 9):
+            grown.grow(n)
+        fresh.grow(8)
+        assert (grown.nvars, sorted(grown.units)) == (fresh.nvars, sorted(fresh.units))
+        assert [sorted(ws) for ws in grown.watches] == [sorted(ws) for ws in fresh.watches]
+
+    def test_d2_witness_at_13(self):
+        # d2 = {12, 13, 14, 23, 34}; exact d2 d2 prints this witness with n_star 14
+        d2 = (4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+        grown = solver(d2, d2)
+        bits = grown.least(kernels.search_good_coloring(grown, 13))
+        assert write_okc(ColoredCompleteGraph.from_colex_bits(13, bits)) == (
+            "13\nRRRRRRBBBBBB\nRBRBRRBBRBB\nBBBBRRBRRB\nRBRBRRRBB\nBBRBRRRB\nRBRRBRR"
+            "\nRBRRBR\nRRBRR\nRBBR\nBBB\nRR\nR\n"
+        )
+
+    def test_solve_under_an_assumed_pair_color(self):
+        # at N = 8 every pair of C4x,K3 can be Red, and two cannot be Blue
+        c4x, k3 = (4, crossing_four_cycle().sorted_edges()), (3, k_pattern(3).sorted_edges())
+        grown = solver(c4x, k3)
+        grown.grow(8)
+        refuted = []
+        for lit in range(2 * grown.nvars):
+            got = grown.solve(lit)
+            if got is None:
+                refuted.append(lit & 1)
+            else:
+                assert got[lit >> 1] == lit & 1 and is_good(8, got, c4x, k3), lit
+        assert refuted == [1, 1]
+        assert is_good(8, grown.solve(), c4x, k3)
