@@ -81,7 +81,7 @@ def workloads():
     rng = random.Random(17)
     outer = Tournament.from_random(12, rng)
     inner = Tournament.from_random(10, rng)
-    big = blowup(outer, inner).tournament
+    big = blowup(outer, inner)
     s4 = build_subdivision_S(4).digraph
 
     def w_inject_blowup():

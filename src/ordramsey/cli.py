@@ -304,16 +304,16 @@ def cmd_construct_blowup(args) -> int:
     inner = _load(args.inner, Tournament, "a .trn tournament")
     out = _out_path(args, f"blowup_{outer.N}x{inner.N}.trn")
     B = blowup(outer, inner)
-    _write_out(out, formats.write_trn(B.tournament))
+    _write_out(out, formats.write_trn(B))
     cert = {
         "kind": "construct",
         "what": "blowup",
-        "vertices": B.tournament.N,
-        "arcs": B.tournament.N * (B.tournament.N - 1) // 2,
-        "blocks": len(B.blocks),
+        "vertices": B.N,
+        "arcs": B.N * (B.N - 1) // 2,
+        "blocks": outer.N,
         "out": out,
     }
-    return _report(args, cert, f"{B.tournament.N} vertices in {len(B.blocks)} blocks -> {out}")
+    return _report(args, cert, f"{B.N} vertices in {outer.N} blocks -> {out}")
 
 
 def construct_lowerbound_arguments(p) -> None:

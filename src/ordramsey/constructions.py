@@ -8,10 +8,9 @@ from itertools import combinations
 
 from . import kernels
 from .certificates import verify_digraph_copy
-from .core import Digraph, Tournament, record
+from .core import Digraph, Tournament, record, unchecked
 from .errors import (
     BudgetExhausted,
-    DomainError,
     GenerationError,
     InternalContractError,
     ParameterError,
@@ -78,47 +77,28 @@ def random_tournament_avoiding(m: int, k: int, seed: int) -> Tournament:
     )
 
 
-@record
-class BlowupTournament:
-    """Blowup substituting a copy of inner for every vertex of outer.
+def blowup(outer: Tournament, inner: Tournament) -> Tournament:
+    """The tournament with a copy of inner substituted for every vertex of outer.
 
-    Block ell holds the consecutive vertices (ell-1)*s+1 .. ell*s where s is
-    the inner size; arcs inside a block copy inner, arcs between blocks all
-    follow the outer arc.
-    """
-
-    outer: Tournament
-    inner: Tournament
-    blocks: tuple[tuple[int, int], ...]
-    tournament: Tournament
-
-    def block_of(self, v: int) -> int:
-        if not 1 <= v <= self.tournament.N:
-            raise DomainError(f"vertex {v} outside 1..{self.tournament.N}")
-        return (v - 1) // self.inner.N + 1
-
-
-def blowup(outer: Tournament, inner: Tournament) -> BlowupTournament:
-    """Substitute a copy of inner for every vertex of outer.
-
-    Every vertex of block ell beats the same vertices outside its block, so
-    that part of its row is computed once per block: outer.beats[ell] with
-    each bit widened to s consecutive bits (its binary string with every
-    digit repeated s times).  A row is then one shift of the inner row and
-    one OR, O(m * s) big-int operations in all.
+    Block ell is the vertices (ell-1)*s+1 .. ell*s, s = inner.N; arcs inside
+    a block copy inner, arcs between blocks follow outer.  Every vertex of
+    block ell beats the same vertices outside its block, so that part of its
+    row is computed once per block: outer.beats[ell] with each bit widened
+    to s consecutive bits (its binary string with every digit repeated s
+    times).  A row is then one shift of the inner row and one OR, O(m * s)
+    big-int operations in all.  The rows are not checked again: they form a
+    tournament whenever outer's and inner's do.
     """
     if outer.N < 1 or inner.N < 1:
         raise ParameterError("blowup factors must both be nonempty")
     s = inner.N
-    total = outer.N * s
     widen = str.maketrans({"0": "0" * s, "1": "1" * s})
     rows = [0]
     for ell in range(1, outer.N + 1):
         off = (ell - 1) * s
         spread = int(bin(outer.beats[ell] >> 1)[2:].translate(widen), 2) << 1
         rows.extend((inner.beats[u] << off) | spread for u in range(1, s + 1))
-    blocks = tuple(((ell - 1) * s + 1, ell * s) for ell in range(1, outer.N + 1))
-    return BlowupTournament(outer, inner, blocks, Tournament(total, tuple(rows)))
+    return unchecked(Tournament, outer.N * s, tuple(rows))
 
 
 def lower_bound_parameters(n: int) -> tuple[int, int, int]:
@@ -151,7 +131,7 @@ def iterated_lower_bound_tournament(n: int, seed: int) -> Tournament:
     m, k, n_prime = lower_bound_parameters(n)
     outer = random_tournament_avoiding(m, k, seed)
     inner = iterated_lower_bound_tournament(n_prime, seed + 1)
-    return blowup(outer, inner).tournament
+    return blowup(outer, inner)
 
 
 @record

@@ -113,14 +113,14 @@ def _check_rows(n: int, rows, what: str) -> None:
             raise DomainError(f"{what} adjacency not symmetric at pair ({u}, {v})")
 
 
-def _relabel_rows(rows, keep: tuple[int, ...]) -> list[int]:
+def _relabel_rows(rows, keep: tuple[int, ...]) -> tuple[int, ...]:
     """Rows restricted to the sorted vertices keep, keep[i - 1] becoming vertex i.
 
     Each kept row becomes a bit string from which one C-level gather picks
     the kept columns, so there is no Python step per pair.
     """
     if not keep:
-        return [0]
+        return (0,)
     w = keep[-1] + 1
     low = (1 << w) - 1
     gather = itemgetter(*keep)
@@ -128,7 +128,7 @@ def _relabel_rows(rows, keep: tuple[int, ...]) -> list[int]:
     for v in keep:
         bits = format(rows[v] & low, f"0{w}b")[::-1]  # bits[u] is bit u of the row
         out.append(int("".join(gather(bits))[::-1] + "0", 2))
-    return out
+    return tuple(out)
 
 
 def record(cls):
@@ -195,6 +195,17 @@ def record(cls):
     return cls
 
 
+def unchecked(cls, *fields):
+    """The record of cls with these field values, in declaration order, without cls.__init__.
+
+    Only for values valid by construction; the public constructors check the rest.
+    """
+    obj = cls.__new__(cls)
+    for name, value in zip(cls.__annotations__, fields, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @record
 class OrderedGraph:
     """An ordered graph on vertices 1..n with edge pairs (i, j), i < j.
@@ -224,15 +235,7 @@ class OrderedGraph:
         """The graph whose adjacency masks are rows (length n + 1, index 0 empty)."""
         rows = tuple(rows)
         _check_rows(n, rows, "graph")
-        return cls._of_checked_rows(n, rows)
-
-    @classmethod
-    def _of_checked_rows(cls, n: int, rows: tuple[int, ...]) -> "OrderedGraph":
-        """The graph on rows already known to be symmetric and loop-free on 1..n."""
-        g = cls.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", rows)
-        return g
+        return unchecked(cls, n, rows)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -246,9 +249,6 @@ class OrderedGraph:
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             return False
         return bool(self.adj[i] >> j & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
         return max((self.adj[v].bit_count() for v in range(1, self.n + 1)), default=0)
@@ -267,7 +267,7 @@ class OrderedGraph:
         keep = vertex_tuple(members, self.n, "induced subgraph")
         if len(keep) == self.n:
             return self, (0,) + keep
-        return OrderedGraph.from_rows(len(keep), _relabel_rows(self.adj, keep)), (0,) + keep
+        return unchecked(OrderedGraph, len(keep), _relabel_rows(self.adj, keep)), (0,) + keep
 
 
 # a pair's "is red" byte to its grid digit
@@ -287,16 +287,8 @@ class ColoredCompleteGraph:
         object.__setattr__(self, "red_rows", tuple(red_rows))
 
     @classmethod
-    def _of_checked_rows(cls, N: int, red_rows: tuple[int, ...]) -> "ColoredCompleteGraph":
-        """The coloring of red rows already known to be symmetric and loop-free on 1..N."""
-        c = cls.__new__(cls)
-        object.__setattr__(c, "N", N)
-        object.__setattr__(c, "red_rows", red_rows)
-        return c
-
-    @classmethod
     def from_red_edges(cls, N: int, red_edges: Iterable[tuple[int, int]]) -> "ColoredCompleteGraph":
-        return cls._of_checked_rows(N, OrderedGraph(N, red_edges).adj)
+        return unchecked(cls, N, OrderedGraph(N, red_edges).adj)
 
     @classmethod
     def from_function(cls, N: int, is_red) -> "ColoredCompleteGraph":
@@ -334,7 +326,7 @@ class ColoredCompleteGraph:
         for j in range(2, w):
             grid[j] = "0" + red[k : k + j - 1] + "0" * (w - j)
             k += j - 1
-        return cls._of_checked_rows(N, symmetric_rows("".join(grid), N))
+        return unchecked(cls, N, symmetric_rows("".join(grid), N))
 
     def color_of(self, i: int, j: int) -> Color:
         if i == j or not (1 <= i <= self.N and 1 <= j <= self.N):
@@ -345,8 +337,8 @@ class ColoredCompleteGraph:
         keep = vertex_tuple(members, self.N, "induced coloring")
         if len(keep) == self.N:
             return self, (0,) + keep
-        rows = tuple(_relabel_rows(self.red_rows, keep))
-        return ColoredCompleteGraph._of_checked_rows(len(keep), rows), (0,) + keep
+        rows = _relabel_rows(self.red_rows, keep)
+        return unchecked(ColoredCompleteGraph, len(keep), rows), (0,) + keep
 
 
 @record
@@ -384,6 +376,8 @@ class Tournament:
     @classmethod
     def from_random(cls, N: int, rng: random.Random) -> "Tournament":
         """Uniform tournament; one rng bit per pair (i, j), i < j, in colex order."""
+        if N < 0:
+            raise DomainError(f"vertex count {N} is negative")
         rows = [0] * (N + 1)
         for j in range(2, N + 1):
             for i in range(1, j):
@@ -391,7 +385,7 @@ class Tournament:
                     rows[i] |= 1 << j
                 else:
                     rows[j] |= 1 << i
-        return cls(N, tuple(rows))
+        return unchecked(cls, N, tuple(rows))
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.beats[u] & (1 << v))
@@ -403,7 +397,7 @@ class Tournament:
         keep = vertex_tuple(members, self.N, "induced tournament")
         if len(keep) == self.N:
             return self, (0,) + keep
-        return Tournament(len(keep), tuple(_relabel_rows(self.beats, keep))), (0,) + keep
+        return unchecked(Tournament, len(keep), _relabel_rows(self.beats, keep)), (0,) + keep
 
 
 @record
@@ -434,7 +428,7 @@ class Digraph:
 
     def underlying_graph(self) -> OrderedGraph:
         into = transpose_masks(self.out, self.n)
-        return OrderedGraph._of_checked_rows(self.n, tuple(map(int.__or__, self.out, into)))
+        return unchecked(OrderedGraph, self.n, tuple(map(int.__or__, self.out, into)))
 
     def topological_order(self) -> tuple[int, ...]:
         """Lexicographically least topological order; DomainError with a cycle witness otherwise.
@@ -509,14 +503,14 @@ def density_between(g: OrderedGraph, a: Iterable[int], b: Iterable[int]) -> Frac
 def color_class(c: ColoredCompleteGraph, color: Color) -> OrderedGraph:
     """The ordered graph carrying all pairs of one color, the one way to reach a class.
 
-    Not checked again: c's red rows were checked when c was built, and their
-    complement in 1..N is symmetric and loop-free as well.
+    Built through unchecked: c's red rows are symmetric and loop-free, and so
+    is their complement in 1..N.
     """
     rows = c.red_rows
     if color is Color.BLUE:
         full = ((1 << (c.N + 1)) - 1) & ~1
         rows = (0,) + tuple([full & ~rows[v] & ~(1 << v) for v in range(1, c.N + 1)])
-    return OrderedGraph._of_checked_rows(c.N, rows)
+    return unchecked(OrderedGraph, c.N, rows)
 
 
 def class_density(c: ColoredCompleteGraph, color: Color, members: Iterable[int] | None = None) -> Fraction:
@@ -543,7 +537,7 @@ def remove_isolated(g: OrderedGraph) -> tuple[OrderedGraph, dict[int, int]]:
     """Drop isolated vertices, relabeling the rest order-preservingly; returns old->new map."""
     keep = tuple(v for v in range(1, g.n + 1) if g.adj[v])
     mapping = {v: i + 1 for i, v in enumerate(keep)}
-    return OrderedGraph.from_rows(len(keep), _relabel_rows(g.adj, keep)), mapping
+    return unchecked(OrderedGraph, len(keep), _relabel_rows(g.adj, keep)), mapping
 
 
 def degeneracy(g: OrderedGraph) -> int:

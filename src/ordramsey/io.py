@@ -23,6 +23,7 @@ from .core import (
     Tournament,
     symmetric_rows,
     transpose_masks,
+    unchecked,
 )
 from .errors import ParseError
 
@@ -127,7 +128,7 @@ def parse_okc(text: str) -> ColoredCompleteGraph:
                 if ch not in "RB":
                     raise ParseError(f"invalid color character {ch!r}", k + 1)
         grid[k] = "0" * (k + 1) + row.translate(_COLOR_TO_BIT)
-    return ColoredCompleteGraph._of_checked_rows(n_val, symmetric_rows("".join(grid), n_val))
+    return unchecked(ColoredCompleteGraph, n_val, symmetric_rows("".join(grid), n_val))
 
 
 def write_okc(c: ColoredCompleteGraph) -> str:
@@ -187,7 +188,7 @@ def parse_trn(text: str) -> Tournament:
     above = transpose_masks(below, n_val)
     top = 1 << (n_val + 1)
     rows = [0] + [below[v] | ((top - (2 << v)) & ~above[v]) for v in range(1, n_val + 1)]
-    return Tournament(n_val, tuple(rows))
+    return unchecked(Tournament, n_val, tuple(rows))
 
 
 def write_trn(t: Tournament) -> str:

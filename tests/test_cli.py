@@ -192,6 +192,30 @@ class TestSkeletonCommand:
         assert out == '{"kind":"exhausted","trace":["no (1, b)-skeleton at d = 1"]}\n'
         assert err == "no skeleton met the block-size target\n"
 
+    @staticmethod
+    def k6_in_3126(tmp_path):
+        # b >= N / 5^5 > 1 here, and one tuple's blocks are single vertices,
+        # so the search needs every one of the K6's six 1-tuples
+        host = OrderedGraph(3126, complete_graph(6).sorted_edges())
+        return write(tmp_path / "k6.og", formats.write_og(host))
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_tuple_cap_exceeded_exits_3(self, capsys, tmp_path, cap):
+        host = self.k6_in_3126(tmp_path)
+        code, out, err = run(capsys, ["--tuple-cap", str(cap), "skeleton", host, "--a", "1"])
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: clique tuple cap {cap} exceeded before any (a=1) skeleton"
+            " with b >= 1.00032 was found\n"
+        )
+
+    def test_tuple_cap_holding_every_tuple_exhausts(self, capsys, tmp_path):
+        host = self.k6_in_3126(tmp_path)
+        code, out, err = run(capsys, ["--tuple-cap", "6", "skeleton", host, "--a", "1"])
+        assert (code, out) == (
+            4, '{"kind":"exhausted","trace":["no (1, b)-skeleton at d = 1"]}\n'
+        )
+
 
 class TestSparseSetCommand:
     def test_red_set_from_blue_host(self, capsys, files):
@@ -223,6 +247,15 @@ class TestSparseSetCommand:
         code, out, err = run(capsys, [*argv, "--alpha", "0.75", flag, value])
         assert code == 2 and out == ""
         assert err == f"error: {message} must be positive\n"
+
+    @pytest.mark.parametrize(
+        "alpha, shown",
+        [("0", "0.0"), ("1", "1.0"), ("1.5", "1.5"), ("-0.2", "-0.2"), ("nan", "nan"), ("inf", "inf")],
+    )
+    def test_alpha_outside_the_open_unit_interval(self, capsys, files, alpha, shown):
+        argv = ["sparse-set", files["allred"], files["k3"], files["k3"], "--c", "1/10"]
+        code, out, err = run(capsys, [*argv, "--alpha", alpha])
+        assert (code, out, err) == (2, "", f"error: alpha={shown} must lie strictly in (0, 1)\n")
 
     def test_pair_branch(self, capsys, files, tmp_path):
         # the planted coloring takes the recursion below its root: a red

@@ -25,7 +25,6 @@ from ordramsey.constructions import (
 from ordramsey.core import Digraph, Tournament, degeneracy
 from ordramsey.errors import (
     BudgetExhausted,
-    DomainError,
     GenerationError,
     InternalContractError,
     ParameterError,
@@ -372,29 +371,21 @@ class TestBlowup:
     def test_single_outer_vertex_copies_inner(self):
         inner = Tournament.from_arcs(3, [(1, 2), (2, 3), (3, 1)])
         B = blowup(transitive_tournament(1), inner)
-        assert B.tournament.beats == inner.beats
-        assert B.blocks == ((1, 3),)
+        assert B.beats == inner.beats
 
     def test_cross_arcs_follow_outer(self):
         outer = Tournament.from_arcs(2, [(1, 2)])
         inner = Tournament.from_arcs(3, [(1, 2), (2, 3), (3, 1)])
         B = blowup(outer, inner)
-        assert B.tournament.N == 6
-        assert B.blocks == ((1, 3), (4, 6))
+        assert B.N == 6
         for u in range(1, 4):
             for v in range(4, 7):
-                assert B.tournament.has_arc(u, v)
+                assert B.has_arc(u, v)
         # inner copies in both blocks
         for off in (0, 3):
-            assert B.tournament.has_arc(off + 1, off + 2)
-            assert B.tournament.has_arc(off + 2, off + 3)
-            assert B.tournament.has_arc(off + 3, off + 1)
-
-    def test_block_lookup(self):
-        B = blowup(transitive_tournament(3), transitive_tournament(2))
-        assert [B.block_of(v) for v in range(1, 7)] == [1, 1, 2, 2, 3, 3]
-        with pytest.raises(DomainError):
-            B.block_of(7)
+            assert B.has_arc(off + 1, off + 2)
+            assert B.has_arc(off + 2, off + 3)
+            assert B.has_arc(off + 3, off + 1)
 
     def test_empty_factor_rejected(self):
         with pytest.raises(ParameterError):
@@ -408,9 +399,9 @@ class TestBlowup:
     def test_every_pair_matches_the_definition(self, outer, inner):
         B = blowup(outer, inner)
         s = inner.N
-        assert B.tournament.N == outer.N * s
-        for a in range(1, B.tournament.N + 1):
-            for b in range(1, B.tournament.N + 1):
+        assert B.N == outer.N * s
+        for a in range(1, B.N + 1):
+            for b in range(1, B.N + 1):
                 if a == b:
                     continue
                 (la, ua), (lb, ub) = divmod(a - 1, s), divmod(b - 1, s)
@@ -418,7 +409,7 @@ class TestBlowup:
                     expected = inner.has_arc(ua + 1, ub + 1)
                 else:
                     expected = outer.has_arc(la + 1, lb + 1)
-                assert B.tournament.has_arc(a, b) == expected, (a, b)
+                assert B.has_arc(a, b) == expected, (a, b)
 
 
 class TestIteratedLowerBound:

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordramsey.constructions import InjectionResult
+from ordramsey.constructions import InjectionResult, blowup
 from ordramsey.core import (
     Color,
     ColoredCompleteGraph,
@@ -31,7 +31,7 @@ from ordramsey.core import (
     vertex_tuple,
 )
 from ordramsey.errors import DomainError, ParameterError
-from ordramsey.io import parse_okc, write_okc
+from ordramsey.io import parse_okc, parse_trn, write_okc, write_trn
 from ordramsey.pipeline import RecursionParams
 from ordramsey.skeleton import CliqueTupleIndex, Skeleton
 
@@ -65,8 +65,7 @@ class TestOrderedGraph:
 
     def test_degree_and_max_degree(self):
         g = OrderedGraph(4, [(1, 2), (1, 3), (1, 4)])
-        assert g.degree(1) == 3
-        assert g.degree(4) == 1
+        assert [row.bit_count() for row in g.adj] == [0, 3, 1, 1, 1]
         assert g.max_degree() == 3
 
     def test_induced_relabels_in_order(self):
@@ -200,8 +199,8 @@ class TestColoredCompleteGraph:
 
 
 class TestColoringsBuiltUnchecked:
-    """The package's own builders skip the row check; each coloring they build
-    must equal one the checked public constructor builds."""
+    """The package's own builders make colorings through core.unchecked, with no
+    row check; each must equal the one the checked public constructor builds."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
@@ -223,6 +222,51 @@ class TestColoringsBuiltUnchecked:
             ColoredCompleteGraph(2, (0, 1 << 2, 0))
         with pytest.raises(DomainError, match="^red adjacency not symmetric at pair"):
             ColoredCompleteGraph(3, [0, 0, 1 << 3, 1 << 1])
+
+
+class TestTournamentsBuiltUnchecked:
+    """Tournaments built through core.unchecked must equal the checked rebuild."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_built_tournaments_equal_checked_rebuilds(self, n, s, seed):
+        rng = random.Random(seed)
+        T = Tournament.from_random(n, rng)
+        sub, _ = T.induced(rng.sample(range(1, n + 1), n // 2))
+        for built in (T, parse_trn(write_trn(T)), blowup(T, Tournament.from_random(s, rng)), sub):
+            assert built == Tournament(built.N, built.beats)
+        assert parse_trn(write_trn(T)) == T
+
+    @pytest.mark.parametrize(
+        "N, beats, message",
+        [
+            (-1, (0,), "vertex count -1 is negative"),
+            (2, (0, 0), "beats rows must have length N + 1 with index 0 empty"),
+            (1, (1, 0), "beats rows must have length N + 1 with index 0 empty"),
+            (2, (0, 2, 2), "vertex 1 has a self-arc"),
+            (2, (0, 8, 2), "beats row 1 mentions vertices outside 1..2"),
+            (2, (0, 1, 2), "beats row 1 mentions vertices outside 1..2"),
+        ],
+    )
+    def test_public_constructor_still_rejects(self, N, beats, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Tournament(N, beats)
+
+    def test_random_rejects_a_negative_count(self):
+        with pytest.raises(DomainError, match="^vertex count -1 is negative$"):
+            Tournament.from_random(-1, random.Random(0))
+
+
+class TestGraphsBuiltUnchecked:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_built_graphs_equal_checked_rebuilds(self, n, seed):
+        rng = random.Random(seed)
+        g = OrderedGraph(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
+        sub, _ = g.induced(rng.sample(range(1, n + 1), n // 2))
+        bare, _ = remove_isolated(g)
+        for built in (sub, bare):
+            assert built == OrderedGraph.from_rows(built.n, built.adj)
 
 
 class TestDegeneracy:

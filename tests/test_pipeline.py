@@ -74,6 +74,15 @@ class TestBinaryTreeSparse:
         # the base bound is vacuous
         assert res.density <= res.bound
 
+    def test_spent_blue_budget_returns_whole_set_in_blue(self):
+        # h2 = 0 with h1 left: the root returns all of X in Blue, unsearched
+        col = ColoredCompleteGraph.from_random(12, 0)
+        params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 0, 8)
+        res = binary_tree_sparse(col, range(1, 13), k_pattern(3), k_pattern(3), params)
+        assert (res.color, res.members) == (Color.BLUE, tuple(range(1, 13)))
+        assert res.bound == Fraction(21, 20)
+        assert verify_sparse_set(col, res)[0]
+
     def test_singleton_input(self):
         col = ColoredCompleteGraph.from_random(9, 1)
         params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 1, 8)

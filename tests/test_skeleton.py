@@ -32,7 +32,7 @@ from ordramsey.skeleton import (
     verify_skeleton,
 )
 
-from conftest import complete_graph, random_ordered_graph
+from conftest import all_blue, complete_graph, random_ordered_graph
 
 
 def brute_force_clique_tuples(host: OrderedGraph, k: int):
@@ -580,6 +580,11 @@ class TestFindSkeletonInDense:
         assert res.color is Color.BLUE
         blue = OrderedGraph(40, [e for e in combinations(range(1, 41), 2)])
         assert verify_skeleton(blue, res.skeleton)[0]
+
+    def test_no_clique_of_the_spine_size(self):
+        # a = 1 needs 5-cliques, and K_4 holds none: no skeleton, target b = N
+        res = find_skeleton_in_dense(all_blue(4), Color.RED, 1, Fraction(10))
+        assert (res.found, res.met_target, res.target_b) == (False, False, 4.0)
 
     def test_blue_multipartite(self):
         # Blue complete 3-partite with parts of 20; Red is the sparse union
