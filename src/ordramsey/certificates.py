@@ -2,10 +2,11 @@
 
 Every structure the library returns as a claim (an embedding, a sparse pair,
 a skeleton, a monochromatic copy, a sparse set, a digraph copy) has its
-record and its check here.  The check re-derives the claim from the host
-alone, and this module imports only core and errors, so no check runs the
-search code it checks; the search modules import their records and
-self-checks from here.
+record and its check here, as does the clique or independent set of the
+sparse-graph finder.  The check re-derives the claim from the host alone,
+and this module imports only core and errors, so no check runs the search
+code it checks; the search modules import their records and checks from
+here, and re-check each result they return through self_check.
 
 Each certificate is a flat JSON object with a "kind" discriminator; rationals
 travel as exact "p/q" strings so nothing is lost to floating point.
@@ -30,7 +31,7 @@ from .core import (
     mask_of,
     record,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalContractError, ParseError
 
 
 @record
@@ -266,6 +267,24 @@ def verify_digraph_copy(
         if not host.has_arc(mapping[u - 1], mapping[v - 1]):
             return False, f"arc ({u}, {v}) maps to a reversed pair"
     return True, None
+
+
+def verify_homogeneous(
+    g: OrderedGraph, kind: str, members: Sequence[int]
+) -> tuple[bool, str | None]:
+    """Check that members span a clique (kind "clique") or an independent set in g."""
+    want = kind == "clique"
+    for x, y in combinations(members, 2):
+        if g.has_edge(x, y) != want:
+            return False, f"pair ({x}, {y}) {'is not' if want else 'is'} an edge"
+    return True, None
+
+
+def self_check(result: tuple[bool, str | None], what: str) -> None:
+    """Raise InternalContractError(f"{what}: {reason}") unless a check's (valid, reason) holds."""
+    valid, reason = result
+    if not valid:
+        raise InternalContractError(f"{what}: {reason}")
 
 
 VERIFIABLE_KINDS = ("embedding", "sparse_pair", "skeleton", "sparse_set")

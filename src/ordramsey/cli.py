@@ -8,6 +8,7 @@ to stderr.  Exit codes are a stable contract: 0 success/found, 2 input error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -105,6 +106,13 @@ def _out_path(args, default: str) -> str:
         want, got = Path(default).suffix, Path(out).suffix
         raise ParseError(f"--out {out}: construct {args.what} writes {want} files, not {got}")
     return out
+
+
+def _check_size(label: str, vertices: int) -> None:
+    """Refuse, before anything is built, an output too large to read back."""
+    if vertices > formats.MAX_VERTICES:
+        limit = formats.MAX_VERTICES
+        raise ParameterError(f"{label} would write {vertices} vertices, above the limit of {limit}")
 
 
 def _load(path: str, want: type, label: str):
@@ -274,6 +282,7 @@ def construct_sn_arguments(p) -> None:
 
 def cmd_construct_sn(args) -> int:
     out = _out_path(args, f"sn_{args.n}.dg")
+    _check_size(f"construct sn {args.n}", args.n + math.comb(max(args.n, 0), 3))
     sub = build_subdivision_S(args.n)
     _write_out(out, formats.write_dg(sub.digraph))
     sidecar = str(Path(out).with_suffix(".triples.json"))
@@ -303,6 +312,7 @@ def cmd_construct_blowup(args) -> int:
     outer = _load(args.outer, Tournament, "a .trn tournament")
     inner = _load(args.inner, Tournament, "a .trn tournament")
     out = _out_path(args, f"blowup_{outer.N}x{inner.N}.trn")
+    _check_size("construct blowup", outer.N * inner.N)
     B = blowup(outer, inner)
     _write_out(out, formats.write_trn(B))
     cert = {

@@ -7,14 +7,9 @@ import random
 from itertools import combinations
 
 from . import kernels
-from .certificates import verify_digraph_copy
+from .certificates import self_check, verify_digraph_copy
 from .core import Digraph, Tournament, record, unchecked
-from .errors import (
-    BudgetExhausted,
-    GenerationError,
-    InternalContractError,
-    ParameterError,
-)
+from .errors import BudgetExhausted, GenerationError, ParameterError
 from .kernels import DEFAULT_NODE_BUDGET
 
 BASE_CUTOFF = 20
@@ -171,8 +166,6 @@ def contains_subdivision(
         return InjectionResult(None, spent.used, True)
     if mapping is None:
         return InjectionResult(None, nodes, False)
-    ok, reason = verify_digraph_copy(T, S.digraph, mapping)
-    if not ok:
-        raise InternalContractError(f"subdivision copy: {reason}")
+    self_check(verify_digraph_copy(T, S.digraph, mapping), "subdivision copy")
     return InjectionResult(tuple(mapping), nodes, False)
 

@@ -18,6 +18,7 @@ from .certificates import (
     Skeleton,
     SlotSystem,
     SparsePair,
+    self_check,
     verify_embedding,
     verify_skeleton,
     verify_sparse_pair,
@@ -106,16 +107,14 @@ def greedy_embed_or_sparse_pair(
             if len(low) * delta >= u_size:
                 upper = tuple(bits_of(cand[i]))
                 sp = SparsePair(tuple(low), upper, c, density_between(host, low, upper))
-                ok, reason = verify_sparse_pair(host, sp)
-                if not ok:
-                    raise InternalContractError(f"extracted pair failed verification: {reason}")
+                self_check(verify_sparse_pair(host, sp), "extracted pair failed verification")
                 return sp
         raise InternalContractError("pigeonhole failed to produce a sparse pair")
 
     emb = Embedding(tuple(mapping[1:]))
-    ok, reason = verify_embedding(host, pattern, emb, slot_sys)
-    if not ok:
-        raise InternalContractError(f"greedy embedding failed verification: {reason}")
+    self_check(
+        verify_embedding(host, pattern, emb, slot_sys), "greedy embedding failed verification"
+    )
     return emb
 
 
@@ -132,11 +131,8 @@ def skeleton_embed_or_sparse_pair(
     greedy dichotomy into equal contiguous partitions of the blocks, chunk
     size floor(|V_j| / count) with leftovers at the top of each block
     discarded.  The sparse pair is guaranteed its lemma size only when
-    b >= 2 m^2 c^(-2m/a); the dichotomy runs for any b.
+    b >= 2 m^2 c^(-2m/a); the greedy dichotomy checks c and runs for any b.
     """
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise ParameterError(f"c={c} must lie strictly between 0 and 1")
     ok, reason = verify_skeleton(host, skel)
     if not ok:
         raise DomainError(f"invalid skeleton: {reason}")
@@ -178,7 +174,5 @@ def skeleton_embed_or_sparse_pair(
     for v, w in zip(rest_of[1:], res.mapping):
         mapping[v] = w
     emb = Embedding(tuple(mapping[1:]))
-    ok, reason = verify_embedding(host, pattern, emb)
-    if not ok:
-        raise InternalContractError(f"skeleton embedding failed verification: {reason}")
+    self_check(verify_embedding(host, pattern, emb), "skeleton embedding failed verification")
     return emb

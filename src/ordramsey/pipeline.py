@@ -22,6 +22,7 @@ from .certificates import (
     Exhausted,
     MonoCopy,
     SparseSet,
+    self_check,
     verify_mono_copy,
     verify_sparse_set,
 )
@@ -108,9 +109,8 @@ class RecursionParams:
     ) -> "RecursionParams":
         c = Fraction(c)
         _check_c(c)
+        _gate_patterns(pat1, pat2)
         m1, m2 = pat1.m, pat2.m
-        if m1 < 1 or m2 < 1:
-            raise ParameterError("patterns must each have at least one edge")
         ll1 = _loglog(m1)
         k2 = max(1, int(math.sqrt(m2 * ll1)))
         k1 = max(k2, m1 * k2 // m2)
@@ -263,9 +263,9 @@ def binary_tree_sparse(
             raise _exhausted(trace, f"skeleton embedding inapplicable: {exc}")
         if isinstance(res, Embedding):
             mc = MonoCopy(i, tuple(back[v] for v in res.mapping))
-            ok, reason = verify_mono_copy(coloring, pat1, pat2, mc)
-            if not ok:
-                raise InternalContractError(f"short-circuit copy failed verification: {reason}")
+            self_check(
+                verify_mono_copy(coloring, pat1, pat2, mc), "short-circuit copy failed verification"
+            )
             raise _Stop(mc)
 
         A = tuple(back[v] for v in res.lower)
@@ -312,9 +312,7 @@ def binary_tree_sparse(
         color, W, class_density(coloring, color, W), _halving_bound(c, color, params.h1, params.h2),
         target, len(W) >= target, params.alpha, params.h1, params.h2,
     )
-    ok, reason = verify_sparse_set(coloring, ss)
-    if not ok:
-        raise InternalContractError(f"sparse set failed verification: {reason}")
+    self_check(verify_sparse_set(coloring, ss), "sparse set failed verification")
     return ss
 
 
@@ -335,10 +333,6 @@ def recursive_sparse_set(
     Wraps the binary-tree recursion with halving budgets h1 = h2 =
     ceil(log2(2/c)); the returned SparseSet then satisfies density <= c.
     """
-    c = Fraction(c)
-    # c before the patterns: when both are wrong the error names c, as from_patterns does
-    _check_c(c)
-    _gate_patterns(pat1, pat2)
     params = RecursionParams.from_patterns(
         pat1, pat2, c, coloring.N, alpha=alpha, window=window
     )
@@ -352,8 +346,8 @@ def recursive_sparse_set(
         tuple_cap=tuple_cap,
         seed=seed,
     )
-    if isinstance(res, SparseSet) and res.density > c:
-        raise InternalContractError(f"sparse set density {res.density} exceeds c={c}")
+    if isinstance(res, SparseSet) and res.density > params.c:
+        raise InternalContractError(f"sparse set density {res.density} exceeds c={params.c}")
     return res
 
 
@@ -418,8 +412,6 @@ def find_mono_copy(coloring: ColoredCompleteGraph, pat1: OrderedGraph, pat2: Ord
             emb = find_ordered_embedding(color_class(coloring, col), pat)
             if emb is not None:
                 mc = MonoCopy(col, emb.mapping)
-                ok, reason = verify_mono_copy(coloring, pat1, pat2, mc)
-                if not ok:
-                    raise InternalContractError(f"copy failed verification: {reason}")
+                self_check(verify_mono_copy(coloring, pat1, pat2, mc), "copy failed verification")
                 return mc
     return Exhausted((f"exhaustive search over {coloring.N} vertices found no copy",))

@@ -18,7 +18,7 @@ from operator import itemgetter, or_, xor
 from typing import Iterable
 
 from . import kernels
-from .certificates import Skeleton, verify_skeleton
+from .certificates import Skeleton, self_check, verify_homogeneous, verify_skeleton
 from .core import (
     Color,
     ColoredCompleteGraph,
@@ -137,9 +137,7 @@ def find_skeleton_from_cliques(
                 f"with b >= {float(b_required):.6g} was found"
             )
         return None
-    ok, reason = verify_skeleton(host, skel)
-    if not ok:
-        raise InternalContractError(f"assembled skeleton: {reason}")
+    self_check(verify_skeleton(host, skel), "assembled skeleton")
     return skel
 
 
@@ -197,20 +195,13 @@ def es_clique_or_independent(
     clique, indep = _es_chains(g.adj, eps)
     kind, members = ("independent", indep) if len(indep) >= len(clique) else ("clique", clique)
     members_t = tuple(sorted(members))
-    _check_homogeneous(g, kind, members_t)
+    self_check(verify_homogeneous(g, kind, members_t), f"{kind} witness")
     bound = es_bound(g.n, float(eps))
     if len(members_t) < bound - 1e-9:
         raise InternalContractError(
             f"witness of size {len(members_t)} misses the bound {bound:.4f}"
         )
     return kind, members_t
-
-
-def _check_homogeneous(g: OrderedGraph, kind: str, members: tuple[int, ...]) -> None:
-    want = kind == "clique"
-    for x, y in combinations(members, 2):
-        if g.has_edge(x, y) != want:
-            raise InternalContractError(f"{kind} witness violated at pair ({x}, {y})")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +402,7 @@ def find_skeleton_in_dense(
     color, skel, _ = skeleton_from_harvest(harvest, spine, 1, DEFAULT_TUPLE_CAP)
     if skel is None:
         return DenseSkeletonResult(None, None, target, False)
-    ok, reason = verify_skeleton(color_class(coloring, color), skel)
-    if not ok:
-        raise InternalContractError(f"dense skeleton: {reason}")
+    self_check(verify_skeleton(color_class(coloring, color), skel), "dense skeleton")
     return DenseSkeletonResult(color, skel, target, skel.b >= target)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordramsey import embed, pipeline, skeleton
 from ordramsey.certificates import (
     KINDS,
     certificate_dict,
@@ -13,6 +14,7 @@ from ordramsey.certificates import (
     parse_rational,
     rational_str,
     verify_certificate,
+    verify_homogeneous,
 )
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph
 from ordramsey.embed import (
@@ -21,8 +23,9 @@ from ordramsey.embed import (
     SparsePair,
     find_ordered_embedding,
     greedy_embed_or_sparse_pair,
+    skeleton_embed_or_sparse_pair,
 )
-from ordramsey.errors import ParseError
+from ordramsey.errors import InternalContractError, ParseError
 from ordramsey.pipeline import (
     Exhausted,
     MonoCopy,
@@ -30,9 +33,14 @@ from ordramsey.pipeline import (
     find_mono_copy,
     recursive_sparse_set,
 )
-from ordramsey.skeleton import Skeleton, find_skeleton_from_cliques
+from ordramsey.skeleton import (
+    Skeleton,
+    es_clique_or_independent,
+    find_skeleton_from_cliques,
+    find_skeleton_in_dense,
+)
 
-from conftest import all_red, complete_graph
+from conftest import all_blue, all_red, complete_graph
 
 
 class TestRationals:
@@ -307,3 +315,96 @@ class TestProducersVerify:
             assert cert is not None
             kind, payload = decode_certificate(encode_certificate(cert))
             assert verify_certificate(kind, payload, host, pattern) == (True, None), kind
+
+
+class TestVerifyHomogeneous:
+    def test_clique(self):
+        assert verify_homogeneous(complete_graph(4), "clique", (1, 2, 3, 4)) == (True, None)
+
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [("clique", "pair (1, 3) is not an edge"), ("independent", "pair (1, 2) is an edge")],
+    )
+    def test_names_the_first_failing_pair(self, kind, reason):
+        g = OrderedGraph(4, [(1, 2)])
+        assert verify_homogeneous(g, kind, (1, 2, 3)) == (False, reason)
+
+
+EDGE = OrderedGraph(2, [(1, 2)])
+C4 = OrderedGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+K9 = complete_graph(9)
+
+
+def _halves():
+    return SlotSystem([range(1, 9), range(9, 17)], host_n=16)
+
+
+def _skeleton_embedding():
+    skel = Skeleton((4, 8), ((1, 2, 3), (5, 6, 7), (9, 10, 11)), 2, 3)
+    return skeleton_embed_or_sparse_pair(complete_graph(11), skel, C4, Fraction(1, 2))
+
+
+# each producer with the module whose check it re-runs on its result, the
+# check's name there and the what of the error a failed check raises
+PRODUCERS = [
+    (
+        embed, "verify_sparse_pair", "extracted pair failed verification",
+        lambda: greedy_embed_or_sparse_pair(OrderedGraph(16), EDGE, _halves(), Fraction(1, 2)),
+    ),
+    (
+        embed, "verify_embedding", "greedy embedding failed verification",
+        lambda: greedy_embed_or_sparse_pair(complete_graph(16), EDGE, _halves(), Fraction(1, 2)),
+    ),
+    (
+        pipeline, "verify_mono_copy", "short-circuit copy failed verification",
+        lambda: recursive_sparse_set(all_red(40), EDGE, EDGE, Fraction(1, 10), alpha=0.75),
+    ),
+    (
+        pipeline, "verify_sparse_set", "sparse set failed verification",
+        lambda: recursive_sparse_set(all_blue(30), K9, K9, Fraction(1, 10)),
+    ),
+    (
+        pipeline, "verify_mono_copy", "copy failed verification",
+        lambda: find_mono_copy(all_red(6), complete_graph(3), complete_graph(3)),
+    ),
+    (
+        skeleton, "verify_skeleton", "assembled skeleton",
+        lambda: find_skeleton_from_cliques(complete_graph(11), 5, 1),
+    ),
+    (
+        skeleton, "verify_skeleton", "dense skeleton",
+        lambda: find_skeleton_in_dense(all_blue(40), Color.RED, 1, Fraction(10)),
+    ),
+    (
+        skeleton, "verify_homogeneous", "independent witness",
+        lambda: es_clique_or_independent(OrderedGraph(40), Fraction(1, 20)),
+    ),
+]
+
+
+class TestProducersRefuseAFailedCheck:
+    @pytest.mark.parametrize(
+        "module, check, what, produce", PRODUCERS, ids=[row[2] for row in PRODUCERS]
+    )
+    def test_failed_check_raises_with_its_what(self, monkeypatch, module, check, what, produce):
+        produce()  # the unpatched producer returns its result
+        monkeypatch.setattr(module, check, lambda *args: (False, "forced"))
+        with pytest.raises(InternalContractError) as info:
+            produce()
+        assert str(info.value) == f"{what}: forced"
+
+    def test_skeleton_embedding_check_fails_alone(self, monkeypatch):
+        # the greedy check passes its slots and still succeeds; only the
+        # skeleton dichotomy's own check, made without slots, is forced to fail
+        check = embed.verify_embedding
+
+        def fail_without_slots(host, pattern, emb, slot_sys=None):
+            if slot_sys is None:
+                return False, "forced"
+            return check(host, pattern, emb, slot_sys)
+
+        assert isinstance(_skeleton_embedding(), Embedding)
+        monkeypatch.setattr(embed, "verify_embedding", fail_without_slots)
+        with pytest.raises(InternalContractError) as info:
+            _skeleton_embedding()
+        assert str(info.value) == "skeleton embedding failed verification: forced"

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -372,6 +373,64 @@ class TestConstruct:
             f"error: --out {out_path}: construct {what} writes {want} files, not {suffix}\n"
         )
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_sn_above_the_vertex_limit_is_refused_before_it_is_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_subdivision_S", lambda n: pytest.fail("built S_n"))
+        code, out, err = run(capsys, ["construct", "sn", "186"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: construct sn 186 would write 1055426 vertices, above the limit of 1048576\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n, vertices", [(6, 26), (7, 42)])
+    def test_sn_is_written_only_up_to_the_vertex_limit(
+        self, capsys, tmp_path, monkeypatch, n, vertices
+    ):
+        monkeypatch.setattr(formats, "MAX_VERTICES", 26)
+        out_path = tmp_path / f"s{n}.dg"
+        code, out, err = run(capsys, ["construct", "sn", str(n), "--out", str(out_path)])
+        if vertices <= 26:
+            assert code == 0 and json.loads(out)["vertices"] == vertices
+            assert formats.load_path(str(out_path)).n == vertices
+        else:
+            assert (code, out) == (2, "")
+            limit = "above the limit of 26"
+            assert err == f"error: construct sn {n} would write {vertices} vertices, {limit}\n"
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "outer, inner, vertices",
+        [
+            # a 3-cycle blown up by a 4-vertex tournament
+            ("3\n>\n<\n>\n", "4\n>\n>\n<\n>\n>\n>\n", 12),
+            (12, 10, 120),
+        ],
+    )
+    def test_blowup_is_written_only_up_to_the_vertex_limit(
+        self, capsys, tmp_path, monkeypatch, outer, inner, vertices
+    ):
+        monkeypatch.setattr(formats, "MAX_VERTICES", 100)
+        paths = []
+        for name, spec in (("outer", outer), ("inner", inner)):
+            if isinstance(spec, int):  # the transitive tournament of that order
+                arcs = combinations(range(1, spec + 1), 2)
+                spec = formats.write_trn(Tournament.from_arcs(spec, arcs))
+            paths.append(write(tmp_path / f"{name}.trn", spec))
+        out_path = tmp_path / "b.trn"
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, ["construct", "blowup", *paths, "--out", str(out_path)])
+        if vertices <= 100:
+            assert code == 0 and json.loads(out)["vertices"] == vertices
+            assert formats.load_path(str(out_path)).N == vertices
+        else:
+            assert (code, out) == (2, "")
+            limit = "above the limit of 100"
+            assert err == f"error: construct blowup would write {vertices} vertices, {limit}\n"
+            assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("argv", [["sn", "3"], ["lowerbound", "3"]])
     def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv):
@@ -907,17 +966,37 @@ class TestDeterminism:
         assert code == 0 and err == ""
 
 
-def fresh_interpreter(probe: str) -> str:
-    """stdout of the Python code probe, run in a new interpreter on this package."""
+def fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """A new interpreter on this package, run with argv; a nonzero exit fails."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(ordramsey.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, check=True
     )
-    return proc.stdout
+
+
+def fresh_interpreter(probe: str) -> str:
+    """stdout of the Python code probe, run in a new interpreter on this package."""
+    return fresh_python("-c", probe).stdout
+
+
+class TestPythonDashM:
+    def test_runs_the_command_line(self, capsys, files):
+        argv = ["-q", "exact", files["k3"], files["k3"], "8"]
+        code, out, err = run(capsys, argv)
+        proc = fresh_python("-m", "ordramsey", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert json.loads(out)["n_star"] == 6
+
+    def test_help(self):
+        assert fresh_python("-m", "ordramsey", "--help").stdout.startswith("usage: ordramsey")
+
+    def test_importing_the_cli_does_not_run_it(self):
+        probe = "import sys, ordramsey.cli; print('ordramsey.__main__' in sys.modules)"
+        assert fresh_interpreter(probe) == "False\n"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -224,6 +224,16 @@ class TestSkeletonEmbed:
         with pytest.raises(ParameterError, match="^pattern has isolated vertices; strip them"):
             skeleton_embed_or_sparse_pair(host, skel, pattern, Fraction(1, 2))
 
+    @pytest.mark.parametrize("c", [0, 1])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_degenerate_c_is_refused_by_the_greedy_dichotomy(self, c, n):
+        # the greedy dichotomy checks c even when the whole pattern fits on the spine
+        host = complete_graph(11)
+        skel = Skeleton((4, 8), ((1, 2, 3), (5, 6, 7), (9, 10, 11)), 2, 3)
+        pattern = OrderedGraph(n, [(t, t + 1) for t in range(1, n)])
+        with pytest.raises(ParameterError, match=f"^c={c} must lie strictly between 0 and 1$"):
+            skeleton_embed_or_sparse_pair(host, skel, pattern, Fraction(c))
+
 
 class TestVerifyEmbedding:
     def test_accepts_valid(self):

@@ -251,6 +251,22 @@ class TestRecursionParams:
         with pytest.raises(ParameterError, match=rf"^c={c} must lie strictly in \(0, 1/8\)$"):
             RecursionParams.from_patterns(k_pattern(3), k_pattern(3), c, 20)
 
+    @pytest.mark.parametrize(
+        "pat1, pat2, message",
+        [
+            (OrderedGraph(2), k_pattern(3), "first pattern must have at least one edge"),
+            (k_pattern(3), OrderedGraph(3, [(1, 2)]),
+             "second pattern has isolated vertices; strip them with remove_isolated"),
+        ],
+    )
+    def test_patterns_are_gated(self, pat1, pat2, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            RecursionParams.from_patterns(pat1, pat2, Fraction(1, 10), 20)
+
+    def test_c_is_named_before_the_patterns(self):
+        with pytest.raises(ParameterError, match=r"^c=0 must lie strictly in \(0, 1/8\)$"):
+            recursive_sparse_set(all_blue(10), OrderedGraph(2), k_pattern(3), 0)
+
 
 class TestVerifiers:
     def test_mono_copy_wrong_color_rejected(self):
