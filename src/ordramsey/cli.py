@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -59,8 +58,6 @@ EXIT_BOUND = 3
 EXIT_EXHAUSTED = 4
 EXIT_GENERATION = 5
 
-SEED_ENV = "ORDRAMSEY_SEED"
-
 
 def _report(args, cert: dict, summary: str) -> int:
     """Print cert as the run's one JSON line and, unless -q, summary on stderr.
@@ -96,13 +93,9 @@ def _write_out(path: str, text: str) -> None:
 
 def _out_path(args, default: str) -> str:
     """args.out or default; an --out whose extension names another value type
-    than default's is refused, and an unknown extension is written as given."""
+    than default's, or no value type, is refused."""
     out = args.out or default
-    try:
-        same = formats.value_type(out) is formats.value_type(default)
-    except ParseError:
-        return out
-    if not same:
+    if formats.value_type(out) is not formats.value_type(default):
         want, got = Path(default).suffix, Path(out).suffix
         raise ParseError(f"--out {out}: construct {args.what} writes {want} files, not {got}")
     return out
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ordramsey",
         description="Certificate-producing searches for ordered Ramsey structure.",
     )
-    top.add_argument("--seed", type=int, default=None, help=f"rng seed (default: ${SEED_ENV} or 0)")
+    top.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
     top.add_argument(
         "--tuple-cap",
         type=int,
@@ -436,22 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_globals(args) -> None:
-    """Fill in the seed from the environment and check the global caps."""
-    if args.seed is None:
-        raw = os.environ.get(SEED_ENV, "0")
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            raise ParseError(f"{SEED_ENV} must be an integer, got {raw!r}")
-    if args.tuple_cap < 1 or args.node_budget < 1:
-        raise ParameterError("caps must be positive")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_globals(args)
+        if args.tuple_cap < 1 or args.node_budget < 1:
+            raise ParameterError("caps must be positive")
         return args.run(args)
     except OrdRamseyError as exc:
         print(f"error: {exc}", file=sys.stderr)

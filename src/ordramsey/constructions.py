@@ -48,7 +48,7 @@ def find_transitive_subtournament(T: Tournament, k: int) -> tuple[int, ...] | No
     """Lexicographically least transitive k-subtournament, in dominance order."""
     if k < 1:
         raise ParameterError(f"subtournament size must be >= 1, got {k}")
-    chain = kernels.transitive_chain(T.N, list(T.beats), k)
+    chain = kernels.transitive_chain(T.N, T.beats, k)
     return None if chain is None else tuple(chain)
 
 
@@ -159,9 +159,7 @@ def contains_subdivision(
         return InjectionResult(None, 0, False)
     spent = kernels.DecisionBudget(budget)
     try:
-        mapping, nodes = kernels.digraph_injection(
-            T.N, list(T.beats), S.digraph.n, S.digraph.out, spent
-        )
+        mapping, nodes = kernels.digraph_injection(T.N, T.beats, S.digraph.n, S.digraph.out, spent)
     except BudgetExhausted:
         return InjectionResult(None, spent.used, True)
     if mapping is None:

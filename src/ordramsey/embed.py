@@ -42,7 +42,7 @@ def _pre_lists(pattern: OrderedGraph) -> list[list[int]]:
 
 def find_ordered_embedding(host: OrderedGraph, pattern: OrderedGraph) -> Embedding | None:
     """Lexicographically least order-preserving embedding, or None."""
-    res = kernels.find_embedding(host.n, list(host.adj), pattern.n, _pre_lists(pattern))
+    res = kernels.find_embedding(host.n, host.adj, pattern.n, _pre_lists(pattern))
     return None if res is None else Embedding(tuple(res))
 
 

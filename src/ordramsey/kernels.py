@@ -1,12 +1,13 @@
 """The search kernels behind the exact oracle, skeletons and constructions.
 
-Inputs are primitives: 1-based adjacency bitmask rows (index 0 unused) and
-plain ints.
+Inputs are primitives: plain ints and 1-based bitmask rows (index 0
+unused), held in any indexable sequence; the kernels only index the rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import combinations
 
 from .core import bits_of, transpose_masks
@@ -23,7 +24,7 @@ def _full_mask(n: int) -> int:
 
 def find_embedding(
     host_n: int,
-    host_adj: list[int],
+    host_adj: Sequence[int],
     pat_n: int,
     pat_pre: list[list[int]],
 ) -> list[int] | None:
@@ -390,7 +391,7 @@ def search_good_coloring(solver: ColoringSolver, N: int) -> list[int] | None:
     return solver.solve()
 
 
-def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
+def transitive_chain(N: int, beats: Sequence[int], k: int) -> list[int] | None:
     """First dominance-ordered transitive subtournament of size k in DFS order.
 
     The DFS picks chain[depth] from the vertices beaten by every earlier
@@ -466,9 +467,9 @@ def transitive_chain(N: int, beats: list[int], k: int) -> list[int] | None:
 
 def digraph_injection(
     host_n: int,
-    beats: list[int],
+    beats: Sequence[int],
     pat_n: int,
-    pat_out: list[int],
+    pat_out: Sequence[int],
     budget: DecisionBudget,
 ) -> tuple[list[int] | None, int]:
     """Arc-preserving injection of a digraph pattern into a tournament host.
@@ -518,7 +519,7 @@ def digraph_injection(
     return (mapping[1:] if found else None), budget.used - start
 
 
-def _edges_between(side: int, other: int, adj: list[int]) -> tuple[int, int, int]:
+def _edges_between(side: int, other: int, adj: Sequence[int]) -> tuple[int, int, int]:
     """Edges between the disjoint vertex sets side and other, by a loop over
     side: (their number, the side vertices on one, the other vertices on one)."""
     count = side_hit = other_hit = 0
@@ -534,7 +535,7 @@ def _edges_between(side: int, other: int, adj: list[int]) -> tuple[int, int, int
 
 
 def clique_tuple_buckets(
-    n: int, adj: list[int], k: int, cap: int
+    n: int, adj: Sequence[int], k: int, cap: int
 ) -> tuple[int, bool, dict[tuple[int, ...], list[int]]]:
     """Enumerate increasing k-tuples spanning cliques, in lexicographic order.
 

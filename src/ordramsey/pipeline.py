@@ -217,9 +217,9 @@ def binary_tree_sparse(
     """
     if samples < 1:
         raise ParameterError("samples must be positive")
-    X = vertex_tuple(members, coloring.N, "X")
+    X = vertex_tuple(members, coloring.N, "members")
     if not X:
-        raise ParameterError("X must be nonempty")
+        raise ParameterError("members must be nonempty")
     _gate_patterns(pat1, pat2)
     c = params.c
     seeds = count(seed)
@@ -336,6 +336,8 @@ def recursive_sparse_set(
     params = RecursionParams.from_patterns(
         pat1, pat2, c, coloring.N, alpha=alpha, window=window
     )
+    if not coloring.N:
+        raise ParameterError("the coloring has no vertices")
     res = binary_tree_sparse(
         coloring,
         range(1, coloring.N + 1),

@@ -37,45 +37,28 @@ DEFAULT_TUPLE_CAP = 10_000_000
 DEFAULT_SAMPLES = 64
 
 
-@record
-class CliqueTupleIndex:
-    """Increasing clique (4a+1)-tuples bucketed by their odd-position vertices.
-
-    buckets maps each odd-position key (the spine key) to the list of its
-    tuples' even-position vertex masks.  truncated means enumeration stopped
-    at the cap with work left: tuples on the host-graph path
-    (build_clique_tuple_index), counted in lexicographic order, so a
-    truncated index holds exactly the first cap tuples even though the last
-    three positions are recorded as one block per prefix and last spine
-    vertex; spine keys on the clique-harvest path (_index_from_cliques).
-    """
-
-    truncated: bool
-    buckets: dict
-
-
 def build_clique_tuple_index(
     host: OrderedGraph, k: int, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> CliqueTupleIndex:
+) -> tuple[bool, dict]:
     """Bucket the increasing clique k-tuples of host (lexicographic order, capped).
 
-    For odd k >= 3, the tuples sharing their first k - 3 vertices and their
-    last spine vertex are recorded as one bucket update (the masks of their
-    last two even positions) rather than tuple by tuple.  The cap still
-    counts tuples in lexicographic order: a truncated index holds exactly the
-    first tuple_cap tuples.
+    Returns (truncated, buckets).  buckets maps each odd-position key (the
+    spine key) to the list of its tuples' even-position vertex masks.  For
+    odd k >= 3, the tuples sharing their first k - 3 vertices and their last
+    spine vertex are recorded as one bucket update (the masks of their last
+    two even positions) rather than tuple by tuple.  The cap still counts
+    tuples in lexicographic order: truncated means tuples were left, and a
+    truncated index holds exactly the first tuple_cap tuples.
     """
     if k < 1:
         raise ParameterError(f"tuple length {k} must be positive")
     if tuple_cap < 1:
         raise ParameterError("tuple cap must be positive")
-    _, truncated, buckets = kernels.clique_tuple_buckets(host.n, list(host.adj), k, tuple_cap)
-    return CliqueTupleIndex(truncated, buckets)
+    _, truncated, buckets = kernels.clique_tuple_buckets(host.n, host.adj, k, tuple_cap)
+    return truncated, buckets
 
 
-def _skeleton_from_index(
-    index: CliqueTupleIndex, a: int, b_required: Fraction | int
-) -> Skeleton | None:
+def _skeleton_from_index(buckets: dict, a: int, b_required: Fraction | int) -> Skeleton | None:
     """Assemble a skeleton from the bucket with the largest b, ties to the
     least spine key; None when that b is below max(1, b_required).
 
@@ -84,7 +67,6 @@ def _skeleton_from_index(
     lemma's pigeonhole bucket, the most populated one, is only a witness
     that some bucket's b is large: the largest b is at least its b.
     """
-    buckets = index.buckets
     # each bucket's set sizes, counted a position at a time; the (a + 1)-th
     # largest of 2a + 1 sizes is the median
     sizes = zip(*[map(int.bit_count, col) for col in zip(*buckets.values())])
@@ -127,11 +109,11 @@ def find_skeleton_from_cliques(
     d = Fraction(d)
     if d <= 0 or d > 1:
         raise ParameterError(f"density parameter d={d} must lie in (0, 1]")
-    index = build_clique_tuple_index(host, 4 * a + 1, tuple_cap)
+    truncated, buckets = build_clique_tuple_index(host, 4 * a + 1, tuple_cap)
     b_required = d * big_n / Fraction(n) ** 5
-    skel = _skeleton_from_index(index, a, b_required)
+    skel = _skeleton_from_index(buckets, a, b_required)
     if skel is None:
-        if index.truncated:
+        if truncated:
             raise TupleCapError(
                 f"clique tuple cap {tuple_cap} exceeded before any (a={a}) skeleton "
                 f"with b >= {float(b_required):.6g} was found"
@@ -235,8 +217,10 @@ def expand_clique_tuples(
 
 def _index_from_cliques(
     cliques: list[tuple[int, ...]], k: int, cap: int
-) -> CliqueTupleIndex:
+) -> tuple[bool, dict]:
     """Index the increasing k-tuples of a clique family without listing them.
+
+    Returns (truncated, buckets), bucketed as by build_clique_tuple_index.
 
     A tuple's spine key (its odd positions) cuts its clique into gaps: before
     the first key vertex, between consecutive ones and, for odd k, after the
@@ -286,7 +270,7 @@ def _index_from_cliques(
                 len(c) >= k for c in cliques[idx + 1:]
             )
             break
-    return CliqueTupleIndex(truncated, buckets)
+    return truncated, buckets
 
 
 def skeleton_from_harvest(
@@ -312,9 +296,9 @@ def skeleton_from_harvest(
         if not harvest[color]:
             continue
         a = spine[color]
-        index = _index_from_cliques(harvest[color], 4 * a + 1, tuple_cap)
-        truncated = truncated or index.truncated
-        skel = _skeleton_from_index(index, a, b_required)
+        capped, buckets = _index_from_cliques(harvest[color], 4 * a + 1, tuple_cap)
+        truncated = truncated or capped
+        skel = _skeleton_from_index(buckets, a, b_required)
         if skel is not None:
             return color, skel, truncated
     return None, None, truncated

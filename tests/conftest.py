@@ -12,6 +12,15 @@ from itertools import combinations
 import pytest
 
 from ordramsey.core import ColoredCompleteGraph, OrderedGraph
+from ordramsey.errors import OrdRamseyError
+
+
+def outcome(call):
+    """call()'s value, or the type and text of the OrdRamseyError it raises."""
+    try:
+        return call()
+    except OrdRamseyError as exc:
+        return type(exc), str(exc)
 
 
 def naive_density_within(g: OrderedGraph, members) -> Fraction:

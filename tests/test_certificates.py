@@ -14,6 +14,7 @@ from ordramsey.certificates import (
     parse_rational,
     rational_str,
     verify_certificate,
+    verify_embedding,
     verify_homogeneous,
 )
 from ordramsey.core import Color, ColoredCompleteGraph, OrderedGraph
@@ -25,7 +26,7 @@ from ordramsey.embed import (
     greedy_embed_or_sparse_pair,
     skeleton_embed_or_sparse_pair,
 )
-from ordramsey.errors import InternalContractError, ParseError
+from ordramsey.errors import DomainError, InternalContractError, ParseError
 from ordramsey.pipeline import (
     Exhausted,
     MonoCopy,
@@ -40,7 +41,26 @@ from ordramsey.skeleton import (
     find_skeleton_in_dense,
 )
 
-from conftest import all_blue, all_red, complete_graph
+from conftest import all_blue, all_red, complete_graph, outcome
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: SlotSystem([(2, 2)], 4), (DomainError, "slot 1 has duplicate vertices")),
+        (lambda: SlotSystem([(5,)], 4), (DomainError, "slot 1 leaves the host vertex range")),
+        (
+            lambda: verify_embedding(
+                complete_graph(3), complete_graph(2), Embedding((1, 2)),
+                SlotSystem([(1,), (2,), (3,)], 3),
+            ),
+            (False, "slot count 3 != pattern order 2"),
+        ),
+    ],
+    ids=["slot-duplicate", "slot-outside-host", "embedding-slot-count"],
+)
+def test_input_checks(call, expected):
+    assert outcome(call) == expected
 
 
 class TestRationals:

@@ -258,6 +258,15 @@ class TestSparseSetCommand:
         code, out, err = run(capsys, [*argv, "--alpha", alpha])
         assert (code, out, err) == (2, "", f"error: alpha={shown} must lie strictly in (0, 1)\n")
 
+    def test_coloring_without_vertices(self, capsys, files, tmp_path):
+        zero = write(tmp_path / "zero.okc", "0\n")
+        argv = ["sparse-set", zero, files["k3"], files["k3"], "--c", "1/10"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: the coloring has no vertices\n")
+        # a bad c is still named first
+        code, out, err = run(capsys, [*argv[:-1], "1/4"])
+        assert (code, out, err) == (2, "", "error: c=1/4 must lie strictly in (0, 1/8)\n")
+
     def test_pair_branch(self, capsys, files, tmp_path):
         # the planted coloring takes the recursion below its root: a red
         # skeleton, a sparse pair, and a union of the two children's sets
@@ -277,9 +286,8 @@ class TestSparseSetCommand:
         code, out, err = run(capsys, ["verify", cert, hz])
         assert code == 0 and json.loads(out)["valid"] is True
 
-    def test_copy_branch(self, capsys, tmp_path, monkeypatch):
+    def test_copy_branch(self, capsys, tmp_path):
         # an all-red K_40 gives a red skeleton whose dichotomy embeds K2
-        monkeypatch.delenv("ORDRAMSEY_SEED", raising=False)
         red = write(tmp_path / "red40.okc", formats.write_okc(all_red(40)))
         k2 = write(tmp_path / "k2.og", "2 1\n1 2\n")
         code, out, err = run(
@@ -291,8 +299,7 @@ class TestSparseSetCommand:
         code, out, err = run(capsys, ["verify", cert, red, "--pattern", k2])
         assert code == 0 and json.loads(out)["valid"] is True
 
-    def test_exhausted_branch(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("ORDRAMSEY_SEED", raising=False)
+    def test_exhausted_branch(self, capsys, tmp_path):
         col = write(tmp_path / "r20.okc", formats.write_okc(ColoredCompleteGraph.from_random(20, 3)))
         k5 = write(tmp_path / "k5.og", formats.write_og(complete_graph(5)))
         code, out, err = run(
@@ -374,6 +381,23 @@ class TestConstruct:
         )
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "what, out_name, suffix",
+        [("sn", "s3.txt", ".txt"), ("sn", "s3", ""), ("blowup", "b.txt", ".txt"),
+         ("lowerbound", "lb.out", ".out")],
+    )
+    def test_out_of_no_known_format_is_refused(
+        self, capsys, files, tmp_path, monkeypatch, what, out_name, suffix
+    ):
+        # no command could read such a file back
+        monkeypatch.chdir(tmp_path)
+        args = {"sn": ["3"], "blowup": [files["t3"], files["t3"]], "lowerbound": ["21"]}[what]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, ["construct", what, *args, "--out", out_name])
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown file extension {suffix!r} for {out_name}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_sn_above_the_vertex_limit_is_refused_before_it_is_built(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -432,9 +456,9 @@ class TestConstruct:
             assert err == f"error: construct blowup would write {vertices} vertices, {limit}\n"
             assert sorted(tmp_path.iterdir()) == before
 
-    @pytest.mark.parametrize("argv", [["sn", "3"], ["lowerbound", "3"]])
-    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv):
-        out_path = tmp_path / "missing" / "x.out"
+    @pytest.mark.parametrize("argv, name", [(["sn", "3"], "x.dg"), (["lowerbound", "3"], "x.trn")])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv, name):
+        out_path = tmp_path / "missing" / name
         code, out, err = run(capsys, ["construct", *argv, "--out", str(out_path)])
         assert code == 2 and out == ""
         assert err == f"error: cannot write {out_path}: No such file or directory\n"
@@ -738,8 +762,7 @@ OUTCOMES = {
 
 class TestOutcomes:
     @pytest.fixture
-    def outcomes(self, files, tmp_path, monkeypatch):
-        monkeypatch.delenv("ORDRAMSEY_SEED", raising=False)
+    def outcomes(self, files, tmp_path):
         r20 = ColoredCompleteGraph.from_random(20, 3)
         return {
             **files,
@@ -919,13 +942,15 @@ def test_hostile_input_is_an_input_error(capsys, tmp_path, name, content, argv):
 
 
 class TestSeedResolution:
-    def test_env_seed_used_when_flag_absent(self, capsys, files, tmp_path, monkeypatch):
+    """--seed is the seed's one source: the environment changes nothing."""
+
+    def test_env_seed_ignored_when_flag_absent(self, capsys, files, tmp_path, monkeypatch):
         monkeypatch.setenv("ORDRAMSEY_SEED", "7")
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, ["construct", "lowerbound", "50"])
         assert code == 0
-        assert json.loads(out)["seed"] == 7
-        assert (tmp_path / "lowerbound_50_7.trn").exists()
+        assert json.loads(out)["seed"] == 0
+        assert (tmp_path / "lowerbound_50_0.trn").exists()
 
     def test_flag_overrides_env(self, capsys, files, tmp_path, monkeypatch):
         monkeypatch.setenv("ORDRAMSEY_SEED", "7")
@@ -934,10 +959,10 @@ class TestSeedResolution:
         assert code == 0
         assert json.loads(out)["seed"] == 3
 
-    def test_bad_env_seed(self, capsys, files, monkeypatch):
+    def test_bad_env_seed_ignored(self, capsys, files, monkeypatch):
         monkeypatch.setenv("ORDRAMSEY_SEED", "banana")
         code, out, err = run(capsys, ["embed", files["k11"], files["path4"]])
-        assert code == 2
+        assert code == 0
 
 
 class TestDeterminism:

@@ -31,6 +31,8 @@ from ordramsey.errors import (
 )
 from ordramsey.io import write_trn
 
+from conftest import outcome
+
 # the subdivided star on base 1, 2, 3 with the middle vertex 4
 S3 = build_subdivision_S(3).digraph
 
@@ -359,6 +361,14 @@ class TestRandomTournamentAvoiding:
         for seed in range(6):
             T = random_tournament_avoiding(10, 7, seed)
             assert find_transitive_subtournament(T, 7) is None
+
+    @pytest.mark.parametrize(
+        "m, k, message",
+        [(0, 3, "vertex count must be >= 1, got 0"), (5, 0, "forbidden size must be >= 1, got 0")],
+        ids=["m-0", "k-0"],
+    )
+    def test_input_checks(self, m, k, message):
+        assert outcome(lambda: random_tournament_avoiding(m, k, 0)) == (ParameterError, message)
 
     def test_impossible_target_exhausts_tries(self):
         # every pair of vertices is a transitive 2-set

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordramsey.constructions import InjectionResult, blowup
+from ordramsey.constructions import InjectionResult, Subdivision, blowup
 from ordramsey.core import (
     Color,
     ColoredCompleteGraph,
@@ -33,7 +33,7 @@ from ordramsey.core import (
 from ordramsey.errors import DomainError, ParameterError
 from ordramsey.io import parse_okc, parse_trn, write_okc, write_trn
 from ordramsey.pipeline import RecursionParams
-from ordramsey.skeleton import CliqueTupleIndex, Skeleton
+from ordramsey.skeleton import Skeleton
 
 from conftest import (
     all_blue,
@@ -41,6 +41,7 @@ from conftest import (
     complete_graph,
     naive_density_between,
     naive_density_within,
+    outcome,
     random_ordered_graph,
 )
 
@@ -267,6 +268,32 @@ class TestGraphsBuiltUnchecked:
         bare, _ = remove_isolated(g)
         for built in (sub, bare):
             assert built == OrderedGraph.from_rows(built.n, built.adj)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: OrderedGraph(-1), (DomainError, "vertex count -1 is negative")),
+        (
+            lambda: ColoredCompleteGraph.from_colex_bits(-1, []),
+            (DomainError, "vertex count -1 is negative"),
+        ),
+        (lambda: Digraph(-1, []), (DomainError, "vertex count -1 is negative")),
+        (lambda: all_red(3).color_of(1, 1), (DomainError, "(1, 1) is not a vertex pair of K_3")),
+        (lambda: all_red(3).color_of(1, 4), (DomainError, "(1, 4) is not a vertex pair of K_3")),
+        (
+            lambda: density_between(complete_graph(3), [], [1]),
+            (DomainError, "density_between requires nonempty sets"),
+        ),
+        (lambda: degeneracy(OrderedGraph(0)), 0),
+    ],
+    ids=[
+        "ordered-graph-negative", "colex-negative", "digraph-negative", "color-of-loop",
+        "color-of-outside", "density-between-empty", "degeneracy-of-nothing",
+    ],
+)
+def test_input_checks(call, expected):
+    assert outcome(call) == expected
 
 
 class TestDegeneracy:
@@ -781,8 +808,9 @@ RECORDS = [
         id="post-init",
     ),
     pytest.param(
-        lambda: CliqueTupleIndex(False, {(1, 3): [8, 16, 32]}),
-        "CliqueTupleIndex(truncated=False, buckets={(1, 3): [8, 16, 32]})",
+        lambda: Subdivision(3, Digraph(4, [(1, 4), (4, 2), (4, 3)]), {(1, 2, 3): 4}),
+        "Subdivision(n=3, digraph=Digraph(n=4, out=(0, 16, 0, 0, 12)), "
+        "triple_index={(1, 2, 3): 4})",
         id="dict-field",
     ),
 ]

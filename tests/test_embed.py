@@ -175,6 +175,13 @@ def planted_skeleton_host():
 
 
 class TestSkeletonEmbed:
+    def test_invalid_skeleton_is_a_domain_error(self):
+        # spine vertex 2 has no edge to block vertex 1 in the empty host
+        skel = Skeleton((2,), ((1,), (3,)), 1, 1)
+        with pytest.raises(DomainError) as err:
+            skeleton_embed_or_sparse_pair(OrderedGraph(3), skel, complete_graph(2), Fraction(1, 80))
+        assert str(err.value) == "invalid skeleton: condition (c) fails at (2, 1)"
+
     def test_single_edge_pattern(self):
         host = complete_graph(7)
         skel = Skeleton((4,), ((1, 2, 3), (5, 6, 7)), 1, 3)

@@ -35,6 +35,7 @@ from conftest import (
     brute_force_embeddings,
     complete_graph,
     hub_zone_coloring,
+    outcome,
     paley,
     two_blue_cliques,
 )
@@ -155,8 +156,86 @@ class TestBinaryTreeSparse:
     def test_empty_members_rejected(self):
         col = all_blue(5)
         params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 1, 1, 5)
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="^members must be nonempty$"):
             binary_tree_sparse(col, [], k_pattern(3), k_pattern(3), params)
+
+
+def zoned_coloring(first_four_red: bool) -> ColoredCompleteGraph:
+    """Hubs 9 and 18 and zones 1-8, 10-17 and 19-26.  Every pair that touches
+    a hub or joins two zones is red.  Inside a zone the first four vertices
+    are blue to the last four, the last four are red among themselves, and
+    the first four are red among themselves when first_four_red, else blue."""
+    zones = (range(1, 9), range(10, 18), range(19, 27))
+
+    def place(v):
+        return next(((z, v - r.start < 4) for z, r in enumerate(zones) if v in r), (None, None))
+
+    def is_red(i, j):
+        (zi, first_i), (zj, first_j) = place(i), place(j)
+        if zi is None or zi != zj:
+            return True
+        if first_i != first_j:
+            return False
+        return first_four_red or not first_i
+
+    return ColoredCompleteGraph.from_function(26, is_red)
+
+
+def blue_hub_coloring() -> ColoredCompleteGraph:
+    """Hubs 4 and 13 and zones 1-3, 5-12 and 14.  Pairs inside a zone are red,
+    every other pair blue, except that vertex 1 is red to zone 5-12 but for
+    10 and 11."""
+    zone = [None, 0, 0, 0, None, *[1] * 8, None, 2]
+
+    def is_red(i, j):
+        if i == 1 and zone[j] == 1:
+            return j not in (10, 11)
+        return zone[i] is not None and zone[i] == zone[j]
+
+    return ColoredCompleteGraph.from_function(14, is_red)
+
+
+class TestRecursionBranches:
+    """Pinned inputs for the pair-route branches of binary_tree_sparse."""
+
+    def test_pair_half_too_small_to_halve(self):
+        col = ColoredCompleteGraph.from_random(24, 257, 0.3)
+        params = RecursionParams(Fraction(1, 10), 1, 1, 0.5, 2, 1, 8)
+        res = binary_tree_sparse(
+            col, range(1, 25), TAIL_TRIANGLE, k_pattern(3), params, samples=16, seed=257
+        )
+        assert res == Exhausted(("lower pair half of size 1 is too small to halve",))
+
+    @pytest.mark.parametrize(
+        "first_four_red, members",
+        # a red skeleton whose lower child, then whose upper child, returns blue
+        [(True, (1,)), (False, (5,))],
+        ids=["lower-child", "upper-child"],
+    )
+    def test_child_of_the_other_color_is_passed_up(self, first_four_red, members):
+        col = zoned_coloring(first_four_red)
+        params = RecursionParams(Fraction(1, 10), 1, 1, 0.35, 2, 1, 8)
+        res = binary_tree_sparse(
+            col, range(1, 27), TAIL_TRIANGLE, k_pattern(3), params, samples=256, seed=1
+        )
+        assert isinstance(res, SparseSet)
+        assert (res.color, res.members, res.density) == (Color.BLUE, members, 0)
+        assert verify_sparse_set(col, res) == (True, None)
+
+    def test_lower_set_trimmed_to_a_smaller_upper_set(self):
+        # the blue skeleton's pair is the lower chunk 5-8 of zone 5-12
+        # against {10, 11}, the only blue neighbours of vertex 1 there; the
+        # upper child returns one vertex, so the two-vertex W1 is trimmed
+        # again to one
+        pattern = OrderedGraph(4, [(1, 2), (1, 4), (2, 3), (2, 4), (3, 4)])
+        col = blue_hub_coloring()
+        params = RecursionParams(Fraction(1, 10), 4, 1, 0.9, 1, 1, 8)
+        res = binary_tree_sparse(
+            col, range(1, 15), k_pattern(3), pattern, params, samples=256, seed=1
+        )
+        assert isinstance(res, SparseSet)
+        assert (res.color, res.members, res.density) == (Color.BLUE, (5, 10), 0)
+        assert verify_sparse_set(col, res) == (True, None)
 
 
 class TestTrimToDensity:
@@ -234,6 +313,19 @@ class TestRecursiveSparseSet:
 
 
 class TestRecursionParams:
+    @pytest.mark.parametrize(
+        "k1, k2, h1, window, message",
+        [
+            (1, 2, 1, 5, "need k1 >= k2 >= 1, got k1=1, k2=2"),
+            (1, 1, -1, 5, "halving budgets must be nonnegative"),
+            (1, 1, 1, 0, "window must be positive"),
+        ],
+        ids=["k1-below-k2", "negative-budget", "window-0"],
+    )
+    def test_input_checks(self, k1, k2, h1, window, message):
+        call = lambda: RecursionParams(Fraction(1, 10), k1, k2, 0.5, h1, 1, window)
+        assert outcome(call) == (ParameterError, message)
+
     # K3,K3 gives k1 = k2 = 1 and K5,K5 gives k1 = k2 = 2, so the default
     # window is N up to 4^(k1 + k2) and 4^(k1 + k2) above it
     @pytest.mark.parametrize(

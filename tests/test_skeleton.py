@@ -32,7 +32,7 @@ from ordramsey.skeleton import (
     verify_skeleton,
 )
 
-from conftest import all_blue, complete_graph, random_ordered_graph
+from conftest import all_blue, all_red, complete_graph, outcome, random_ordered_graph
 
 
 def brute_force_clique_tuples(host: OrderedGraph, k: int):
@@ -95,25 +95,25 @@ class TestVerifySkeleton:
 
 def tuple_total(host: OrderedGraph, k: int, cap: int = DEFAULT_TUPLE_CAP) -> int:
     """The number of clique tuples the host-path kernel enumerated."""
-    return kernels.clique_tuple_buckets(host.n, list(host.adj), k, cap)[0]
+    return kernels.clique_tuple_buckets(host.n, host.adj, k, cap)[0]
 
 
 class TestCliqueTupleIndex:
     def test_complete_graph_counts(self):
         # every increasing 5-tuple of K_9 is a clique tuple
-        idx = build_clique_tuple_index(complete_graph(9), 5)
+        truncated, _ = build_clique_tuple_index(complete_graph(9), 5)
         assert tuple_total(complete_graph(9), 5) == math.comb(9, 5)
-        assert not idx.truncated
+        assert not truncated
 
     def test_matches_brute_force_on_random_hosts(self):
         for seed in range(12):
             host = random_ordered_graph(11, 0.6, 7000 + seed)
             for k in (3, 5):
-                idx = build_clique_tuple_index(host, k)
+                _, buckets = build_clique_tuple_index(host, k)
                 expected = brute_force_clique_tuples(host, k)
                 assert tuple_total(host, k) == len(expected)
                 keys = {tup[1::2] for tup in expected}
-                assert set(idx.buckets) == keys
+                assert set(buckets) == keys
 
     def test_cap_marks_truncated(self):
         # the tuples of one 2-vertex prefix are committed as a block, so cap
@@ -125,10 +125,10 @@ class TestCliqueTupleIndex:
         for b in starts[:3] + starts[-2:] + [len(listed)]:
             caps.update((b - 1, b, b + 1))
         for cap in sorted(caps):
-            idx = build_clique_tuple_index(host, 5, tuple_cap=cap)
+            truncated, buckets = build_clique_tuple_index(host, 5, tuple_cap=cap)
             assert tuple_total(host, 5, cap) == min(cap, len(listed)), cap
-            assert idx.truncated == (cap < len(listed)), cap
-            assert idx.buckets == reference_buckets(listed[:cap], 5), cap
+            assert truncated == (cap < len(listed)), cap
+            assert buckets == reference_buckets(listed[:cap], 5), cap
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -147,7 +147,7 @@ class TestCliqueTupleIndex:
             populations = Counter(tup[1::2] for tup in listed)
             fullest = max(populations, key=populations.get)
             assert populations[fullest] >= len(listed) / host.n ** 2
-            skel = _skeleton_from_index(build_clique_tuple_index(host, 5), 1, 1)
+            skel = _skeleton_from_index(build_clique_tuple_index(host, 5)[1], 1, 1)
             assert skel.b >= reference_b(reference_buckets(listed, 5)[fullest], 1)
 
 
@@ -238,9 +238,7 @@ class TestIndexFromCliques:
     def test_matches_listed_tuples(self, family):
         cliques, k = family
         buckets = reference_buckets(listed_from_cliques(cliques, k), k)
-        idx = _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP)
-        assert idx.buckets == buckets
-        assert not idx.truncated
+        assert _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP) == (False, buckets)
 
     @settings(max_examples=150, deadline=None)
     @given(clique_families(), st.integers(0, 50))
@@ -250,33 +248,30 @@ class TestIndexFromCliques:
         cliques, k = family
         listed = listed_from_cliques(cliques, k)
         buckets = reference_buckets(listed, k)
-        idx = _index_from_cliques(cliques, k, max(len(listed), 1) + extra)
-        assert idx.buckets == buckets
-        assert not idx.truncated
+        assert _index_from_cliques(cliques, k, max(len(listed), 1) + extra) == (False, buckets)
 
     @settings(max_examples=150, deadline=None)
     @given(clique_families(), st.integers(1, 6))
     def test_small_cap_truncates_to_a_sub_index(self, family, cap):
         cliques, k = family
         buckets = reference_buckets(listed_from_cliques(cliques, k), k)
-        idx = _index_from_cliques(cliques, k, cap)
+        truncated, sub = _index_from_cliques(cliques, k, cap)
         if len(buckets) > cap:
-            assert idx.truncated
-        if not idx.truncated:
-            assert idx.buckets == buckets
-        for key, masks in idx.buckets.items():
+            assert truncated
+        if not truncated:
+            assert sub == buckets
+        for key, masks in sub.items():
             assert all(m & ~full == 0 for m, full in zip(masks, buckets[key]))
 
     def test_tiny_cap_marks_truncated(self):
         # the first spine key of K_12 at k = 5 is (2, 4), with gaps {1}, {3}
         # and {5, ..., 12}
-        idx = _index_from_cliques([tuple(range(1, 13))], 5, 1)
-        assert idx.truncated
-        assert idx.buckets == {(2, 4): [1 << 1, 1 << 3, mask_of(range(5, 13))]}
+        assert _index_from_cliques([tuple(range(1, 13))], 5, 1) == (
+            True, {(2, 4): [1 << 1, 1 << 3, mask_of(range(5, 13))]}
+        )
 
     def test_short_cliques_hold_nothing(self):
-        idx = _index_from_cliques([(1, 2, 3, 4)], 5, 1)
-        assert not idx.truncated and not idx.buckets
+        assert _index_from_cliques([(1, 2, 3, 4)], 5, 1) == (False, {})
 
 
 class TestExpandCliqueTuples:
@@ -297,14 +292,14 @@ class TestExpandCliqueTuples:
         assert expand_clique_tuples((1, 2), 3, 10) == []
 
 
-def check_largest_b(index, tuples, a, b_required):
+def check_largest_b(index_buckets, tuples, a, b_required):
     """_skeleton_from_index against the buckets of the listed tuples: the
     least key with the largest b, its a + 1 largest sets (ties leftmost) as
     blocks, at least the fullest bucket's b, and None exactly when no bucket
     reaches max(1, b_required).  Returns the skeleton."""
     buckets = reference_buckets(tuples, 4 * a + 1)
     bs = {key: reference_b(masks, a) for key, masks in buckets.items()}
-    skel = _skeleton_from_index(index, a, b_required)
+    skel = _skeleton_from_index(index_buckets, a, b_required)
     assert (skel is None) == all(b < max(1, b_required) for b in bs.values())
     if skel is None:
         return None
@@ -329,8 +324,8 @@ class TestLargestBSelection:
         cliques, k = family
         assume(k in (5, 9))
         tuples = list(dict.fromkeys(listed_from_cliques(cliques, k)))
-        index = _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP)
-        check_largest_b(index, tuples, k // 4, b_required)
+        _, index_buckets = _index_from_cliques(cliques, k, DEFAULT_TUPLE_CAP)
+        check_largest_b(index_buckets, tuples, k // 4, b_required)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -340,8 +335,8 @@ class TestLargestBSelection:
         # a truncated index holds the first cap listed tuples
         host, _ = host_k
         listed = brute_force_clique_tuples(host, 4 * a + 1)
-        index = build_clique_tuple_index(host, 4 * a + 1, cap)
-        skel = check_largest_b(index, listed[:cap], a, b_required)
+        _, index_buckets = build_clique_tuple_index(host, 4 * a + 1, cap)
+        skel = check_largest_b(index_buckets, listed[:cap], a, b_required)
         if skel is not None:
             assert verify_skeleton(host, skel) == (True, None)
 
@@ -651,3 +646,45 @@ class TestFindSkeletonInDense:
         res = find_skeleton_in_dense(col, Color.RED, 1, Fraction(10), seed=2)
         assert res.target_b > 0
         assert isinstance(res.met_target, bool)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_skeleton_from_cliques(complete_graph(9), 5, 0), "a must be positive"),
+        (
+            lambda: find_skeleton_from_cliques(complete_graph(9), 5, 1, 0),
+            "density parameter d=0 must lie in (0, 1]",
+        ),
+        (
+            lambda: find_skeleton_from_cliques(complete_graph(9), 5, 1, 2),
+            "density parameter d=2 must lie in (0, 1]",
+        ),
+        (
+            lambda: es_clique_or_independent(OrderedGraph(4), Fraction(1, 2)),
+            "eps=1/2 must lie in (0, 1/2)",
+        ),
+        (
+            lambda: es_clique_or_independent(complete_graph(4), Fraction(1, 4)),
+            "graph density 1 exceeds eps=1/4",
+        ),
+        (
+            lambda: find_skeleton_in_dense(all_red(5), Color.RED, 100, Fraction(0)),
+            "c=0 must be positive",
+        ),
+        (
+            lambda: find_skeleton_in_dense(all_red(5), Color.RED, 0, Fraction(1, 10)),
+            "a must be positive",
+        ),
+        (
+            lambda: find_skeleton_in_dense(all_red(5), Color.RED, 100, Fraction(1, 10)),
+            "red class density 1 exceeds c=1/10",
+        ),
+    ],
+    ids=[
+        "from-cliques-a-0", "from-cliques-d-0", "from-cliques-d-2", "es-eps-half",
+        "es-denser-than-eps", "dense-c-0", "dense-a-0", "dense-class-denser-than-c",
+    ],
+)
+def test_input_checks(call, message):
+    assert outcome(call) == (ParameterError, message)
